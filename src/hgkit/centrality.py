@@ -129,38 +129,52 @@ def _brandes(nbrs: list[set[int]]) -> dict[int, float]:
     Standard two-pass accumulation: a BFS builds shortest-path counts,
     then dependencies fold back in reverse BFS order.  The ordered-pair
     totals are halved at the end because the graph is undirected.
+
+    Adjacency is copied into lists indexed by vertex id (slot 0 unused)
+    in each set's own iteration order, and ``dist``/``sigma``/``delta``
+    are flat lists of the same shape, reset after each source only where
+    its BFS reached.  The BFS order list is also the queue, and the back
+    pass finds a vertex's predecessors by scanning its neighbours for
+    ``dist`` one less, so no predecessor lists are built.  BFS order and
+    the order in which each ``delta`` entry receives its terms match a
+    dict-keyed implementation with predecessor lists, so every score is
+    bit-identical to it.
     """
     n = len(nbrs)
-    bc = dict.fromkeys(range(1, n + 1), 0.0)
+    adj: list[list[int]] = [[]] + [list(s) for s in nbrs]
+    bc = [0.0] * (n + 1)
+    dist = [-1] * (n + 1)
+    sigma = [0] * (n + 1)
+    delta = [0.0] * (n + 1)
     for src in range(1, n + 1):
-        if not nbrs[src - 1]:
+        if not adj[src]:
             continue
-        order: list[int] = []
-        preds: dict[int, list[int]] = {src: []}
-        sigma = {src: 1}
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            order.append(x)
-            for y in nbrs[x - 1]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    sigma[y] = 0
-                    preds[y] = []
-                    queue.append(y)
-                if dist[y] == dist[x] + 1:
-                    sigma[y] += sigma[x]
-                    preds[y].append(x)
-        delta = dict.fromkeys(order, 0.0)
-        for y in reversed(order):
-            for x in preds[y]:
-                delta[x] += (sigma[x] / sigma[y]) * (1.0 + delta[y])
-            if y != src:
-                bc[y] += delta[y]
-    for v in bc:
-        bc[v] /= 2.0
-    return bc
+        dist[src] = 0
+        sigma[src] = 1
+        order = [src]
+        for x in order:
+            dy = dist[x] + 1
+            sx = sigma[x]
+            for y in adj[x]:
+                d = dist[y]
+                if d < 0:
+                    dist[y] = dy
+                    sigma[y] = sx
+                    order.append(y)
+                elif d == dy:
+                    sigma[y] += sx
+        for y in order[:0:-1]:
+            dx = dist[y] - 1
+            sy = sigma[y]
+            coeff = 1.0 + delta[y]
+            for x in adj[y]:
+                if dist[x] == dx:
+                    delta[x] += (sigma[x] / sy) * coeff
+            bc[y] += delta[y]
+        for y in order:
+            dist[y] = -1
+            delta[y] = 0.0
+    return {v: bc[v] / 2.0 for v in range(1, n + 1)}
 
 
 def s_betweenness(h: Hypergraph, s: int = 1) -> CentralityVector:

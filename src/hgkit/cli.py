@@ -319,8 +319,30 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 # --- rerun -----------------------------------------------------------------------
 
 
+def _read_manifest(path: str) -> dict[str, Any]:
+    """Load a run manifest, rejecting any document ``rerun`` cannot replay."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: not a JSON manifest ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("manifest_version") != 1:
+        raise FormatError(f"{path}: manifest_version must be 1")
+    argv = doc.get("argv")
+    if not isinstance(argv, list) or not argv or not all(isinstance(a, str) for a in argv):
+        raise FormatError(f"{path}: argv must be a non-empty list of strings")
+    if argv[0] == "rerun":
+        raise FormatError(f"{path}: a manifest cannot replay rerun")
+    outputs = doc.get("outputs")
+    if not isinstance(outputs, list) or not all(
+        isinstance(r, dict) and isinstance(r.get("path"), str) and isinstance(r.get("sha256"), str)
+        for r in outputs
+    ):
+        raise FormatError(f"{path}: outputs must be a list of path and sha256 strings")
+    return doc
+
+
 def cmd_rerun(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    doc = _read_manifest(args.manifest)
     rc = main(list(doc["argv"]))
     if rc != 0:
         return rc
@@ -394,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", parents=[common], help="rating forecasts from a review CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--stars", type=int, nargs="+")
+    p.add_argument("--stars", type=int, nargs="+", choices=range(1, 6))
     p.add_argument("--output")
     p.set_defaults(func=cmd_forecast)
 

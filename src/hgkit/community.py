@@ -47,11 +47,30 @@ class LpConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-def _argmax_label(counts: Counter[int] | dict[int, float], rng: random.Random) -> int:
-    best = max(counts.values())
-    candidates = sorted(lab for lab, c in counts.items() if c == best)
+def _argmax_label(labels: list[int], weights: list[float] | None, rng: random.Random) -> int:
+    """The label with the largest total weight, or count if ``weights`` is None.
+
+    Weights are summed per label in list order.  A tie is broken by one
+    ``rng.randrange`` over the tied labels in ascending order; without a
+    tie ``rng`` is not touched.
+    """
+    first = labels[0]
+    if len(labels) == 1:
+        return first
+    tally: dict[int, float] = {}
+    if weights is None:
+        for lab in labels:
+            tally[lab] = tally.get(lab, 0) + 1
+    else:
+        for lab, w in zip(labels, weights):
+            tally[lab] = tally.get(lab, 0.0) + w
+    if len(tally) == 1:
+        return first
+    best = max(tally.values())
+    candidates = [lab for lab, c in tally.items() if c == best]
     if len(candidates) == 1:
         return candidates[0]
+    candidates.sort()
     return candidates[rng.randrange(len(candidates))]
 
 
@@ -63,40 +82,49 @@ def graph_label_propagation(
     Returns the final partition and the number of sweeps executed
     (counting the final unchanged one).  Isolated nodes keep their
     initial unique labels.
+
+    Each node's neighbours and weights are copied once per call into
+    flat lists indexed by node id (slot 0 unused), in the graph's own
+    iteration order, and labels live in one such list.  Weight sums and
+    random draws therefore happen in the same order as a dict-keyed
+    sweep would make them: a fixed seed gives a bit-identical partition
+    and iteration count.
     """
     cfg = config or LpConfig()
     rng = random.Random(cfg.seed)
     if isinstance(g, MaterializedGraph):
-        adjacency = g.adjacency()
-        neighbors = adjacency.__getitem__
+        neighbors = g.adjacency().__getitem__
     elif isinstance(g, TwoSectionView):
         neighbors = g.neighbors
     else:
         raise TypeError(f"expected a graph, got {type(g).__name__}")
-    nodes = list(range(1, g.n_nodes + 1))
-    labels = {v: v for v in nodes}
-    if not nodes:
+    n = g.n_nodes
+    if n == 0:
         return Partition({}), 0
-    order = list(nodes)
+    nbr_ids: list[list[int]] = [[]]
+    nbr_weights: list[list[float]] = [[]]
+    for v in range(1, n + 1):
+        items = neighbors(v).items()
+        nbr_ids.append([u for u, _ in items])
+        nbr_weights.append([w for _, w in items])
+    labels = list(range(n + 1))
+    order = list(range(1, n + 1))
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         if cfg.shuffle_order:
             rng.shuffle(order)
         changed = False
         for v in order:
-            counts: dict[int, float] = {}
-            for u, w in neighbors(v).items():
-                lab = labels[u]
-                counts[lab] = counts.get(lab, 0.0) + w
-            if not counts:
+            ids = nbr_ids[v]
+            if not ids:
                 continue
-            new = _argmax_label(counts, rng)
+            new = _argmax_label([labels[u] for u in ids], nbr_weights[v], rng)
             if new != labels[v]:
                 labels[v] = new
                 changed = True
         if not changed:
             break
-    return Partition(labels), iterations
+    return Partition({v: labels[v] for v in range(1, n + 1)}), iterations
 
 
 def hypergraph_label_propagation(
@@ -107,39 +135,45 @@ def hypergraph_label_propagation(
     Phase one labels hyperedges from current vertex labels; phase two
     relabels vertices from the fresh hyperedge labels.  Isolated
     vertices and empty hyperedges never change.
+
+    Membership is copied once per call into flat lists indexed by
+    vertex and hyperedge id (slot 0 unused), in the incidence indexes'
+    own order, and both label sets live in such lists.  Random draws
+    happen in the same order as a dict-keyed sweep would make them: a
+    fixed seed gives a bit-identical partition and iteration count.
     """
     cfg = config or LpConfig()
     rng = random.Random(cfg.seed)
-    vlabels = {v: v for v in h.vertices()}
-    elabels: dict[int, int | None] = {e: None for e in h.hyperedges()}
-    if not vlabels:
+    n, k = h.nhv, h.nhe
+    if n == 0:
         return Partition({}), 0
-    vorder = list(h.vertices())
-    eorder = list(h.hyperedges())
+    members = [[]] + [list(m) for m in h._he2v]
+    incident = [[]] + [list(i) for i in h._v2he]
+    vlabels = list(range(n + 1))
+    elabels = [0] * (k + 1)
+    vorder = list(range(1, n + 1))
+    eorder = list(range(1, k + 1))
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
         if cfg.shuffle_order:
             rng.shuffle(eorder)
             rng.shuffle(vorder)
         for e in eorder:
-            members = h._he2v[e - 1]
-            if not members:
-                continue
-            counts = Counter(vlabels[v] for v in members)
-            elabels[e] = _argmax_label(counts, rng)
+            ms = members[e]
+            if ms:
+                elabels[e] = _argmax_label([vlabels[v] for v in ms], None, rng)
         changed = False
         for v in vorder:
-            incident = h._v2he[v - 1]
-            if not incident:
+            es = incident[v]
+            if not es:
                 continue
-            counts = Counter(elabels[e] for e in incident)
-            new = _argmax_label(counts, rng)
+            new = _argmax_label([elabels[e] for e in es], None, rng)
             if new != vlabels[v]:
                 vlabels[v] = new
                 changed = True
         if not changed:
             break
-    return Partition(vlabels), iterations
+    return Partition({v: vlabels[v] for v in range(1, n + 1)}), iterations
 
 
 # --- partition comparison -------------------------------------------------------

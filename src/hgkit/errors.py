@@ -32,7 +32,7 @@ class LineCountMismatchError(FormatError):
 
 
 class BadWeightTokenError(FormatError):
-    """HGF token is not of the form vertex=finite_weight."""
+    """HGF token is not of the form vertex=finite_weight, or repeats a vertex on its line."""
 
 
 class IndexOutOfRangeError(FormatError):

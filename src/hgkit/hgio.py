@@ -113,6 +113,8 @@ def read_hgf(text: str) -> Hypergraph:
                 raise IndexOutOfRangeError(
                     f"vertex {v} outside 1..{n} on hyperedge line {e}"
                 )
+            if v in h._he2v[e - 1]:
+                raise BadWeightTokenError(f"vertex {v} appears twice on hyperedge line {e}")
             h._v2he[v - 1][e] = w
             h._he2v[e - 1][v] = w
     return h

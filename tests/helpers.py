@@ -4,16 +4,25 @@ The reference implementations here deliberately avoid the package's
 code paths: betweenness is recomputed from scratch (both a separate
 textbook implementation and an exact path enumerator), and both
 modularity scores are evaluated directly from their definitions in
-exact rational arithmetic.
+exact rational arithmetic.  The ``reference_*`` kernels are the
+dict-keyed label propagation and Brandes loops that the indexed
+kernels in the package must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
-from hgkit import Hypergraph, Partition, connected_components
+from hgkit import (
+    Hypergraph,
+    LpConfig,
+    MaterializedGraph,
+    Partition,
+    TwoSectionView,
+    connected_components,
+)
 
 # --- random structures ---------------------------------------------------------
 
@@ -169,6 +178,126 @@ def enumerated_betweenness(adj: dict[int, dict[int, int] | set[int]]) -> dict[in
             for mid, cnt in passes.items():
                 score[mid] += Fraction(cnt, total)
     return score
+
+
+# --- reference kernels (dict-keyed) ------------------------------------------------------
+
+
+def reference_argmax_label(counts: Counter[int] | dict[int, float], rng: random.Random) -> int:
+    best = max(counts.values())
+    candidates = sorted(lab for lab, c in counts.items() if c == best)
+    if len(candidates) == 1:
+        return candidates[0]
+    return candidates[rng.randrange(len(candidates))]
+
+
+def reference_graph_label_propagation(
+    g: MaterializedGraph | TwoSectionView, config: LpConfig | None = None
+) -> tuple[Partition, int]:
+    cfg = config or LpConfig()
+    rng = random.Random(cfg.seed)
+    if isinstance(g, MaterializedGraph):
+        adjacency = g.adjacency()
+        neighbors = adjacency.__getitem__
+    elif isinstance(g, TwoSectionView):
+        neighbors = g.neighbors
+    else:
+        raise TypeError(f"expected a graph, got {type(g).__name__}")
+    nodes = list(range(1, g.n_nodes + 1))
+    labels = {v: v for v in nodes}
+    if not nodes:
+        return Partition({}), 0
+    order = list(nodes)
+    iterations = 0
+    for iterations in range(1, cfg.max_iterations + 1):
+        if cfg.shuffle_order:
+            rng.shuffle(order)
+        changed = False
+        for v in order:
+            counts: dict[int, float] = {}
+            for u, w in neighbors(v).items():
+                lab = labels[u]
+                counts[lab] = counts.get(lab, 0.0) + w
+            if not counts:
+                continue
+            new = reference_argmax_label(counts, rng)
+            if new != labels[v]:
+                labels[v] = new
+                changed = True
+        if not changed:
+            break
+    return Partition(labels), iterations
+
+
+def reference_hypergraph_label_propagation(
+    h: Hypergraph, config: LpConfig | None = None
+) -> tuple[Partition, int]:
+    cfg = config or LpConfig()
+    rng = random.Random(cfg.seed)
+    vlabels = {v: v for v in h.vertices()}
+    elabels: dict[int, int | None] = {e: None for e in h.hyperedges()}
+    if not vlabels:
+        return Partition({}), 0
+    vorder = list(h.vertices())
+    eorder = list(h.hyperedges())
+    iterations = 0
+    for iterations in range(1, cfg.max_iterations + 1):
+        if cfg.shuffle_order:
+            rng.shuffle(eorder)
+            rng.shuffle(vorder)
+        for e in eorder:
+            members = h._he2v[e - 1]
+            if not members:
+                continue
+            counts = Counter(vlabels[v] for v in members)
+            elabels[e] = reference_argmax_label(counts, rng)
+        changed = False
+        for v in vorder:
+            incident = h._v2he[v - 1]
+            if not incident:
+                continue
+            counts = Counter(elabels[e] for e in incident)
+            new = reference_argmax_label(counts, rng)
+            if new != vlabels[v]:
+                vlabels[v] = new
+                changed = True
+        if not changed:
+            break
+    return Partition(vlabels), iterations
+
+
+def reference_brandes(nbrs: list[set[int]]) -> dict[int, float]:
+    n = len(nbrs)
+    bc = dict.fromkeys(range(1, n + 1), 0.0)
+    for src in range(1, n + 1):
+        if not nbrs[src - 1]:
+            continue
+        order: list[int] = []
+        preds: dict[int, list[int]] = {src: []}
+        sigma = {src: 1}
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            x = queue.popleft()
+            order.append(x)
+            for y in nbrs[x - 1]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    sigma[y] = 0
+                    preds[y] = []
+                    queue.append(y)
+                if dist[y] == dist[x] + 1:
+                    sigma[y] += sigma[x]
+                    preds[y].append(x)
+        delta = dict.fromkeys(order, 0.0)
+        for y in reversed(order):
+            for x in preds[y]:
+                delta[x] += (sigma[x] / sigma[y]) * (1.0 + delta[y])
+            if y != src:
+                bc[y] += delta[y]
+    for v in bc:
+        bc[v] /= 2.0
+    return bc
 
 
 # --- reference modularity -------------------------------------------------------------

@@ -269,6 +269,15 @@ class TestForecast:
         assert code == 5
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("stars", ["0", "9"])
+    def test_out_of_range_stars_is_a_usage_error(self, tmp_path, capsys, stars):
+        src = tmp_path / "reviews.csv"
+        src.write_text(REVIEWS)
+        with pytest.raises(SystemExit) as info:
+            main(["forecast", "--input", str(src), "--stars", "5", stars])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCorrelate:
     def write_scores(self, path, scores):
@@ -340,6 +349,31 @@ class TestRerun:
         )[0] == 0
         code, _, err = run(capsys, "rerun", str(tmp_path / "part.json.manifest.json"))
         assert code == 0 and err == ""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '{"manifest_version": 1, "outputs": []}',
+            '{"manifest_version": 2, "argv": ["stats", "--input", "g.hgf"], "outputs": []}',
+            '{"manifest_version": 1, "argv": "stats --input g.hgf", "outputs": []}',
+            '{"manifest_version": 1, "argv": ["stats", "--input", "g.hgf"], "outputs": [{"path": "x"}]}',
+            '[1, 2]',
+        ],
+        ids=["invalid-json", "missing-argv", "wrong-version", "argv-not-a-list", "output-without-digest", "not-an-object"],
+    )
+    def test_malformed_manifest_exits_3(self, tmp_path, capsys, text):
+        manifest = tmp_path / "m.manifest.json"
+        manifest.write_text(text)
+        code, _, err = run(capsys, "rerun", str(manifest))
+        assert code == 3 and err.startswith("error:")
+
+    def test_manifest_replaying_rerun_is_refused(self, tmp_path, capsys):
+        manifest = tmp_path / "m.manifest.json"
+        doc = {"manifest_version": 1, "argv": ["rerun", str(manifest)], "outputs": []}
+        manifest.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "rerun", str(manifest))
+        assert code == 3 and "rerun" in err
 
     def test_manifest_records_argv_and_parameters(self, tmp_path, capsys):
         src = tmp_path / "two.hgf"

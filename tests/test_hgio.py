@@ -88,7 +88,7 @@ class TestHgf:
             read_hgf("2 1\n1=1.0\n2=1.0\n")
 
     @pytest.mark.parametrize(
-        "token", ["1", "=1.0", "1=", "x=1.0", "1=fast", "1=nan", "1=inf"]
+        "token", ["1", "=1.0", "1=", "x=1.0", "1=fast", "1=nan", "1=inf", "1=1.0 1=2.0"]
     )
     def test_bad_weight_token(self, token):
         with pytest.raises(BadWeightTokenError):
