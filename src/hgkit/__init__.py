@@ -13,7 +13,6 @@ from .analytics import (
 from .centrality import (
     CentralityVector,
     SAdjacency,
-    betweenness_equivalence_check,
     pearson,
     s_adjacency,
     s_betweenness,
@@ -74,7 +73,6 @@ __all__ = [
     "s_adjacency",
     "s_shortest_path_length",
     "s_betweenness",
-    "betweenness_equivalence_check",
     "pearson",
     "forecast_hypergraph",
     "forecast_graph",

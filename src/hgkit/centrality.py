@@ -10,8 +10,7 @@ from __future__ import annotations
 import statistics
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from .errors import (
     DomainMismatchError,
@@ -19,8 +18,7 @@ from .errors import (
     UnknownVertexError,
     ZeroVarianceError,
 )
-from .hypercore import Hypergraph
-from .views import TwoSectionView
+from .hypercore import Hypergraph, check_id
 
 __all__ = [
     "CentralityVector",
@@ -28,7 +26,6 @@ __all__ = [
     "s_adjacency",
     "s_shortest_path_length",
     "s_betweenness",
-    "betweenness_equivalence_check",
     "pearson",
 ]
 
@@ -58,8 +55,7 @@ class SAdjacency:
     _nbrs: list[set[int]]
 
     def neighbors(self, v: int) -> set[int]:
-        if not 1 <= v <= self.n:
-            raise UnknownVertexError(f"no vertex {v!r} (have 1..{self.n})")
+        check_id(v, self.n, UnknownVertexError, "vertex")
         return set(self._nbrs[v - 1])
 
     def edges(self) -> list[tuple[int, int]]:
@@ -74,25 +70,44 @@ class SAdjacency:
 
 
 def s_adjacency(h: Hypergraph, s: int = 1) -> SAdjacency:
-    """Build the s-adjacency graph by accumulating per-hyperedge pairs.
+    """Build the s-adjacency graph by counting co-memberships per vertex.
 
-    Cost is the sum of squared hyperedge sizes; memory is proportional
-    to the number of vertex pairs that actually co-occur.
+    Each vertex u of degree at least s tallies its partners over its
+    hyperedges, in ascending hyperedge id and then ascending partner id,
+    and keeps those it shares at least s hyperedges with.  Vertices of
+    degree below s have no s-neighbours and are skipped.  Cost is the
+    sum over hyperedges of size squared (each pair is tallied from both
+    ends); memory beyond the result is one vertex's tally plus the
+    sorted member lists, and no table of all co-occurring pairs is ever
+    built.
+
+    Every neighbour set receives its members in the order (first shared
+    hyperedge id, partner id), which fixes the sets' iteration order and
+    therefore the exact floating-point betweenness scores.  Each set is
+    built from a list, which inserts one element at a time; building it
+    from the tally dict would presize its table and reorder it.
     """
     if not isinstance(s, int) or isinstance(s, bool) or s < 1:
         raise InvalidSError(f"s must be a positive integer, got {s!r}")
-    counts: dict[tuple[int, int], int] = {}
-    for e in h.hyperedges():
-        members = sorted(h._he2v[e - 1])
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                pair = (u, v)
-                counts[pair] = counts.get(pair, 0) + 1
-    nbrs: list[set[int]] = [set() for _ in range(h.nhv)]
-    for (u, v), c in counts.items():
-        if c >= s:
-            nbrs[u - 1].add(v)
-            nbrs[v - 1].add(u)
+    members: list[list[int] | None] = [sorted(col) for col in h._he2v]
+    nbrs: list[set[int]] = []
+    for u, row in enumerate(h._v2he, start=1):
+        if len(row) < s:
+            nbrs.append(set())
+            continue
+        edges = sorted(row)
+        tally: dict[int, int] = {}
+        get = tally.get
+        for e in edges:
+            for v in members[e - 1]:
+                tally[v] = get(v, 0) + 1
+        del tally[u]
+        nbrs.append(set([v for v, c in tally.items() if c >= s]))
+        # No later vertex reads a hyperedge whose highest member is u,
+        # so its list is dropped while the result grows.
+        for e in edges:
+            if members[e - 1][-1] == u:
+                members[e - 1] = None
     return SAdjacency(s=s, n=h.nhv, _nbrs=nbrs)
 
 
@@ -185,71 +200,6 @@ def s_betweenness(h: Hypergraph, s: int = 1) -> CentralityVector:
     """
     adj = s_adjacency(h, s)
     return CentralityVector(_brandes(adj._nbrs))
-
-
-def _enumerated_betweenness(
-    nodes: Iterable[int], neighbors_of: Callable[[int], Iterable[int]]
-) -> dict[int, Fraction]:
-    """Betweenness by explicit geodesic enumeration, in exact arithmetic.
-
-    For every unordered pair, a BFS fixes distances and a depth-first
-    sweep walks out every shortest path, tallying interior visits.
-    Exponential in the worst case; meant for small graphs and checks.
-    """
-    node_list = sorted(nodes)
-    bc = {v: Fraction(0) for v in node_list}
-    for i, x in enumerate(node_list):
-        dist = {x: 0}
-        queue = deque([x])
-        while queue:
-            a = queue.popleft()
-            for b in neighbors_of(a):
-                if b not in dist:
-                    dist[b] = dist[a] + 1
-                    queue.append(b)
-        for y in node_list[i + 1 :]:
-            if y not in dist:
-                continue
-            total = 0
-            interior: dict[int, int] = {}
-            path = [x]
-
-            def walk(cur: int) -> None:
-                nonlocal total
-                if cur == y:
-                    total += 1
-                    for mid in path[1:-1]:
-                        interior[mid] = interior.get(mid, 0) + 1
-                    return
-                for nxt in neighbors_of(cur):
-                    if dist.get(nxt) == dist[cur] + 1 and dist[cur] < dist[y]:
-                        path.append(nxt)
-                        walk(nxt)
-                        path.pop()
-
-            walk(x)
-            for mid, cnt in interior.items():
-                bc[mid] += Fraction(cnt, total)
-    return bc
-
-
-def betweenness_equivalence_check(h: Hypergraph, tol: float = 1e-9) -> tuple[bool, float]:
-    """Cross-check s=1 betweenness against the two-section graph.
-
-    The reference side enumerates geodesics over the two-section
-    adjacency (ignoring weights) in exact arithmetic, touching none of
-    the s-adjacency machinery.  Returns (within tolerance, worst gap).
-    Intended for tests on small inputs.
-    """
-    fast = s_betweenness(h, 1).scores
-    view = TwoSectionView(h)
-    exact = _enumerated_betweenness(
-        view.nodes(), lambda v: sorted(view.neighbors(v))
-    )
-    worst = max(
-        (abs(fast[v] - float(exact[v])) for v in view.nodes()), default=0.0
-    )
-    return worst <= tol, worst
 
 
 def _as_scores(x: CentralityVector | Mapping[int, float]) -> Mapping[int, float]:

@@ -15,12 +15,14 @@ outputs come back byte-identical.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from . import __version__
 from .analytics import (
@@ -57,6 +59,13 @@ OUTPUT_FORMATS = ("hgf", "json", "dot-bipartite", "dot-twosection")
 
 def _fmt(x: float, full: bool) -> str:
     return repr(x) if full else f"{x:.6g}"
+
+
+def _csv_text(rows: Iterable[list[str]]) -> str:
+    """CSV document with ``\n`` line ends; only cells that need it are quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _infer_format(path: str) -> str:
@@ -228,13 +237,16 @@ def cmd_nmi(args: argparse.Namespace) -> int:
 # --- betweenness ----------------------------------------------------------------
 
 
+SCORES_HEADER = ["vertex", "label", "score"]
+
+
 def _scores_csv(h: Hypergraph, ranked: list[tuple[int, float]], full: bool) -> str:
-    lines = ["vertex,label,score"]
+    rows = [SCORES_HEADER]
     for v, score in ranked:
         meta = h.get_vertex_meta(v)
         label = meta if isinstance(meta, str) else ""
-        lines.append(f"{v},{label},{_fmt(score, full)}")
-    return "\n".join(lines) + "\n"
+        rows.append([str(v), label, _fmt(score, full)])
+    return _csv_text(rows)
 
 
 def cmd_betweenness(args: argparse.Namespace) -> int:
@@ -267,17 +279,16 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     if evaluation_size(hyper) == 0 and evaluation_size(graph) == 0:
         raise EmptyEvaluationSetError("no vertex received a defined prediction")
     full = args.full_precision
-    lines = ["vertex,label,stars,forecast_hyper,forecast_graph"]
+    rows = [["vertex", "label", "stars", "forecast_hyper", "forecast_graph"]]
     for v in h.vertices():
-        cells = [
+        rows.append([
             str(v),
             item_labels[v - 1],
             _fmt(ratings[v], full),
             _fmt(hyper[v], full) if hyper[v] is not None else "",
             _fmt(graph[v], full) if graph[v] is not None else "",
-        ]
-        lines.append(",".join(cells))
-    _emit(args, "\n".join(lines) + "\n", [args.input])
+        ])
+    _emit(args, _csv_text(rows), [args.input])
     print(
         f"err-hypergraph: {_fmt(average_error(hyper, ratings), full)}"
         f" (defined {evaluation_size(hyper)}/{h.nhv})"
@@ -293,20 +304,23 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def _read_scores_csv(path: str) -> dict[int, float]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != "vertex,label,score":
-        raise FormatError(f"{path}: expected header vertex,label,score")
     scores: dict[int, float] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != 3:
-            raise FormatError(f"{path}: row {line!r} must have three fields")
+    with open(path, encoding="utf-8", newline="") as f:
+        rows = csv.reader(f)
         try:
-            scores[int(cells[0])] = float(cells[2])
-        except ValueError:
-            raise FormatError(f"{path}: row {line!r} is not vertex,label,score") from None
+            if [c.strip() for c in next(rows, [])] != SCORES_HEADER:
+                raise FormatError(f"{path}: expected header vertex,label,score")
+            for row in rows:
+                if len(row) <= 1 and not "".join(row).strip():
+                    continue
+                if len(row) != 3:
+                    raise FormatError(f"{path}: row {row!r} must have three fields")
+                try:
+                    scores[int(row[0])] = float(row[2])
+                except ValueError:
+                    raise FormatError(f"{path}: row {row!r} is not vertex,label,score") from None
+        except csv.Error as exc:
+            raise FormatError(f"{path}: {exc}") from None
     return scores
 
 

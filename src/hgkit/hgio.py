@@ -211,7 +211,7 @@ def read_json(text: str) -> Hypergraph:
 # --- dataset records ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ReviewRecord:
     """One review: a user rated an item with 1..5 stars."""
 
@@ -226,7 +226,7 @@ class ReviewRecord:
             raise MalformedRecordError(f"stars must be in 1..5, got {self.stars}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SceneRecord:
     """One scene: an identifier and the characters appearing in it.
 
@@ -254,16 +254,16 @@ def read_reviews_csv(text: str) -> list[ReviewRecord]:
 
     An empty document (or just the header) yields no records.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows:
+    rows = (row for row in csv.reader(io.StringIO(text)) if row)
+    header = next(rows, None)
+    if header is None:
         return []
-    if [c.strip() for c in rows[0]] != ["user_id", "item_id", "stars"]:
+    if [c.strip() for c in header] != ["user_id", "item_id", "stars"]:
         raise MalformedRecordError(
             "review CSV must start with header user_id,item_id,stars"
         )
     records = []
-    for row in rows[1:]:
+    for row in rows:
         if len(row) != 3:
             raise MalformedRecordError(f"review row {row!r} must have three fields")
         try:

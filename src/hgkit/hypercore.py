@@ -27,12 +27,18 @@ from .errors import (
     UnknownVertexError,
 )
 
-__all__ = ["Hypergraph", "IdRemap", "DEFAULT_WEIGHT", "check_weight", "as_weight_map"]
+__all__ = ["Hypergraph", "IdRemap", "DEFAULT_WEIGHT", "check_id", "check_weight", "as_weight_map"]
 
 IdRemap = dict[int, int]
 WeightMap = dict[int, float]
 
 DEFAULT_WEIGHT = 1.0
+
+
+def check_id(i: Any, n: int, error: type[Exception], noun: str) -> None:
+    """Raise ``error`` unless ``i`` is an int id in 1..n (bools are not ids)."""
+    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
+        raise error(f"no {noun} {i!r} (have 1..{n})")
 
 
 def check_weight(value: Any) -> float:
@@ -295,6 +301,9 @@ class Hypergraph:
 
     # --- internal -------------------------------------------------------------
 
+    # These two repeat check_id's test inline: they run on every mutation
+    # and query, and calling check_id from them made a seeded stream of
+    # 200k mutations and reads 4 % slower.
     def _check_vertex(self, v: int) -> None:
         if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= self.nhv:
             raise UnknownVertexError(f"no vertex {v!r} (have 1..{self.nhv})")

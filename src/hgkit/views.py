@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import UnknownNodeError, UnknownVertexError
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, check_id
 
 __all__ = ["BipartiteView", "TwoSectionView", "MaterializedGraph", "materialize"]
 
@@ -54,10 +54,7 @@ class BipartiteView:
         return set(h._he2v[node - n - 1])
 
     def _check_node(self, node: int) -> None:
-        if not isinstance(node, int) or isinstance(node, bool) or not 1 <= node <= self.n_nodes:
-            raise UnknownNodeError(
-                f"no bipartite node {node!r} (have 1..{self.n_nodes})"
-            )
+        check_id(node, self.n_nodes, UnknownNodeError, "bipartite node")
 
 
 class TwoSectionView:
@@ -87,8 +84,7 @@ class TwoSectionView:
     def neighbors(self, v: int) -> dict[int, int]:
         """Map of co-member vertex -> number of shared hyperedges."""
         h = self._h
-        if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= h.nhv:
-            raise UnknownVertexError(f"no vertex {v!r} (have 1..{h.nhv})")
+        check_id(v, h.nhv, UnknownVertexError, "vertex")
         counts: dict[int, int] = {}
         for e in h._v2he[v - 1]:
             for u in h._he2v[e - 1]:

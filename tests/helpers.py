@@ -5,8 +5,9 @@ code paths: betweenness is recomputed from scratch (both a separate
 textbook implementation and an exact path enumerator), and both
 modularity scores are evaluated directly from their definitions in
 exact rational arithmetic.  The ``reference_*`` kernels are the
-dict-keyed label propagation and Brandes loops that the indexed
-kernels in the package must reproduce bit for bit.
+dict-keyed label propagation and Brandes loops and the global
+pair-table s-adjacency build that the package kernels must reproduce
+bit for bit.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ from hgkit import (
     LpConfig,
     MaterializedGraph,
     Partition,
+    SAdjacency,
     TwoSectionView,
     connected_components,
 )
+from hgkit.errors import InvalidSError
 
 # --- random structures ---------------------------------------------------------
 
@@ -298,6 +301,29 @@ def reference_brandes(nbrs: list[set[int]]) -> dict[int, float]:
     for v in bc:
         bc[v] /= 2.0
     return bc
+
+
+def reference_s_adjacency(h: Hypergraph, s: int = 1) -> SAdjacency:
+    """Build the s-adjacency graph by accumulating per-hyperedge pairs.
+
+    Cost is the sum of squared hyperedge sizes; memory is proportional
+    to the number of vertex pairs that actually co-occur.
+    """
+    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
+        raise InvalidSError(f"s must be a positive integer, got {s!r}")
+    counts: dict[tuple[int, int], int] = {}
+    for e in h.hyperedges():
+        members = sorted(h._he2v[e - 1])
+        for i, u in enumerate(members):
+            for v in members[i + 1 :]:
+                pair = (u, v)
+                counts[pair] = counts.get(pair, 0) + 1
+    nbrs: list[set[int]] = [set() for _ in range(h.nhv)]
+    for (u, v), c in counts.items():
+        if c >= s:
+            nbrs[u - 1].add(v)
+            nbrs[v - 1].add(u)
+    return SAdjacency(s=s, n=h.nhv, _nbrs=nbrs)
 
 
 # --- reference modularity -------------------------------------------------------------

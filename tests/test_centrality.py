@@ -10,14 +10,13 @@ import pytest
 from hgkit import (
     Hypergraph,
     TwoSectionView,
-    betweenness_equivalence_check,
     degree_centrality,
     pearson,
     s_adjacency,
     s_betweenness,
     s_shortest_path_length,
 )
-from hgkit.errors import DomainMismatchError, InvalidSError, ZeroVarianceError
+from hgkit.errors import DomainMismatchError, InvalidSError, UnknownVertexError, ZeroVarianceError
 
 from helpers import (
     enumerated_betweenness,
@@ -65,6 +64,15 @@ class TestSAdjacency:
         assert adj1.neighbors(1) == {2, 3}
         assert adj2.neighbors(1) == {2}
         assert adj2.neighbors(3) == set()
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None, 0, 4])
+    def test_neighbors_rejects_what_hypergraph_rejects(self, bad):
+        h = path_hypergraph(3)
+        adj = s_adjacency(h, 1)
+        with pytest.raises(UnknownVertexError):
+            h.degree(bad)
+        with pytest.raises(UnknownVertexError):
+            adj.neighbors(bad)
 
     def test_edges_listing(self):
         h = hypergraph_from_edges(3, [(1, 2, 3), (1, 2)])
@@ -138,11 +146,15 @@ class TestSBetweenness:
                 assert abs(got[v] - float(want[v])) < 1e-9
 
     def test_equivalence_check_accepts_random_inputs(self):
+        # s=1 betweenness against exact geodesic enumeration over the
+        # two-section view, which shares no code with s_adjacency.
         rng = random.Random(55)
         for _ in range(30):
             h = random_hypergraph(rng, max_n=8, max_k=6)
-            ok, worst = betweenness_equivalence_check(h)
-            assert ok
+            fast = s_betweenness(h, 1).scores
+            view = TwoSectionView(h)
+            exact = enumerated_betweenness({v: sorted(view.neighbors(v)) for v in view.nodes()})
+            worst = max((abs(fast[v] - float(exact[v])) for v in view.nodes()), default=0.0)
             assert worst < 1e-9
 
     def test_ranked_and_top(self):

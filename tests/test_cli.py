@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
 
 from hgkit import Partition, read_hgf
-from hgkit.cli import main
+from hgkit.cli import _read_scores_csv, main
 
 GOLDEN = "3 2\n1=1.0 2=1.0\n2=1.5 3=1.0\n"
 PATH5 = "5 4\n1=1.0 2=1.0\n2=1.0 3=1.0\n3=1.0 4=1.0\n4=1.0 5=1.0\n"
 REVIEWS = "user_id,item_id,stars\nu1,b1,5\nu1,b2,3\nu2,b2,3\nu2,b3,1\n"
+# The same path b1-b2-b3, with item ids that need quoting in CSV.
+ODD_LABELS = ["Book, The", 'say "hi"', "two\nlines"]
+ODD_REVIEWS = (
+    'user_id,item_id,stars\nu1,"Book, The",5\nu1,"say ""hi""",3\n'
+    'u2,"say ""hi""",3\nu2,"two\nlines",1\n'
+)
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -277,6 +284,36 @@ class TestForecast:
             main(["forecast", "--input", str(src), "--stars", "5", stars])
         assert info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestCsvLabels:
+    def read_rows(self, path):
+        with open(path, encoding="utf-8", newline="") as f:
+            return list(csv.reader(f))
+
+    def test_betweenness_output_round_trips_through_correlate(self, tmp_path, capsys):
+        src = tmp_path / "reviews.csv"
+        src.write_text(ODD_REVIEWS)
+        dst = tmp_path / "scores.csv"
+        code, _, _ = run(capsys, "betweenness", "--input", str(src), "--output", str(dst))
+        assert code == 0
+        rows = self.read_rows(dst)
+        assert rows[0] == ["vertex", "label", "score"]
+        assert sorted(rows[1:]) == [["1", ODD_LABELS[0], "0"], ["2", ODD_LABELS[1], "1"], ["3", ODD_LABELS[2], "0"]]
+        assert _read_scores_csv(str(dst)) == {2: 1.0, 1: 0.0, 3: 0.0}
+        code, out, _ = run(capsys, "correlate", str(dst), str(dst))
+        assert code == 0 and out == "1\n"
+
+    def test_forecast_output_keeps_labels(self, tmp_path, capsys):
+        src = tmp_path / "reviews.csv"
+        src.write_text(ODD_REVIEWS)
+        dst = tmp_path / "forecast.csv"
+        code, _, _ = run(capsys, "forecast", "--input", str(src), "--output", str(dst))
+        assert code == 0
+        rows = self.read_rows(dst)
+        assert rows[0] == ["vertex", "label", "stars", "forecast_hyper", "forecast_graph"]
+        assert [row[:2] for row in rows[1:]] == [["1", ODD_LABELS[0]], ["2", ODD_LABELS[1]], ["3", ODD_LABELS[2]]]
+        assert all(len(row) == 5 for row in rows)
 
 
 class TestCorrelate:

@@ -183,6 +183,14 @@ class TestReviews:
         assert read_reviews_csv("") == []
         assert read_reviews_csv("user_id,item_id,stars\n") == []
 
+    def test_csv_blank_lines_are_skipped(self):
+        text = "\nuser_id,item_id,stars\n\nu1,b1,5\n\n"
+        assert read_reviews_csv(text) == [ReviewRecord("u1", "b1", 5)]
+
+    def test_records_are_slotted(self):
+        for record in (ReviewRecord("u1", "b1", 5), SceneRecord("s1", ["a"])):
+            assert not hasattr(record, "__dict__")
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -1,8 +1,9 @@
-"""Indexed label propagation and Brandes kernels against their dict-keyed references.
+"""Package kernels against their reference loops in ``helpers``.
 
-The package kernels must reproduce the reference loops in ``helpers``
-exactly: the same partition and iteration count for every seed, and
-``==`` on every betweenness float.
+The package kernels must reproduce the reference loops exactly: the
+same partition and iteration count for every seed, the same iteration
+order of every s-adjacency neighbour set, and ``==`` on every
+betweenness float.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from helpers import (
     reference_brandes,
     reference_graph_label_propagation,
     reference_hypergraph_label_propagation,
+    reference_s_adjacency,
 )
 
 
@@ -141,3 +143,33 @@ def test_brandes_on_dense_overlaps_with_many_geodesics():
         for s in (1, 2, 3):
             nbrs = s_adjacency(h, s)._nbrs
             assert _brandes(nbrs) == reference_brandes(nbrs)
+
+
+def _overlap_cases(seed: int, count: int) -> list[Hypergraph]:
+    """Repeated hyperedges, so pairs reach s=2 and s=3, with members added unsorted.
+
+    Also empty and singleton hyperedges, isolated vertices, and a few
+    large hyperedges whose neighbour sets grow past several table resizes.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        large = i % 10 == 0
+        n = rng.randint(60, 120) if large else rng.randint(1, 40)
+        h = Hypergraph(n, 0)
+        for _ in range(rng.randint(0, 30 if large else 60)):
+            members = rng.sample(range(1, n + 1), rng.randint(0, min(n, 30 if large else 6)))
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                h.add_hyperedge(members)
+        cases.append(h)
+    return cases
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_s_adjacency_matches_reference_in_iteration_order(s):
+    for h in CASES + _overlap_cases(9, 80):
+        got = s_adjacency(h, s)
+        want = reference_s_adjacency(h, s)
+        assert (got.s, got.n) == (want.s, want.n)
+        assert [list(x) for x in got._nbrs] == [list(x) for x in want._nbrs]
+        assert _brandes(got._nbrs) == _brandes(want._nbrs)
