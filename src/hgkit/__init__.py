@@ -36,6 +36,7 @@ from .hgio import (
     read_json,
     read_reviews_csv,
     read_scenes_json,
+    review_rows,
     write_hgf,
     write_json,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "read_json",
     "write_json",
     "read_reviews_csv",
+    "review_rows",
     "read_scenes_json",
     "build_from_reviews",
     "build_from_scenes",

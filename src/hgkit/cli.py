@@ -17,12 +17,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Iterable
+from types import SimpleNamespace
+from typing import Any, Iterable, Iterator
 
 from . import __version__
 from .analytics import (
@@ -44,8 +44,8 @@ from .hgio import (
     build_from_scenes,
     read_hgf,
     read_json,
-    read_reviews_csv,
     read_scenes_json,
+    review_rows,
     write_hgf,
     write_json,
 )
@@ -62,10 +62,16 @@ def _fmt(x: float, full: bool) -> str:
 
 
 def _csv_text(rows: Iterable[list[str]]) -> str:
-    """CSV document with ``\n`` line ends; only cells that need it are quoted."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(rows)
-    return out.getvalue()
+    """CSV document with ``\n`` line ends; only cells that need it are quoted.
+
+    The writer ends each record with ``\r\n``, one ``write`` call per
+    record, so that a cell holding a bare ``\r`` is quoted too: before
+    Python 3.13 only characters of the line terminator force quotes.
+    Each record's ``\r\n`` is then cut back to ``\n``.
+    """
+    records: list[str] = []
+    csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n").writerows(rows)
+    return "".join(record[:-2] + "\n" for record in records)
 
 
 def _infer_format(path: str) -> str:
@@ -84,7 +90,7 @@ def _load_hypergraph(path: str, fmt: str | None) -> Hypergraph:
     if fmt == "json":
         return read_json(text)
     if fmt == "reviews-csv":
-        h, _, _ = build_from_reviews(read_reviews_csv(text))
+        h, _, _ = build_from_reviews(review_rows(text))
         return h
     if fmt == "scenes-json":
         h, _ = build_from_scenes(read_scenes_json(text))
@@ -260,18 +266,29 @@ def cmd_betweenness(args: argparse.Namespace) -> int:
 # --- forecast --------------------------------------------------------------------
 
 
+def _tally_stars(
+    rows: Iterable[tuple[str, str, int]], totals: dict[str, list[int]]
+) -> Iterator[tuple[str, str, int]]:
+    """Pass ``rows`` through, adding each one's stars to ``totals[item]`` = [sum, count]."""
+    for row in rows:
+        tally = totals.get(row[1])
+        if tally is None:
+            totals[row[1]] = [row[2], 1]
+        else:
+            tally[0] += row[2]
+            tally[1] += 1
+        yield row
+
+
 def cmd_forecast(args: argparse.Namespace) -> int:
-    records = read_reviews_csv(Path(args.input).read_text(encoding="utf-8"))
-    h, item_labels, _ = build_from_reviews(records, star_filter=args.stars)
-    # Ratings are in-sample item means over every record, unfiltered;
-    # the star filter shapes only the hypergraph.
-    totals: dict[str, int] = {}
-    tallies: dict[str, int] = {}
-    for record in records:
-        totals[record.item_id] = totals.get(record.item_id, 0) + record.stars
-        tallies[record.item_id] = tallies.get(record.item_id, 0) + 1
+    # Ratings are in-sample item means over every review, unfiltered;
+    # the star filter shapes only the hypergraph.  Both come from one
+    # pass over the rows.
+    totals: dict[str, list[int]] = {}
+    rows = review_rows(Path(args.input).read_text(encoding="utf-8"))
+    h, item_labels, _ = build_from_reviews(_tally_stars(rows, totals), star_filter=args.stars)
     ratings = {
-        v: totals[label] / tallies[label]
+        v: totals[label][0] / totals[label][1]
         for v, label in enumerate(item_labels, start=1)
     }
     hyper = forecast_hypergraph(h, ratings)

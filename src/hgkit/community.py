@@ -22,6 +22,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Sequence
 
 from .errors import DomainMismatchError, EmptyDomainError
 from .hypercore import Hypergraph
@@ -47,8 +49,8 @@ class LpConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-def _argmax_label(labels: list[int], weights: list[float] | None, rng: random.Random) -> int:
-    """The label with the largest total weight, or count if ``weights`` is None.
+def _argmax_label(labels: list[int], weights: list[float], rng: random.Random) -> int:
+    """The label with the largest total weight.
 
     Weights are summed per label in list order.  A tie is broken by one
     ``rng.randrange`` over the tied labels in ascending order; without a
@@ -58,12 +60,8 @@ def _argmax_label(labels: list[int], weights: list[float] | None, rng: random.Ra
     if len(labels) == 1:
         return first
     tally: dict[int, float] = {}
-    if weights is None:
-        for lab in labels:
-            tally[lab] = tally.get(lab, 0) + 1
-    else:
-        for lab, w in zip(labels, weights):
-            tally[lab] = tally.get(lab, 0.0) + w
+    for lab, w in zip(labels, weights):
+        tally[lab] = tally.get(lab, 0.0) + w
     if len(tally) == 1:
         return first
     best = max(tally.values())
@@ -72,6 +70,60 @@ def _argmax_label(labels: list[int], weights: list[float] | None, rng: random.Ra
         return candidates[0]
     candidates.sort()
     return candidates[rng.randrange(len(candidates))]
+
+
+# Above this many element comparisons (distinct labels times labels),
+# one ``Counter`` pass beats a ``count`` scan per distinct label.
+_COUNT_SCAN_LIMIT = 256
+
+
+def _most_frequent_label(labels: Sequence[int], rng: random.Random) -> int:
+    """The most frequent label, ties broken as in ``_argmax_label``.
+
+    Counting runs in C: one ``set``, then one ``count`` scan per
+    distinct label (one ``Counter`` pass for long, varied rows), skipped
+    when every label agrees or every label differs.
+    """
+    distinct = set(labels)
+    if len(distinct) == 1:
+        return labels[0]
+    if len(distinct) == len(labels):
+        tied = sorted(distinct)
+        return tied[rng.randrange(len(tied))]
+    if len(distinct) * len(labels) <= _COUNT_SCAN_LIMIT:
+        counts = zip(distinct, map(labels.count, distinct))
+    else:
+        counts = Counter(labels).items()
+    best = 0
+    tied = []
+    for lab, c in counts:
+        if c > best:
+            best = c
+            tied = [lab]
+        elif c == best:
+            tied.append(lab)
+    if len(tied) == 1:
+        return tied[0]
+    tied.sort()
+    return tied[rng.randrange(len(tied))]
+
+
+def _gathers(rows: list[dict[int, float]]) -> list[Callable[[list[int]], Sequence[int]] | None]:
+    """Per row, a callable picking that row's ids out of an id-indexed list.
+
+    Slot 0 is unused.  A row with one id gets a slice getter, so every
+    gather returns a sequence; an empty row gets None.
+    """
+    out: list[Callable[[list[int]], Sequence[int]] | None] = [None]
+    for row in rows:
+        if len(row) > 1:
+            out.append(itemgetter(*row))
+        elif row:
+            (i,) = row
+            out.append(itemgetter(slice(i, i + 1)))
+        else:
+            out.append(None)
+    return out
 
 
 def graph_label_propagation(
@@ -136,19 +188,21 @@ def hypergraph_label_propagation(
     relabels vertices from the fresh hyperedge labels.  Isolated
     vertices and empty hyperedges never change.
 
-    Membership is copied once per call into flat lists indexed by
-    vertex and hyperedge id (slot 0 unused), in the incidence indexes'
-    own order, and both label sets live in such lists.  Random draws
-    happen in the same order as a dict-keyed sweep would make them: a
-    fixed seed gives a bit-identical partition and iteration count.
+    Both label sets live in flat lists indexed by id (slot 0 unused),
+    and each hyperedge and vertex gets one ``itemgetter`` per call that
+    gathers its members' or incident hyperedges' labels from them.
+    Labels are counted, not weighted, so the incidence order does not
+    matter; ties draw from the same ascending candidate list as a
+    dict-keyed sweep, so a fixed seed gives a bit-identical partition
+    and iteration count.
     """
     cfg = config or LpConfig()
     rng = random.Random(cfg.seed)
     n, k = h.nhv, h.nhe
     if n == 0:
         return Partition({}), 0
-    members = [[]] + [list(m) for m in h._he2v]
-    incident = [[]] + [list(i) for i in h._v2he]
+    members = _gathers(h._he2v)
+    incident = _gathers(h._v2he)
     vlabels = list(range(n + 1))
     elabels = [0] * (k + 1)
     vorder = list(range(1, n + 1))
@@ -159,15 +213,15 @@ def hypergraph_label_propagation(
             rng.shuffle(eorder)
             rng.shuffle(vorder)
         for e in eorder:
-            ms = members[e]
-            if ms:
-                elabels[e] = _argmax_label([vlabels[v] for v in ms], None, rng)
+            gather = members[e]
+            if gather is not None:
+                elabels[e] = _most_frequent_label(gather(vlabels), rng)
         changed = False
         for v in vorder:
-            es = incident[v]
-            if not es:
+            gather = incident[v]
+            if gather is None:
                 continue
-            new = _argmax_label([elabels[e] for e in es], None, rng)
+            new = _most_frequent_label(gather(elabels), rng)
             if new != vlabels[v]:
                 vlabels[v] = new
                 changed = True

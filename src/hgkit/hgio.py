@@ -27,7 +27,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .analytics import connected_components
 from .errors import (
@@ -49,6 +49,7 @@ __all__ = [
     "read_json",
     "ReviewRecord",
     "SceneRecord",
+    "review_rows",
     "read_reviews_csv",
     "read_scenes_json",
     "build_from_reviews",
@@ -213,7 +214,11 @@ def read_json(text: str) -> Hypergraph:
 
 @dataclass(slots=True)
 class ReviewRecord:
-    """One review: a user rated an item with 1..5 stars."""
+    """One review: a user rated an item with 1..5 stars.
+
+    Unpacks as ``user_id, item_id, stars``, the row shape that
+    ``review_rows`` yields and ``build_from_reviews`` consumes.
+    """
 
     user_id: str
     item_id: str
@@ -222,8 +227,10 @@ class ReviewRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.stars, int) or isinstance(self.stars, bool):
             raise MalformedRecordError(f"stars must be an integer, got {self.stars!r}")
-        if not 1 <= self.stars <= 5:
-            raise MalformedRecordError(f"stars must be in 1..5, got {self.stars}")
+        _check_stars(self.stars)
+
+    def __iter__(self) -> Iterator[str | int]:
+        return iter((self.user_id, self.item_id, self.stars))
 
 
 @dataclass(slots=True)
@@ -249,29 +256,48 @@ class SceneRecord:
         self.members = deduped
 
 
+def _check_stars(stars: int) -> None:
+    if not 1 <= stars <= 5:
+        raise MalformedRecordError(f"stars must be in 1..5, got {stars}")
+
+
+def review_rows(text: str) -> Iterator[tuple[str, str, int]]:
+    """Validate a review CSV with header ``user_id,item_id,stars`` row by row.
+
+    Yields ``(user_id, item_id, stars)`` lazily, so a malformed row
+    raises only when it is reached.  Blank lines are skipped; an empty
+    document (or just the header) yields nothing.
+    """
+    rows = csv.reader(io.StringIO(text))
+    for header in rows:
+        if header:
+            break
+    else:
+        return
+    if [c.strip() for c in header] != ["user_id", "item_id", "stars"]:
+        raise MalformedRecordError(
+            "review CSV must start with header user_id,item_id,stars"
+        )
+    for row in rows:
+        if not row:
+            continue
+        if len(row) != 3:
+            raise MalformedRecordError(f"review row {row!r} must have three fields")
+        user, item, stars_text = row
+        try:
+            stars = int(stars_text)
+        except ValueError:
+            raise MalformedRecordError(f"stars {stars_text!r} is not an integer") from None
+        _check_stars(stars)
+        yield user, item, stars
+
+
 def read_reviews_csv(text: str) -> list[ReviewRecord]:
     """Parse a review CSV with header ``user_id,item_id,stars``.
 
     An empty document (or just the header) yields no records.
     """
-    rows = (row for row in csv.reader(io.StringIO(text)) if row)
-    header = next(rows, None)
-    if header is None:
-        return []
-    if [c.strip() for c in header] != ["user_id", "item_id", "stars"]:
-        raise MalformedRecordError(
-            "review CSV must start with header user_id,item_id,stars"
-        )
-    records = []
-    for row in rows:
-        if len(row) != 3:
-            raise MalformedRecordError(f"review row {row!r} must have three fields")
-        try:
-            stars = int(row[2])
-        except ValueError:
-            raise MalformedRecordError(f"stars {row[2]!r} is not an integer") from None
-        records.append(ReviewRecord(user_id=row[0], item_id=row[1], stars=stars))
-    return records
+    return [ReviewRecord(user, item, stars) for user, item, stars in review_rows(text)]
 
 
 def read_scenes_json(text: str) -> list[SceneRecord]:
@@ -302,33 +328,43 @@ def read_scenes_json(text: str) -> list[SceneRecord]:
 
 
 def build_from_reviews(
-    records: Iterable[ReviewRecord], star_filter: Iterable[int] | None = None
+    records: Iterable[ReviewRecord] | Iterable[tuple[str, str, int]],
+    star_filter: Iterable[int] | None = None,
 ) -> tuple[Hypergraph, list[str], list[str]]:
     """One vertex per distinct item, one hyperedge per distinct user.
 
+    ``records`` are ``ReviewRecord``s or the ``(user_id, item_id,
+    stars)`` rows of ``review_rows``; either is consumed in one pass.
     With a star filter, only reviews whose star value is in the filter
     survive; users and items left without any surviving review get no
-    id.  Duplicate (user, item) pairs collapse to a single membership
-    of weight 1.  Returns the hypergraph plus item and user label
-    tables (position i-1 labels id i); labels are also stored as
-    metadata.
+    id.  Ids are assigned in first-seen order, and each incidence dict
+    iterates in first-seen order too.  Duplicate (user, item) pairs
+    collapse to a single membership of weight 1.  Returns the
+    hypergraph plus item and user label tables (position i-1 labels id
+    i); labels are also stored as metadata.
     """
     allowed = None if star_filter is None else set(star_filter)
     item_ids: dict[str, int] = {}
     user_ids: dict[str, int] = {}
-    memberships: set[tuple[int, int]] = set()
-    for record in records:
-        if allowed is not None and record.stars not in allowed:
+    v2he: list[dict[int, float]] = []
+    he2v: list[dict[int, float]] = []
+    for user, item, stars in records:
+        if allowed is not None and stars not in allowed:
             continue
-        v = item_ids.setdefault(record.item_id, len(item_ids) + 1)
-        e = user_ids.setdefault(record.user_id, len(user_ids) + 1)
-        memberships.add((v, e))
-    h = Hypergraph(len(item_ids), len(user_ids))
-    for v, e in memberships:
-        h._v2he[v - 1][e] = 1.0
-        h._he2v[e - 1][v] = 1.0
-    item_labels = sorted(item_ids, key=item_ids.get)
-    user_labels = sorted(user_ids, key=user_ids.get)
+        v = item_ids.get(item)
+        if v is None:
+            v2he.append({})
+            v = item_ids[item] = len(v2he)
+        e = user_ids.get(user)
+        if e is None:
+            he2v.append({})
+            e = user_ids[user] = len(he2v)
+        v2he[v - 1][e] = 1.0
+        he2v[e - 1][v] = 1.0
+    h = Hypergraph(0, 0)
+    h._v2he, h._he2v = v2he, he2v
+    item_labels = list(item_ids)
+    user_labels = list(user_ids)
     h._vmeta = list(item_labels)
     h._hemeta = list(user_labels)
     return h, item_labels, user_labels

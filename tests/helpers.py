@@ -7,14 +7,19 @@ modularity scores are evaluated directly from their definitions in
 exact rational arithmetic.  The ``reference_*`` kernels are the
 dict-keyed label propagation and Brandes loops and the global
 pair-table s-adjacency build that the package kernels must reproduce
-bit for bit.
+bit for bit; ``reference_build_from_reviews`` is the record-list review
+ingest that the streamed one must reproduce.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from collections import Counter, deque
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from hgkit import (
     Hypergraph,
@@ -25,7 +30,7 @@ from hgkit import (
     TwoSectionView,
     connected_components,
 )
-from hgkit.errors import InvalidSError
+from hgkit.errors import InvalidSError, MalformedRecordError
 
 # --- random structures ---------------------------------------------------------
 
@@ -324,6 +329,71 @@ def reference_s_adjacency(h: Hypergraph, s: int = 1) -> SAdjacency:
             nbrs[u - 1].add(v)
             nbrs[v - 1].add(u)
     return SAdjacency(s=s, n=h.nhv, _nbrs=nbrs)
+
+
+# --- reference review ingest ------------------------------------------------------------
+
+
+@dataclass
+class _ReferenceReview:
+    """The record and checks the review reader used before it streamed rows."""
+
+    user_id: str
+    item_id: str
+    stars: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.stars, int) or isinstance(self.stars, bool):
+            raise MalformedRecordError(f"stars must be an integer, got {self.stars!r}")
+        if not 1 <= self.stars <= 5:
+            raise MalformedRecordError(f"stars must be in 1..5, got {self.stars}")
+
+
+def _reference_read_reviews_csv(text: str) -> list[_ReferenceReview]:
+    rows = (row for row in csv.reader(io.StringIO(text)) if row)
+    header = next(rows, None)
+    if header is None:
+        return []
+    if [c.strip() for c in header] != ["user_id", "item_id", "stars"]:
+        raise MalformedRecordError(
+            "review CSV must start with header user_id,item_id,stars"
+        )
+    records = []
+    for row in rows:
+        if len(row) != 3:
+            raise MalformedRecordError(f"review row {row!r} must have three fields")
+        try:
+            stars = int(row[2])
+        except ValueError:
+            raise MalformedRecordError(f"stars {row[2]!r} is not an integer") from None
+        records.append(_ReferenceReview(user_id=row[0], item_id=row[1], stars=stars))
+    return records
+
+
+def reference_build_from_reviews(
+    text: str, star_filter: Iterable[int] | None = None
+) -> tuple[Hypergraph, list[str], list[str]]:
+    """Parse a whole review CSV into records, then build through a membership set."""
+    records = _reference_read_reviews_csv(text)
+    allowed = None if star_filter is None else set(star_filter)
+    item_ids: dict[str, int] = {}
+    user_ids: dict[str, int] = {}
+    memberships: set[tuple[int, int]] = set()
+    for record in records:
+        if allowed is not None and record.stars not in allowed:
+            continue
+        v = item_ids.setdefault(record.item_id, len(item_ids) + 1)
+        e = user_ids.setdefault(record.user_id, len(user_ids) + 1)
+        memberships.add((v, e))
+    h = Hypergraph(len(item_ids), len(user_ids))
+    for v, e in memberships:
+        h._v2he[v - 1][e] = 1.0
+        h._he2v[e - 1][v] = 1.0
+    item_labels = sorted(item_ids, key=item_ids.get)
+    user_labels = sorted(user_ids, key=user_ids.get)
+    h._vmeta = list(item_labels)
+    h._hemeta = list(user_labels)
+    return h, item_labels, user_labels
 
 
 # --- reference modularity -------------------------------------------------------------

@@ -7,8 +7,10 @@ import json
 
 import pytest
 
-from hgkit import Partition, read_hgf
+from hgkit import Partition, read_hgf, write_json
 from hgkit.cli import _read_scores_csv, main
+
+from helpers import hypergraph_from_edges
 
 GOLDEN = "3 2\n1=1.0 2=1.0\n2=1.5 3=1.0\n"
 PATH5 = "5 4\n1=1.0 2=1.0\n2=1.0 3=1.0\n3=1.0 4=1.0\n4=1.0 5=1.0\n"
@@ -314,6 +316,21 @@ class TestCsvLabels:
         assert rows[0] == ["vertex", "label", "stars", "forecast_hyper", "forecast_graph"]
         assert [row[:2] for row in rows[1:]] == [["1", ODD_LABELS[0]], ["2", ODD_LABELS[1]], ["3", ODD_LABELS[2]]]
         assert all(len(row) == 5 for row in rows)
+
+    def test_bare_carriage_return_label_round_trips(self, tmp_path, capsys):
+        # A review CSV is read with universal newlines, so the label
+        # arrives through JSON metadata instead.
+        h = hypergraph_from_edges(3, [(1, 2), (2, 3)])
+        h._vmeta = ["a\rb", "plain", "c\r\nd"]
+        src = tmp_path / "path.json"
+        src.write_text(write_json(h))
+        dst = tmp_path / "scores.csv"
+        code, _, _ = run(capsys, "betweenness", "--input", str(src), "--output", str(dst))
+        assert code == 0
+        assert dst.read_bytes() == b'vertex,label,score\n2,plain,1\n1,"a\rb",0\n3,"c\r\nd",0\n'
+        assert self.read_rows(dst)[1:] == [["2", "plain", "1"], ["1", "a\rb", "0"], ["3", "c\r\nd", "0"]]
+        code, out, _ = run(capsys, "correlate", str(dst), str(dst))
+        assert code == 0 and out == "1\n"
 
 
 class TestCorrelate:

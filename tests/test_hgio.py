@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
+import re
 
 import pytest
 
@@ -17,6 +20,7 @@ from hgkit import (
     read_json,
     read_reviews_csv,
     read_scenes_json,
+    review_rows,
     write_hgf,
     write_json,
 )
@@ -30,7 +34,14 @@ from hgkit.errors import (
     SchemaViolationError,
 )
 
-from helpers import hypergraph_from_edges, random_hypergraph, random_json_meta
+from hgkit.cli import main
+
+from helpers import (
+    hypergraph_from_edges,
+    random_hypergraph,
+    random_json_meta,
+    reference_build_from_reviews,
+)
 
 GOLDEN = "3 2\n1=1.0 2=1.0\n2=1.5 3=1.0\n"
 
@@ -172,6 +183,28 @@ class TestJson:
             read_json(jsonlib.dumps(doc))
 
 
+def _seeded_reviews_csv(rng: random.Random) -> str:
+    """A review CSV with repeated (user, item) pairs, blank lines, padded stars and quoted ids."""
+    users = [f"u{i}" for i in range(rng.randint(1, 25))] + ["Doe, Jane"]
+    items = [f"b{i}" for i in range(rng.randint(1, 40))] + ['say "hi"', "Book, The"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=rng.choice(("\n", "\r\n")))
+    out.write("\n" * rng.randint(0, 2))
+    writer.writerow(["user_id", "item_id", "stars"])
+    seen: list[tuple[str, str]] = []
+    for _ in range(rng.randint(0, 120)):
+        if seen and rng.random() < 0.2:
+            user, item = rng.choice(seen)
+        else:
+            user, item = rng.choice(users), rng.choice(items)
+            seen.append((user, item))
+        stars = rng.choice((f"{rng.randint(1, 5)}", f" {rng.randint(1, 5)}", f"{rng.randint(1, 5)} "))
+        writer.writerow([user, item, stars])
+        if rng.random() < 0.1:
+            out.write("\n")
+    return out.getvalue()
+
+
 class TestReviews:
     def test_csv_parsing(self):
         text = "user_id,item_id,stars\nu1,b1,5\nu1,b2,5\nu2,b2,3\n"
@@ -196,14 +229,45 @@ class TestReviews:
         [
             "wrong,header,here\nu1,b1,5\n",
             "user_id,item_id,stars\nu1,b1\n",
+            "user_id,item_id,stars\nu0,b0,4\nu1,b1,5,extra\n",
             "user_id,item_id,stars\nu1,b1,many\n",
+            "user_id,item_id,stars\nu0,b0,4\n\nu1,b1,x\n",
             "user_id,item_id,stars\nu1,b1,6\n",
             "user_id,item_id,stars\nu1,b1,0\n",
         ],
     )
-    def test_csv_malformed(self, text):
-        with pytest.raises(MalformedRecordError):
+    def test_csv_malformed(self, text, tmp_path, capsys):
+        with pytest.raises(MalformedRecordError) as want:
+            reference_build_from_reviews(text)
+        with pytest.raises(MalformedRecordError, match=re.escape(str(want.value))):
             read_reviews_csv(text)
+        with pytest.raises(MalformedRecordError, match=re.escape(str(want.value))):
+            build_from_reviews(review_rows(text))
+        src = tmp_path / "reviews.csv"
+        src.write_text(text)
+        for command in ("stats", "forecast"):
+            assert main([command, "--input", str(src)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {want.value}\n"
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_streamed_build_matches_reference(self, seed):
+        texts = [_seeded_reviews_csv(random.Random(seed))]
+        if seed == 0:
+            texts += ["", "user_id,item_id,stars\n", "\n\n user_id , item_id,stars\r\n\n"]
+        for text in texts:
+            for star_filter in (None, {5}, {1, 2}):
+                want = reference_build_from_reviews(text, star_filter)
+                assert build_from_reviews(review_rows(text), star_filter) == want
+                assert build_from_reviews(read_reviews_csv(text), star_filter) == want
+
+    def test_incidences_iterate_in_first_seen_order(self):
+        text = "user_id,item_id,stars\nu1,b3,5\nu2,b1,4\nu1,b1,3\nu1,b2,2\nu2,b3,1\nu1,b3,1\n"
+        h, items, users = build_from_reviews(review_rows(text))
+        assert (items, users) == (["b3", "b1", "b2"], ["u1", "u2"])
+        assert [list(row) for row in h._he2v] == [[1, 2, 3], [2, 1]]
+        assert [list(row) for row in h._v2he] == [[1, 2], [2, 1], [1]]
 
     def test_build_star_filter(self):
         records = [

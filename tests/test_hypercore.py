@@ -205,3 +205,115 @@ def test_incidence_queries_do_not_scale_with_structure_size():
         big.get_weight(50_000, 50_000)
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0  # generous absolute bound; dense scans would take minutes
+
+
+class DenseModel:
+    """Reference for the mutation API: a dense n-by-k weight matrix plus metadata lists."""
+
+    def __init__(self, n: int, k: int) -> None:
+        self.cells: list[list[float | None]] = [[None] * k for _ in range(n)]
+        self.k = k
+        self.vmeta: list[object] = [None] * n
+        self.hemeta: list[object] = [None] * k
+
+    def add_vertex(self, memberships: dict[int, float], meta: object) -> int:
+        row = [None] * self.k
+        for e, w in memberships.items():
+            row[e - 1] = w
+        self.cells.append(row)
+        self.vmeta.append(meta)
+        return len(self.cells)
+
+    def add_hyperedge(self, memberships: dict[int, float], meta: object) -> int:
+        for v, row in enumerate(self.cells, start=1):
+            row.append(memberships.get(v))
+        self.k += 1
+        self.hemeta.append(meta)
+        return self.k
+
+    def remove_vertex(self, v: int) -> dict[int, int]:
+        n = len(self.cells)
+        self.cells[v - 1], self.vmeta[v - 1] = self.cells[n - 1], self.vmeta[n - 1]
+        self.cells.pop()
+        self.vmeta.pop()
+        return {n: v} if v != n else {}
+
+    def remove_hyperedge(self, e: int) -> dict[int, int]:
+        k = self.k
+        for row in self.cells:
+            row[e - 1] = row[k - 1]
+            row.pop()
+        self.hemeta[e - 1] = self.hemeta[k - 1]
+        self.hemeta.pop()
+        self.k -= 1
+        return {k: e} if e != k else {}
+
+    def set_weight(self, v: int, e: int, w: float | None) -> float | None:
+        previous = self.cells[v - 1][e - 1]
+        self.cells[v - 1][e - 1] = w
+        return previous
+
+
+def _assert_matches_model(h: Hypergraph, model: DenseModel) -> None:
+    assert (h.nhv, h.nhe) == (len(model.cells), model.k)
+    assert h.to_incidence() == model.cells
+    assert h.incidence_count == sum(w is not None for row in model.cells for w in row)
+    assert [h.get_vertex_meta(v) for v in h.vertices()] == model.vmeta
+    assert [h.get_hyperedge_meta(e) for e in h.hyperedges()] == model.hemeta
+    for v in h.vertices():
+        row = model.cells[v - 1]
+        assert h.get_hyperedges(v) == {e: w for e, w in enumerate(row, start=1) if w is not None}
+    assert h.check_dual_consistency()
+
+
+def test_seeded_mutation_stream_matches_dense_model():
+    rng = random.Random(44)
+    tokens = iter(range(1, 10**9))
+    for _ in range(40):
+        n, k = rng.randint(0, 4), rng.randint(0, 4)
+        h, model = Hypergraph(n, k), DenseModel(n, k)
+        for _ in range(rng.randint(20, 120)):
+            op = rng.randrange(8)
+            if op == 0:
+                picks = rng.sample(range(1, h.nhe + 1), rng.randint(0, min(h.nhe, 3)))
+                meta = f"v{next(tokens)}"
+                if rng.random() < 0.5:
+                    memberships = {e: rng.choice((1.0, 0.5, 3.25)) for e in picks}
+                    assert h.add_vertex(memberships, meta=meta) == model.add_vertex(memberships, meta)
+                else:
+                    assert h.add_vertex(picks, meta=meta) == model.add_vertex(dict.fromkeys(picks, 1.0), meta)
+            elif op == 1:
+                picks = rng.sample(range(1, h.nhv + 1), rng.randint(0, min(h.nhv, 4)))
+                meta = f"e{next(tokens)}"
+                assert h.add_hyperedge(picks, meta=meta) == model.add_hyperedge(dict.fromkeys(picks, 1.0), meta)
+            elif op == 2 and h.nhv:
+                v = rng.randint(1, h.nhv)
+                assert h.remove_vertex(v) == model.remove_vertex(v)
+            elif op == 3 and h.nhe:
+                e = rng.randint(1, h.nhe)
+                assert h.remove_hyperedge(e) == model.remove_hyperedge(e)
+            elif op in (4, 5) and h.nhv and h.nhe:
+                v, e = rng.randint(1, h.nhv), rng.randint(1, h.nhe)
+                w = None if op == 5 else rng.choice((1.0, 2.5, 0.125))
+                assert h.set_weight(v, e, w) == model.set_weight(v, e, w)
+            elif op == 6:
+                # Bad ids are rejected and leave everything as it was.
+                with pytest.raises(UnknownHyperedgeError):
+                    h.add_vertex([h.nhe + 1])
+                with pytest.raises(UnknownVertexError):
+                    h.add_hyperedge({h.nhv + 1: 1.0})
+                with pytest.raises(UnknownVertexError):
+                    h.remove_vertex(0)
+                with pytest.raises(UnknownHyperedgeError):
+                    h.remove_hyperedge(True)
+                if h.nhv:
+                    with pytest.raises(UnknownHyperedgeError):
+                        h.set_weight(h.nhv, h.nhe + 1, 1.0)
+            elif op == 7 and h.nhv and h.nhe:
+                v, e = rng.randint(1, h.nhv), rng.randint(1, h.nhe)
+                meta = f"{model.vmeta[v - 1]}'"
+                h.set_vertex_meta(v, meta)
+                model.vmeta[v - 1] = meta
+                h.set_hyperedge_meta(e, None)
+                model.hemeta[e - 1] = None
+            _assert_matches_model(h, model)

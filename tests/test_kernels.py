@@ -17,6 +17,7 @@ from hgkit import (
     LpConfig,
     MaterializedGraph,
     TwoSectionView,
+    build_from_reviews,
     graph_label_propagation,
     hypergraph_label_propagation,
     materialize,
@@ -173,3 +174,34 @@ def test_s_adjacency_matches_reference_in_iteration_order(s):
         assert (got.s, got.n) == (want.s, want.n)
         assert [list(x) for x in got._nbrs] == [list(x) for x in want._nbrs]
         assert _brandes(got._nbrs) == _brandes(want._nbrs)
+
+
+def _review_shaped_case(seed: int) -> Hypergraph:
+    """About 3k uniform reviews: items are vertices, users hyperedges.
+
+    Many items are reviewed once (degree 1), a tail of users wrote a
+    single review (single-member hyperedges), and a few heavy users have
+    rows long and varied enough to count with one ``Counter`` pass.
+    """
+    rng = random.Random(seed)
+    reviews = [(f"u{rng.randrange(300)}", f"b{rng.randrange(1500)}", 3) for _ in range(3000)]
+    reviews += [(f"solo{i}", f"b{rng.randrange(1500)}", 3) for i in range(80)]
+    reviews += [(f"heavy{i}", f"b{rng.randrange(1500)}", 3) for i in range(3) for _ in range(60)]
+    rng.shuffle(reviews)
+    h, _, _ = build_from_reviews(reviews)
+    return h
+
+
+@pytest.mark.parametrize("max_iterations", [20, 100])
+def test_hypergraph_lp_matches_reference_at_review_scale(max_iterations):
+    h = _review_shaped_case(31)
+    degrees = [len(row) for row in h._v2he]
+    sizes = [len(row) for row in h._he2v]
+    assert degrees.count(1) > 100 and sizes.count(1) >= 80 and max(sizes) >= 50
+    for seed in (0, 1):
+        cfg = LpConfig(seed=seed, max_iterations=max_iterations)
+        got = hypergraph_label_propagation(h, cfg)
+        want = reference_hypergraph_label_propagation(h, cfg)
+        assert got[1] == want[1]
+        assert got[0].labels == want[0].labels
+        assert list(got[0].labels) == list(want[0].labels)
