@@ -37,6 +37,7 @@ from .hgio import (
     read_reviews_csv,
     read_scenes_json,
     review_rows,
+    scene_rows,
     write_hgf,
     write_json,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "write_json",
     "read_reviews_csv",
     "review_rows",
+    "scene_rows",
     "read_scenes_json",
     "build_from_reviews",
     "build_from_scenes",

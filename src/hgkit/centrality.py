@@ -154,6 +154,19 @@ def _brandes(nbrs: list[set[int]]) -> dict[int, float]:
     the order in which each ``delta`` entry receives its terms match a
     dict-keyed implementation with predecessor lists, so every score is
     bit-identical to it.
+
+    The back pass stops short of the distance-1 vertices, which are
+    ``order[1:len(adj[src]) + 1]`` because an s-adjacency graph has no
+    loops.  Their only predecessor is ``src``, whose ``delta`` is never
+    read, so scanning their neighbours would only feed ``delta[src]``.
+    Skipping them keeps every score bit-identical:
+
+    - every ``delta[x]`` that is read still receives the same terms in
+      the same order, since a distance-1 vertex gets all of its terms
+      from farther vertices, which are still walked;
+    - every ``bc[y]`` still receives one term per source, in source
+      order, since the distance-1 vertices add their ``delta`` to
+      ``bc`` right after the shortened pass.
     """
     n = len(nbrs)
     adj: list[list[int]] = [[]] + [list(s) for s in nbrs]
@@ -178,13 +191,16 @@ def _brandes(nbrs: list[set[int]]) -> dict[int, float]:
                     order.append(y)
                 elif d == dy:
                     sigma[y] += sx
-        for y in order[:0:-1]:
+        near = len(adj[src])
+        for y in order[:near:-1]:
             dx = dist[y] - 1
             sy = sigma[y]
             coeff = 1.0 + delta[y]
             for x in adj[y]:
                 if dist[x] == dx:
                     delta[x] += (sigma[x] / sy) * coeff
+            bc[y] += delta[y]
+        for y in order[1 : near + 1]:
             bc[y] += delta[y]
         for y in order:
             dist[y] = -1

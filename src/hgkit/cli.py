@@ -18,7 +18,9 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -363,30 +365,79 @@ def _read_manifest(path: str) -> dict[str, Any]:
         raise FormatError(f"{path}: argv must be a non-empty list of strings")
     if argv[0] == "rerun":
         raise FormatError(f"{path}: a manifest cannot replay rerun")
-    outputs = doc.get("outputs")
-    if not isinstance(outputs, list) or not all(
-        isinstance(r, dict) and isinstance(r.get("path"), str) and isinstance(r.get("sha256"), str)
-        for r in outputs
-    ):
-        raise FormatError(f"{path}: outputs must be a list of path and sha256 strings")
+    for key in ("inputs", "outputs"):
+        records = doc.get(key)
+        if not isinstance(records, list) or not all(
+            isinstance(r, dict) and isinstance(r.get("path"), str) and isinstance(r.get("sha256"), str)
+            for r in records
+        ):
+            raise FormatError(f"{path}: {key} must be a list of path and sha256 strings")
     return doc
 
 
+def _recorded_cwd(manifest: str, outputs: list[dict[str, str]]) -> Path:
+    """The working directory that a manifest's relative paths were recorded in.
+
+    A manifest is written at ``<outputs[0].path>.manifest.json``, so that
+    directory is the manifest's own, one level up per directory in the
+    recorded output path.  When that path is absolute or contains
+    ``..``, or the manifest no longer carries its name, paths resolve
+    against the current directory instead.
+    """
+    if not outputs:
+        return Path()
+    here = Path(os.path.abspath(manifest))
+    recorded = Path(outputs[0]["path"])
+    if recorded.is_absolute() or ".." in recorded.parts or here.name != recorded.name + ".manifest.json":
+        return Path()
+    base = here.parent
+    for _ in recorded.parent.parts:
+        base = base.parent
+    return base
+
+
+def _digest_changed(record: dict[str, str], path: Path, how: str = "") -> bool:
+    """Whether the file at ``path`` lacks the record's digest, reported on stderr."""
+    fresh = _sha256_file(str(path))
+    if fresh == record["sha256"]:
+        return False
+    print(
+        f"error: {record['path']} digest changed{how} ({record['sha256'][:12]} -> {fresh[:12]})",
+        file=sys.stderr,
+    )
+    return True
+
+
 def cmd_rerun(args: argparse.Namespace) -> int:
+    """Check the recorded inputs, replay into a temporary directory, compare.
+
+    Recorded outputs are only read, never written: an output counts as
+    changed when the replay or the file at its recorded path no longer
+    has the recorded digest, and every changed file is named.
+    """
     doc = _read_manifest(args.manifest)
-    rc = main(list(doc["argv"]))
-    if rc != 0:
-        return rc
-    for record in doc["outputs"]:
-        fresh = _sha256_file(record["path"])
-        if fresh != record["sha256"]:
-            print(
-                f"error: {record['path']} digest changed "
-                f"({record['sha256'][:12]} -> {fresh[:12]})",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    base = _recorded_cwd(args.manifest, doc["outputs"])
+    # Lists and ``|`` rather than generators and ``or``, so that every
+    # changed file is reported.
+    if any([_digest_changed(r, base / r["path"]) for r in doc["inputs"]]):
+        return 1
+    replay = _build_parser().parse_args(doc["argv"])
+    replay.argv_snapshot = list(doc["argv"])
+    # Every command that writes a manifest reads one --input.
+    if getattr(replay, "input", None) is not None:
+        replay.input = str(base / replay.input)
+    with tempfile.TemporaryDirectory() as tmp:
+        if getattr(replay, "output", None):
+            replay.output = str(Path(tmp) / Path(replay.output).name)
+        rc = replay.func(replay)
+        if rc != 0:
+            return rc
+        changed = [
+            _digest_changed(r, Path(tmp) / Path(r["path"]).name, " on replay")
+            | _digest_changed(r, base / r["path"])
+            for r in doc["outputs"]
+        ]
+    return 1 if any(changed) else 0
 
 
 # --- parser ----------------------------------------------------------------------
@@ -402,11 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--full-precision",
         action="store_true",
         help="print floats at full precision instead of 6 significant digits",
-    )
-    common.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force a reproducible run (always on in this single-threaded build)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

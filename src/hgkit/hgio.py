@@ -50,6 +50,7 @@ __all__ = [
     "ReviewRecord",
     "SceneRecord",
     "review_rows",
+    "scene_rows",
     "read_reviews_csv",
     "read_scenes_json",
     "build_from_reviews",
@@ -238,22 +239,20 @@ class SceneRecord:
     """One scene: an identifier and the characters appearing in it.
 
     Members are deduplicated, first occurrence wins; at least one is
-    required.
+    required.  Unpacks as ``scene_id, members``, the row shape that
+    ``scene_rows`` yields and ``build_from_scenes`` consumes.
     """
 
     scene_id: str
     members: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        deduped: list[str] = []
-        seen: set[str] = set()
-        for m in self.members:
-            if m not in seen:
-                seen.add(m)
-                deduped.append(m)
-        if not deduped:
+        self.members = list(dict.fromkeys(self.members))
+        if not self.members:
             raise MalformedRecordError(f"scene {self.scene_id!r} has no members")
-        self.members = deduped
+
+    def __iter__(self) -> Iterator[str | list[str]]:
+        return iter((self.scene_id, self.members))
 
 
 def _check_stars(stars: int) -> None:
@@ -300,10 +299,12 @@ def read_reviews_csv(text: str) -> list[ReviewRecord]:
     return [ReviewRecord(user, item, stars) for user, item, stars in review_rows(text)]
 
 
-def read_scenes_json(text: str) -> list[SceneRecord]:
-    """Parse scene JSON: an array of {"id": text, "members": [text, ...]}.
+def scene_rows(text: str) -> Iterator[tuple[str, list[str]]]:
+    """Validate scene JSON: an array of {"id": ..., "members": [text, ...]}.
 
-    Scenes whose member list is empty are skipped.
+    Yields ``(scene_id, members)`` lazily, with the id as text and the
+    members deduplicated, first occurrence winning.  Scenes whose member
+    list is empty are skipped.
     """
     try:
         doc = json.loads(text)
@@ -311,17 +312,19 @@ def read_scenes_json(text: str) -> list[SceneRecord]:
         raise MalformedRecordError(f"scene document is not valid JSON: {exc}") from None
     if not isinstance(doc, list):
         raise MalformedRecordError("scene document must be a JSON array")
-    records = []
     for entry in doc:
         if not isinstance(entry, dict) or "id" not in entry or "members" not in entry:
             raise MalformedRecordError(f"scene entry {entry!r} needs id and members")
         members = entry["members"]
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
             raise MalformedRecordError(f"scene {entry['id']!r} members must be strings")
-        if not members:
-            continue
-        records.append(SceneRecord(scene_id=str(entry["id"]), members=list(members)))
-    return records
+        if members:
+            yield str(entry["id"]), list(dict.fromkeys(members))
+
+
+def read_scenes_json(text: str) -> list[SceneRecord]:
+    """Parse scene JSON into records; scenes without members are skipped."""
+    return [SceneRecord(scene_id, members) for scene_id, members in scene_rows(text)]
 
 
 # --- dataset builders -----------------------------------------------------------------
@@ -371,23 +374,39 @@ def build_from_reviews(
 
 
 def build_from_scenes(
-    records: Iterable[SceneRecord],
+    records: Iterable[SceneRecord] | Iterable[tuple[str, list[str]]],
 ) -> tuple[Hypergraph, list[str]]:
     """One vertex per distinct character, one hyperedge per scene.
 
-    Returns the hypergraph and the character label table; character
-    labels and scene ids are also stored as metadata.
+    ``records`` are ``SceneRecord``s or the ``(scene_id, members)`` rows
+    of ``scene_rows``; either is consumed in one pass, each scene
+    becoming the next hyperedge with its members in listed order.
+    Character ids are assigned in first-seen order.  Returns the
+    hypergraph and the character label table (position i-1 labels id
+    i); character labels and scene ids are also stored as metadata.
     """
     char_ids: dict[str, int] = {}
-    scenes = list(records)
+    v2he: list[dict[int, float]] = []
+    he2v: list[dict[int, float]] = []
+    scene_ids: list[str] = []
+    for scene_id, members in records:
+        e = len(he2v) + 1
+        col: dict[int, float] = {}
+        for name in members:
+            v = char_ids.get(name)
+            if v is None:
+                v2he.append({})
+                v = char_ids[name] = len(v2he)
+            col[v] = 1.0
+            v2he[v - 1][e] = 1.0
+        he2v.append(col)
+        scene_ids.append(scene_id)
     h = Hypergraph(0, 0)
-    for record in scenes:
-        for name in record.members:
-            if name not in char_ids:
-                char_ids[name] = h.add_vertex(meta=name)
-    for record in scenes:
-        h.add_hyperedge({char_ids[m]: 1.0 for m in record.members}, meta=record.scene_id)
-    return h, sorted(char_ids, key=char_ids.get)
+    h._v2he, h._he2v = v2he, he2v
+    labels = list(char_ids)
+    h._vmeta = list(labels)
+    h._hemeta = scene_ids
+    return h, labels
 
 
 # --- component extraction ----------------------------------------------------------------

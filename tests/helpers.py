@@ -7,17 +7,19 @@ modularity scores are evaluated directly from their definitions in
 exact rational arithmetic.  The ``reference_*`` kernels are the
 dict-keyed label propagation and Brandes loops and the global
 pair-table s-adjacency build that the package kernels must reproduce
-bit for bit; ``reference_build_from_reviews`` is the record-list review
-ingest that the streamed one must reproduce.
+bit for bit; ``reference_build_from_reviews`` and
+``reference_build_from_scenes`` are the record-list review and scene
+ingests that the streamed ones must reproduce.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -394,6 +396,62 @@ def reference_build_from_reviews(
     h._vmeta = list(item_labels)
     h._hemeta = list(user_labels)
     return h, item_labels, user_labels
+
+
+# --- reference scene ingest ------------------------------------------------------------
+
+
+@dataclass
+class _ReferenceScene:
+    """The record and checks the scene reader used before it streamed rows."""
+
+    scene_id: str
+    members: list[str] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        deduped: list[str] = []
+        seen: set[str] = set()
+        for m in self.members:
+            if m not in seen:
+                seen.add(m)
+                deduped.append(m)
+        if not deduped:
+            raise MalformedRecordError(f"scene {self.scene_id!r} has no members")
+        self.members = deduped
+
+
+def _reference_read_scenes_json(text: str) -> list[_ReferenceScene]:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecordError(f"scene document is not valid JSON: {exc}") from None
+    if not isinstance(doc, list):
+        raise MalformedRecordError("scene document must be a JSON array")
+    records = []
+    for entry in doc:
+        if not isinstance(entry, dict) or "id" not in entry or "members" not in entry:
+            raise MalformedRecordError(f"scene entry {entry!r} needs id and members")
+        members = entry["members"]
+        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+            raise MalformedRecordError(f"scene {entry['id']!r} members must be strings")
+        if not members:
+            continue
+        records.append(_ReferenceScene(scene_id=str(entry["id"]), members=list(members)))
+    return records
+
+
+def reference_build_from_scenes(text: str) -> tuple[Hypergraph, list[str]]:
+    """Parse a whole scene document into records, then build through the checked add API."""
+    char_ids: dict[str, int] = {}
+    scenes = _reference_read_scenes_json(text)
+    h = Hypergraph(0, 0)
+    for record in scenes:
+        for name in record.members:
+            if name not in char_ids:
+                char_ids[name] = h.add_vertex(meta=name)
+    for record in scenes:
+        h.add_hyperedge({char_ids[m]: 1.0 for m in record.members}, meta=record.scene_id)
+    return h, sorted(char_ids, key=char_ids.get)
 
 
 # --- reference modularity -------------------------------------------------------------

@@ -404,6 +404,78 @@ class TestRerun:
         code, _, err = run(capsys, "rerun", str(tmp_path / "part.json.manifest.json"))
         assert code == 0 and err == ""
 
+    def _relative_run(self, tmp_path, capsys, monkeypatch):
+        """Betweenness recorded with paths relative to ``tmp_path/work``."""
+        work = tmp_path / "work"
+        (work / "data").mkdir(parents=True)
+        (work / "out").mkdir()
+        (work / "data" / "path.hgf").write_text(PATH5)
+        monkeypatch.chdir(work)
+        argv = ["betweenness", "--input", "data/path.hgf", "--output", "out/scores.csv"]
+        assert run(capsys, *argv)[0] == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        return work / "out" / "scores.csv"
+
+    def test_replays_from_another_directory(self, tmp_path, capsys, monkeypatch):
+        dst = self._relative_run(tmp_path, capsys, monkeypatch)
+        before = dst.read_bytes()
+        manifest = dst.with_name("scores.csv.manifest.json")
+        for path in (str(manifest), "../work/out/scores.csv.manifest.json"):
+            code, _, err = run(capsys, "rerun", path)
+            assert code == 0 and err == ""
+        assert dst.read_bytes() == before
+        assert sorted(p.name for p in dst.parent.iterdir()) == ["scores.csv", "scores.csv.manifest.json"]
+
+    def test_changed_input_is_named_without_replaying(self, tmp_path, capsys, monkeypatch):
+        dst = self._relative_run(tmp_path, capsys, monkeypatch)
+        (tmp_path / "work" / "data" / "path.hgf").write_text(GOLDEN)
+        code, _, err = run(capsys, "rerun", str(dst) + ".manifest.json")
+        assert code == 1
+        assert err.startswith("error: data/path.hgf digest changed (")
+        assert err.count("\n") == 1
+
+    def test_tampered_output_is_reported_and_kept(self, tmp_path, capsys, monkeypatch):
+        dst = self._relative_run(tmp_path, capsys, monkeypatch)
+        manifest = dst.with_name("scores.csv.manifest.json")
+        recorded = manifest.read_bytes()
+        dst.write_bytes(b"vertex,label,score\n1,,9\n")
+        code, _, err = run(capsys, "rerun", str(manifest))
+        assert code == 1
+        assert err.startswith("error: out/scores.csv digest changed (")
+        assert "on replay" not in err
+        assert dst.read_bytes() == b"vertex,label,score\n1,,9\n"
+        assert manifest.read_bytes() == recorded
+
+    def test_output_that_replays_differently_is_named(self, tmp_path, capsys, monkeypatch):
+        dst = self._relative_run(tmp_path, capsys, monkeypatch)
+        manifest = dst.with_name("scores.csv.manifest.json")
+        doc = json.loads(manifest.read_text())
+        doc["outputs"][0]["sha256"] = "0" * 64
+        manifest.write_text(json.dumps(doc))
+        before = dst.read_bytes()
+        code, _, err = run(capsys, "rerun", str(manifest))
+        assert code == 1
+        lines = err.splitlines()
+        assert lines[0].startswith("error: out/scores.csv digest changed on replay (000000000000 -> ")
+        assert lines[1].startswith("error: out/scores.csv digest changed (000000000000 -> ")
+        assert dst.read_bytes() == before
+
+    def test_manifest_with_removed_flag_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "path.hgf"
+        src.write_text(PATH5)
+        dst = tmp_path / "scores.csv"
+        assert run(capsys, "betweenness", "--input", str(src), "--output", str(dst))[0] == 0
+        manifest = tmp_path / "scores.csv.manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["argv"].insert(1, "--deterministic")
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as info:
+            main(["rerun", str(manifest)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --deterministic" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -481,8 +553,10 @@ class TestErrorsAndUsage:
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith("hgkit ")
 
-    def test_deterministic_flag_is_accepted(self, tmp_path, capsys):
+    def test_removed_deterministic_flag_exits_2(self, tmp_path, capsys):
         src = tmp_path / "g.hgf"
         src.write_text(GOLDEN)
-        code, _, _ = run(capsys, "stats", "--deterministic", "--input", str(src))
-        assert code == 0
+        with pytest.raises(SystemExit) as info:
+            main(["stats", "--deterministic", "--input", str(src)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --deterministic" in capsys.readouterr().err

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 import re
 
@@ -21,6 +22,7 @@ from hgkit import (
     read_reviews_csv,
     read_scenes_json,
     review_rows,
+    scene_rows,
     write_hgf,
     write_json,
 )
@@ -41,6 +43,7 @@ from helpers import (
     random_hypergraph,
     random_json_meta,
     reference_build_from_reviews,
+    reference_build_from_scenes,
 )
 
 GOLDEN = "3 2\n1=1.0 2=1.0\n2=1.5 3=1.0\n"
@@ -298,6 +301,33 @@ class TestReviews:
         assert items == [] and users == []
 
 
+def _seeded_scenes_json(rng: random.Random) -> str:
+    """A scene document with repeated and shared members, empty scenes and non-string ids."""
+    names = [f"c{i}" for i in range(rng.randint(1, 30))] + ["Snow, Jon", 'the "Hound"']
+    scenes = []
+    for i in range(rng.randint(0, 60)):
+        scene_id = rng.choice((f"s{i}", i, None, 7, f"s{i % 5}"))
+        if rng.random() < 0.15:
+            members = []
+        else:
+            members = rng.sample(names, rng.randint(1, min(len(names), 8)))
+            members += rng.choices(members, k=rng.randint(0, 3))
+            rng.shuffle(members)
+        scenes.append({"id": scene_id, "members": members})
+    return json.dumps(scenes)
+
+
+SCENE_MALFORMED = {
+    "invalid-json": '[{"id": "s1", "members": ["a"]',
+    "not-an-array": '{"id": "s1", "members": ["a"]}',
+    "entry-not-an-object": '[{"id": "s1", "members": ["a"]}, ["s2", "b"]]',
+    "entry-without-id": '[{"id": "s1", "members": ["a"]}, {"members": ["b"]}]',
+    "entry-without-members": '[{"id": "s1", "members": []}, {"id": "s2"}]',
+    "member-not-a-string": '[{"id": "s1", "members": ["a"]}, {"id": 7, "members": ["b", 2]}]',
+    "members-not-a-list": '[{"id": null, "members": "ab"}]',
+}
+
+
 class TestScenes:
     def test_json_parsing_and_dedup(self):
         text = '[{"id": "s1", "members": ["a", "b", "a"]}, {"id": "s2", "members": []}]'
@@ -316,6 +346,52 @@ class TestScenes:
     def test_scene_record_requires_members(self):
         with pytest.raises(MalformedRecordError):
             SceneRecord("s", [])
+
+    @pytest.mark.parametrize("text", SCENE_MALFORMED.values(), ids=SCENE_MALFORMED.keys())
+    def test_malformed_messages_match_reference(self, text, tmp_path, capsys):
+        with pytest.raises(MalformedRecordError) as want:
+            reference_build_from_scenes(text)
+        with pytest.raises(MalformedRecordError, match=re.escape(str(want.value))):
+            read_scenes_json(text)
+        with pytest.raises(MalformedRecordError, match=re.escape(str(want.value))):
+            build_from_scenes(scene_rows(text))
+        src = tmp_path / "scenes.json"
+        src.write_text(text)
+        assert main(["stats", "--input", str(src), "--format", "scenes-json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {want.value}\n"
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_streamed_build_matches_reference(self, seed):
+        texts = [_seeded_scenes_json(random.Random(seed))]
+        if seed == 0:
+            texts += ["[]", '[{"id": "s", "members": []}]', '[{"id": 1, "members": ["a", "a"]}]']
+        for text in texts:
+            want_h, want_labels = reference_build_from_scenes(text)
+            records = read_scenes_json(text)
+            assert isinstance(records, list)
+            for h, labels in (build_from_scenes(scene_rows(text)), build_from_scenes(records)):
+                assert (h, labels) == (want_h, want_labels)
+                assert [list(row) for row in h._v2he] == [list(row) for row in want_h._v2he]
+                assert [list(col) for col in h._he2v] == [list(col) for col in want_h._he2v]
+
+    def test_rows_dedupe_skip_empty_and_stringify_ids(self):
+        text = json.dumps([
+            {"id": 7, "members": ["b", "a", "b"]},
+            {"id": "empty", "members": []},
+            {"id": None, "members": ["a", "c"]},
+        ])
+        assert list(scene_rows(text)) == [("7", ["b", "a"]), ("None", ["a", "c"])]
+        h, labels = build_from_scenes(scene_rows(text))
+        assert labels == ["b", "a", "c"]
+        assert h.nhe == 2  # the empty scene takes no hyperedge id
+        assert [h.get_hyperedge_meta(e) for e in h.hyperedges()] == ["7", "None"]
+        assert [list(col) for col in h._he2v] == [[1, 2], [2, 3]]
+
+    def test_records_unpack_as_rows(self):
+        scene_id, members = SceneRecord("s1", ["a", "b", "a"])
+        assert (scene_id, members) == ("s1", ["a", "b"])
 
     def test_build(self):
         records = [SceneRecord("s1", ["a", "b"]), SceneRecord("s2", ["b", "c"])]

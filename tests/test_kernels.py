@@ -68,6 +68,29 @@ def _edge_cases() -> list[Hypergraph]:
     ]
 
 
+def _complete(vs: list[int]) -> list[tuple[int, int]]:
+    return [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
+
+
+# Hand-built graphs as (n, edges): stars, paths, cycles, complete and
+# complete bipartite graphs, K2 components, isolated vertices, and
+# degree-1 vertices hanging off denser cores.
+STRUCTURAL = [
+    (7, [(1, v) for v in range(2, 8)]),
+    (6, [(v, 6) for v in range(1, 6)]),
+    (2, [(1, 2)]),
+    (6, [(v, v + 1) for v in range(1, 6)]),
+    (5, [(v, v % 5 + 1) for v in range(1, 6)]),
+    (6, [(v, v % 6 + 1) for v in range(1, 7)]),
+    (4, _complete([1, 2, 3, 4])),
+    (6, _complete([1, 2, 3, 4, 5, 6])),
+    (5, [(u, v) for u in (1, 2) for v in (3, 4, 5)]),
+    (6, [(u, v) for u in (1, 3, 5) for v in (2, 4, 6)]),
+    (9, [(1, 2), (4, 5), (7, 8)]),
+    (8, _complete([2, 3, 4, 5]) + [(1, 2), (5, 6), (5, 7)]),
+    (9, [(v, v % 4 + 1) for v in range(1, 5)] + [(1, 5), (5, 6), (3, 7), (8, 4)]),
+    (10, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (5, 8), (9, 10)]),
+]
 CASES = _edge_cases() + _tie_cases() + _random_cases(7, 60, 12, 10) + _random_cases(8, 15, 40, 30)
 CONFIGS = [
     LpConfig(seed=0),
@@ -126,7 +149,13 @@ def test_graph_lp_still_rejects_non_graphs():
 
 @pytest.mark.parametrize("s", [1, 2, 3])
 def test_brandes_matches_reference_bit_for_bit(s):
-    for h in CASES:
+    # Each structural edge is repeated s times, so the graph survives at threshold s.
+    structural = []
+    for n, edges in STRUCTURAL:
+        h = hypergraph_from_edges(n, [e for e in edges for _ in range(s)])
+        assert s_adjacency(h, s).edges() == sorted(tuple(sorted(e)) for e in edges)
+        structural.append(h)
+    for h in CASES + structural:
         nbrs = s_adjacency(h, s)._nbrs
         want = reference_brandes(nbrs)
         got = _brandes(nbrs)
