@@ -17,14 +17,16 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from . import __version__
 from .analytics import (
@@ -44,27 +46,26 @@ from .forecast import average_error, evaluation_size, forecast_graph, forecast_h
 from .hgio import (
     build_from_reviews,
     build_from_scenes,
+    hgf_chunks,
+    json_chunks,
     read_hgf,
     read_json,
     read_scenes_json,
     review_rows,
-    write_hgf,
-    write_json,
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import BipartiteView, MaterializedGraph, TwoSectionView, materialize
+from .views import TwoSectionView
 
 INPUT_FORMATS = ("hgf", "json", "reviews-csv", "scenes-json")
-OUTPUT_FORMATS = ("hgf", "json", "dot-bipartite", "dot-twosection")
 
 
 def _fmt(x: float, full: bool) -> str:
     return repr(x) if full else f"{x:.6g}"
 
 
-def _csv_text(rows: Iterable[list[str]]) -> str:
-    """CSV document with ``\n`` line ends; only cells that need it are quoted.
+def _csv_chunks(rows: Iterable[list[str]]) -> Iterator[str]:
+    """CSV records with ``\n`` line ends, one chunk per row; only cells that need it are quoted.
 
     The writer ends each record with ``\r\n``, one ``write`` call per
     record, so that a cell holding a bare ``\r`` is quoted too: before
@@ -72,8 +73,22 @@ def _csv_text(rows: Iterable[list[str]]) -> str:
     Each record's ``\r\n`` is then cut back to ``\n``.
     """
     records: list[str] = []
-    csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n").writerows(rows)
-    return "".join(record[:-2] + "\n" for record in records)
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
+    for row in rows:
+        writer.writerow(row)
+        yield records.pop()[:-2] + "\n"
+
+
+def _read_text(path: str, newline: str | None = None) -> str:
+    """The text of a UTF-8 input file, read with ``open``'s ``newline`` rule.
+
+    Bytes that are not UTF-8 raise ``FormatError``.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _infer_format(path: str) -> str:
@@ -82,7 +97,7 @@ def _infer_format(path: str) -> str:
 
 
 def _load_hypergraph(path: str, fmt: str | None) -> Hypergraph:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     fmt = fmt or _infer_format(path)
     # An entirely empty file stands for the empty structure in any format.
     if not text.strip():
@@ -101,7 +116,7 @@ def _load_hypergraph(path: str, fmt: str | None) -> Hypergraph:
 
 
 def _load_partition(path: str) -> Partition:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     if Path(path).suffix.lower() == ".csv":
         return Partition.from_csv_text(text)
     return Partition.from_json_text(text)
@@ -111,8 +126,9 @@ def _sha256_file(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: list[str]) -> None:
-    primary = outputs[0]
+def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: dict[str, str]) -> None:
+    """Write ``<first output>.manifest.json``; ``outputs`` maps each output path to its digest."""
+    primary = next(iter(outputs))
     parameters = {
         key: value
         for key, value in vars(args).items()
@@ -126,20 +142,31 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: list[s
         "argv": args.argv_snapshot,
         "parameters": parameters,
         "inputs": [{"path": p, "sha256": _sha256_file(p)} for p in inputs],
-        "outputs": [{"path": p, "sha256": _sha256_file(p)} for p in outputs],
+        "outputs": [{"path": p, "sha256": digest} for p, digest in outputs.items()],
     }
     Path(primary + ".manifest.json").write_text(
         json.dumps(doc, indent=2) + "\n", encoding="utf-8"
     )
 
 
-def _emit(args: argparse.Namespace, text: str, inputs: list[str]) -> None:
-    """Send a document to --output (with manifest) or stdout."""
+def _emit(args: argparse.Namespace, chunks: Iterable[str], inputs: list[str]) -> None:
+    """Send a document's text chunks to --output (with manifest) or stdout.
+
+    Each chunk is written as it comes, so the document never exists as
+    one string.  The manifest's output digest is taken over the bytes
+    as they are written.
+    """
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        _write_manifest(args, inputs, [args.output])
+        digest = hashlib.sha256()
+        with open(args.output, "wb") as out:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                out.write(data)
+        _write_manifest(args, inputs, {args.output: digest.hexdigest()})
     else:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
 
 
 # --- stats ------------------------------------------------------------------
@@ -167,39 +194,56 @@ def cmd_stats(args: argparse.Namespace) -> int:
     report = "\n".join(line.rstrip() for line in lines) + "\n"
     sys.stdout.write(report)
     if args.output:
-        Path(args.output).write_text(report, encoding="utf-8")
-        _write_manifest(args, [args.input], [args.output])
+        _emit(args, [report], [args.input])
     return 0
 
 
 # --- convert ----------------------------------------------------------------
 
 
-def _dot_text(g: MaterializedGraph, name: str) -> str:
-    def num(w: float) -> str:
-        return str(int(w)) if float(w).is_integer() else repr(float(w))
+# Both DOT writers list every node, then each edge (u, v) with u < v in
+# ascending order, one chunk per node and one per u.  Both weights are
+# integer counts, so each prints as ``str``.
 
-    lines = [f"graph {name} {{"]
-    lines += [f"  {v};" for v in range(1, g.n_nodes + 1)]
-    lines += [f"  {u} -- {v} [weight={num(w)}];" for u, v, w in g.edges]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+
+def _dot_nodes(name: str, n_nodes: int) -> Iterator[str]:
+    yield f"graph {name} {{\n"
+    for v in range(1, n_nodes + 1):
+        yield f"  {v};\n"
+
+
+def _bipartite_dot_chunks(h: Hypergraph) -> Iterator[str]:
+    """Incidence graph: vertex v joins hyperedge node n+e with weight 1."""
+    n = h.nhv
+    yield from _dot_nodes("bipartite", n + h.nhe)
+    for v, row in enumerate(h._v2he, start=1):
+        yield "".join(f"  {v} -- {n + e} [weight=1];\n" for e in sorted(row))
+    yield "}\n"
+
+
+def _twosection_dot_chunks(h: Hypergraph) -> Iterator[str]:
+    """Clique expansion: u joins v with the number of hyperedges they share."""
+    view = TwoSectionView(h)
+    yield from _dot_nodes("twosection", h.nhv)
+    for u in view.nodes():
+        counts = view.neighbors(u)
+        yield "".join(f"  {u} -- {v} [weight={counts[v]}];\n" for v in sorted(counts) if v > u)
+    yield "}\n"
+
+
+# Output format -> generator of the document's text chunks.
+_CONVERT_WRITERS = {
+    "hgf": hgf_chunks,
+    "json": json_chunks,
+    "dot-bipartite": _bipartite_dot_chunks,
+    "dot-twosection": _twosection_dot_chunks,
+}
+OUTPUT_FORMATS = tuple(_CONVERT_WRITERS)
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input, args.from_fmt)
-    to = args.to_fmt
-    if to == "hgf":
-        text = write_hgf(h)
-    elif to == "json":
-        text = write_json(h)
-    elif to == "dot-bipartite":
-        text = _dot_text(materialize(BipartiteView(h)), "bipartite")
-    elif to == "dot-twosection":
-        text = _dot_text(materialize(TwoSectionView(h)), "twosection")
-    else:
-        raise FormatError(f"unknown output format {to!r}")
-    _emit(args, text, [args.input])
+    _emit(args, _CONVERT_WRITERS[args.to_fmt](h), [args.input])
     return 0
 
 
@@ -225,7 +269,7 @@ def cmd_communities(args: argparse.Namespace) -> int:
         if args.output and args.output.lower().endswith(".csv")
         else part.to_json_text()
     )
-    _emit(args, text, [args.input])
+    _emit(args, [text], [args.input])
     print(f"algorithm: {args.algo}")
     print(f"communities: {part.community_count}")
     print(f"iterations: {iterations}")
@@ -248,20 +292,19 @@ def cmd_nmi(args: argparse.Namespace) -> int:
 SCORES_HEADER = ["vertex", "label", "score"]
 
 
-def _scores_csv(h: Hypergraph, ranked: list[tuple[int, float]], full: bool) -> str:
-    rows = [SCORES_HEADER]
+def _score_rows(h: Hypergraph, ranked: list[tuple[int, float]], full: bool) -> Iterator[list[str]]:
+    yield SCORES_HEADER
     for v, score in ranked:
         meta = h.get_vertex_meta(v)
         label = meta if isinstance(meta, str) else ""
-        rows.append([str(v), label, _fmt(score, full)])
-    return _csv_text(rows)
+        yield [str(v), label, _fmt(score, full)]
 
 
 def cmd_betweenness(args: argparse.Namespace) -> int:
     h = _load_hypergraph(args.input, args.format)
     vector = s_betweenness(h, args.s)
     ranked = vector.top(args.top_k) if args.top_k is not None else vector.ranked()
-    _emit(args, _scores_csv(h, ranked, args.full_precision), [args.input])
+    _emit(args, _csv_chunks(_score_rows(h, ranked, args.full_precision)), [args.input])
     return 0
 
 
@@ -287,7 +330,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     # the star filter shapes only the hypergraph.  Both come from one
     # pass over the rows.
     totals: dict[str, list[int]] = {}
-    rows = review_rows(Path(args.input).read_text(encoding="utf-8"))
+    rows = review_rows(_read_text(args.input))
     h, item_labels, _ = build_from_reviews(_tally_stars(rows, totals), star_filter=args.stars)
     ratings = {
         v: totals[label][0] / totals[label][1]
@@ -307,7 +350,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             _fmt(hyper[v], full) if hyper[v] is not None else "",
             _fmt(graph[v], full) if graph[v] is not None else "",
         ])
-    _emit(args, _csv_text(rows), [args.input])
+    _emit(args, _csv_chunks(rows), [args.input])
     print(
         f"err-hypergraph: {_fmt(average_error(hyper, ratings), full)}"
         f" (defined {evaluation_size(hyper)}/{h.nhv})"
@@ -323,23 +366,28 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def _read_scores_csv(path: str) -> dict[int, float]:
+    """Vertex -> score from a score CSV; scores must be finite, vertices distinct."""
     scores: dict[int, float] = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        rows = csv.reader(f)
-        try:
-            if [c.strip() for c in next(rows, [])] != SCORES_HEADER:
-                raise FormatError(f"{path}: expected header vertex,label,score")
-            for row in rows:
-                if len(row) <= 1 and not "".join(row).strip():
-                    continue
-                if len(row) != 3:
-                    raise FormatError(f"{path}: row {row!r} must have three fields")
-                try:
-                    scores[int(row[0])] = float(row[2])
-                except ValueError:
-                    raise FormatError(f"{path}: row {row!r} is not vertex,label,score") from None
-        except csv.Error as exc:
-            raise FormatError(f"{path}: {exc}") from None
+    rows = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
+    try:
+        if [c.strip() for c in next(rows, [])] != SCORES_HEADER:
+            raise FormatError(f"{path}: expected header vertex,label,score")
+        for row in rows:
+            if len(row) <= 1 and not "".join(row).strip():
+                continue
+            if len(row) != 3:
+                raise FormatError(f"{path}: row {row!r} must have three fields")
+            try:
+                v, score = int(row[0]), float(row[2])
+            except ValueError:
+                raise FormatError(f"{path}: row {row!r} is not vertex,label,score") from None
+            if not math.isfinite(score):
+                raise FormatError(f"{path}: score {row[2]!r} of vertex {v} is not finite")
+            if v in scores:
+                raise FormatError(f"{path}: vertex {v} scored twice")
+            scores[v] = score
+    except csv.Error as exc:
+        raise FormatError(f"{path}: {exc}") from None
     return scores
 
 
@@ -355,7 +403,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def _read_manifest(path: str) -> dict[str, Any]:
     """Load a run manifest, rejecting any document ``rerun`` cannot replay."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(path))
     except ValueError as exc:
         raise FormatError(f"{path}: not a JSON manifest ({exc})") from None
     if not isinstance(doc, dict) or doc.get("manifest_version") != 1:
@@ -443,6 +491,20 @@ def cmd_rerun(args: argparse.Namespace) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    # argparse names the type in its "invalid int value" message.
+    parse.__name__ = "int"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hgkit", description="Hypergraph analytics toolbox"
@@ -474,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=INPUT_FORMATS)
     p.add_argument("--algo", choices=("hyper-lp", "graph-lp"), default="hyper-lp")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=100)
     p.add_argument("--output")
     p.set_defaults(func=cmd_communities)
 
@@ -487,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=INPUT_FORMATS)
     p.add_argument("--s", type=int, default=1)
-    p.add_argument("--top-k", type=int)
+    p.add_argument("--top-k", type=_int_at_least(0))
     p.add_argument("--output")
     p.set_defaults(func=cmd_betweenness)
 

@@ -15,6 +15,10 @@ JSON format
     values).  Both incidence directions are stored and must agree.
     Round-trips preserve metadata.
 
+Both writers come as generators of text chunks, one per incidence row
+(``hgf_chunks``, ``json_chunks``), so a caller can stream a document
+without holding it; ``write_hgf`` and ``write_json`` join the chunks.
+
 Dataset builders turn review CSVs (``user_id,item_id,stars``) and
 scene JSON (array of ``{"id": ..., "members": [...]}``) into
 hypergraphs, keeping the external ids as labels and metadata.
@@ -27,7 +31,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .analytics import connected_components
 from .errors import (
@@ -43,6 +47,8 @@ from .hypercore import Hypergraph, IdRemap
 
 __all__ = [
     "FORMAT_VERSION",
+    "hgf_chunks",
+    "json_chunks",
     "write_hgf",
     "read_hgf",
     "write_json",
@@ -65,12 +71,15 @@ FORMAT_VERSION = 1
 # --- HGF text format -----------------------------------------------------------
 
 
+def hgf_chunks(h: Hypergraph) -> Iterator[str]:
+    """The HGF document as text chunks: the header, then one line per hyperedge."""
+    yield f"{h.nhv} {h.nhe}\n"
+    for members in h._he2v:
+        yield " ".join(f"{v}={members[v]!r}" for v in sorted(members)) + "\n"
+
+
 def write_hgf(h: Hypergraph) -> str:
-    lines = [f"{h.nhv} {h.nhe}"]
-    for e in h.hyperedges():
-        members = h._he2v[e - 1]
-        lines.append(" ".join(f"{v}={members[v]!r}" for v in sorted(members)))
-    return "\n".join(lines) + "\n"
+    return "".join(hgf_chunks(h))
 
 
 def read_hgf(text: str) -> Hypergraph:
@@ -125,21 +134,55 @@ def read_hgf(text: str) -> Hypergraph:
 # --- JSON format -----------------------------------------------------------------
 
 
+# Metadata values are encoded one at a time, as ``json.dumps(value,
+# indent=2)`` would; each is then indented by the four spaces of its
+# place in the document.  An encoded string holds no literal newline.
+_META_ENCODER = json.JSONEncoder(indent=2)
+
+
+def _weights_json(row: dict[int, float]) -> str:
+    """One incidence row as an object at depth 2 of an indent-2 document.
+
+    Weights are floats, so ``repr`` is the spelling ``json`` gives them.
+    """
+    if not row:
+        return "{}"
+    body = ",\n      ".join(f'"{i}": {row[i]!r}' for i in sorted(row))
+    return "{\n      " + body + "\n    }"
+
+
+def _meta_json(value: object) -> str:
+    return _META_ENCODER.encode(value).replace("\n", "\n    ")
+
+
+def _json_array(key: str, items: list[Any], encode: Callable[[Any], str]) -> Iterator[str]:
+    """A top-level ``"key": [...]`` member, one chunk per item."""
+    if not items:
+        yield f',\n  "{key}": []'
+        return
+    sep = f',\n  "{key}": [\n    '
+    for item in items:
+        yield sep + encode(item)
+        sep = ",\n    "
+    yield "\n  ]"
+
+
+def json_chunks(h: Hypergraph) -> Iterator[str]:
+    """The JSON document as text chunks, one per incidence row or metadata value.
+
+    The chunks join to exactly the text of ``json.dumps(doc, indent=2)``
+    plus a final newline, without building ``doc``.
+    """
+    yield f'{{\n  "format_version": {FORMAT_VERSION},\n  "n": {h.nhv},\n  "k": {h.nhe}'
+    yield from _json_array("v2he", h._v2he, _weights_json)
+    yield from _json_array("he2v", h._he2v, _weights_json)
+    yield from _json_array("vmeta", h._vmeta, _meta_json)
+    yield from _json_array("hemeta", h._hemeta, _meta_json)
+    yield "\n}\n"
+
+
 def write_json(h: Hypergraph) -> str:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "n": h.nhv,
-        "k": h.nhe,
-        "v2he": [
-            {str(e): row[e] for e in sorted(row)} for row in h._v2he
-        ],
-        "he2v": [
-            {str(v): col[v] for v in sorted(col)} for col in h._he2v
-        ],
-        "vmeta": list(h._vmeta),
-        "hemeta": list(h._hemeta),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return "".join(json_chunks(h))
 
 
 def _parse_weight_object(obj: object, limit: int, what: str) -> dict[int, float]:

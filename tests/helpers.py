@@ -9,7 +9,10 @@ dict-keyed label propagation and Brandes loops and the global
 pair-table s-adjacency build that the package kernels must reproduce
 bit for bit; ``reference_build_from_reviews`` and
 ``reference_build_from_scenes`` are the record-list review and scene
-ingests that the streamed ones must reproduce.
+ingests that the streamed ones must reproduce; ``reference_write_hgf``,
+``reference_write_json``, ``reference_materialize`` and
+``reference_dot_text`` are the whole-document writers that the streamed
+writers must reproduce byte for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from hgkit import (
+    BipartiteView,
     Hypergraph,
     LpConfig,
     MaterializedGraph,
@@ -33,6 +37,7 @@ from hgkit import (
     connected_components,
 )
 from hgkit.errors import InvalidSError, MalformedRecordError
+from hgkit.hgio import FORMAT_VERSION
 
 # --- random structures ---------------------------------------------------------
 
@@ -452,6 +457,79 @@ def reference_build_from_scenes(text: str) -> tuple[Hypergraph, list[str]]:
     for record in scenes:
         h.add_hyperedge({char_ids[m]: 1.0 for m in record.members}, meta=record.scene_id)
     return h, sorted(char_ids, key=char_ids.get)
+
+
+# --- reference writers -----------------------------------------------------------------
+
+
+def reference_write_hgf(h: Hypergraph) -> str:
+    lines = [f"{h.nhv} {h.nhe}"]
+    for e in h.hyperedges():
+        members = h._he2v[e - 1]
+        lines.append(" ".join(f"{v}={members[v]!r}" for v in sorted(members)))
+    return "\n".join(lines) + "\n"
+
+
+def reference_write_json(h: Hypergraph) -> str:
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "n": h.nhv,
+        "k": h.nhe,
+        "v2he": [
+            {str(e): row[e] for e in sorted(row)} for row in h._v2he
+        ],
+        "he2v": [
+            {str(v): col[v] for v in sorted(col)} for col in h._he2v
+        ],
+        "vmeta": list(h._vmeta),
+        "hemeta": list(h._hemeta),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_materialize(view: BipartiteView | TwoSectionView) -> MaterializedGraph:
+    """Freeze a view into a MaterializedGraph."""
+    if isinstance(view, BipartiteView):
+        h = view.hypergraph
+        n = h.nhv
+        edges = [
+            (v, n + e, 1.0)
+            for e in h.hyperedges()
+            for v in h._he2v[e - 1]
+        ]
+        edges.sort()
+        return MaterializedGraph(n_nodes=view.n_nodes, edges=edges)
+    if isinstance(view, TwoSectionView):
+        edges = [
+            (u, v, float(w))
+            for u in view.nodes()
+            for v, w in view.neighbors(u).items()
+            if u < v
+        ]
+        edges.sort()
+        return MaterializedGraph(n_nodes=view.n_nodes, edges=edges)
+    raise TypeError(f"cannot materialize {type(view).__name__}")
+
+
+def reference_dot_text(g: MaterializedGraph, name: str) -> str:
+    def num(w: float) -> str:
+        return str(int(w)) if float(w).is_integer() else repr(float(w))
+
+    lines = [f"graph {name} {{"]
+    lines += [f"  {v};" for v in range(1, g.n_nodes + 1)]
+    lines += [f"  {u} -- {v} [weight={num(w)}];" for u, v, w in g.edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_documents(h: Hypergraph) -> dict[str, str]:
+    """Each ``convert --to`` target's document, from the whole-document writers."""
+    return {
+        "hgf": reference_write_hgf(h),
+        "json": reference_write_json(h),
+        "dot-bipartite": reference_dot_text(reference_materialize(BipartiteView(h)), "bipartite"),
+        "dot-twosection": reference_dot_text(reference_materialize(TwoSectionView(h)), "twosection"),
+    }
 
 
 # --- reference modularity -------------------------------------------------------------

@@ -371,6 +371,25 @@ class TestCorrelate:
         code, _, _ = run(capsys, "correlate", str(a), str(b))
         assert code == 3
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_score_exits_3(self, tmp_path, capsys, bad):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        self.write_scores(a, {1: 1.0, 2: bad, 3: 3.0})
+        self.write_scores(b, {1: 2.0, 2: 4.0, 3: 6.0})
+        code, out, err = run(capsys, "correlate", str(a), str(b))
+        assert (code, out) == (3, "")
+        assert err == f"error: {a}: score {bad!r} of vertex 2 is not finite\n"
+
+    def test_repeated_vertex_exits_3(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("vertex,label,score\n1,,1\n2,,2\n3,,3\n2,,5\n")
+        self.write_scores(b, {1: 2.0, 2: 4.0, 3: 6.0})
+        code, out, err = run(capsys, "correlate", str(b), str(a))
+        assert (code, out) == (3, "")
+        assert err == f"error: {a}: vertex 2 scored twice\n"
+
 
 class TestRerun:
     def test_verifies_byte_identity(self, tmp_path, capsys):
@@ -547,6 +566,39 @@ class TestErrorsAndUsage:
         assert info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["communities", "--max-iter", "0"],
+            ["communities", "--max-iter", "-3"],
+            ["betweenness", "--top-k", "-1"],
+        ],
+        ids=["max-iter-0", "max-iter-negative", "top-k-negative"],
+    )
+    def test_out_of_range_count_is_a_usage_error(self, tmp_path, capsys, argv):
+        src = tmp_path / "path.hgf"
+        src.write_text(PATH5)
+        dst = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as info:
+            main([argv[0], "--input", str(src), *argv[1:], "--output", str(dst)])
+        assert info.value.code == 2
+        assert f"argument {argv[1]}: must be at least" in capsys.readouterr().err
+        assert not dst.exists()
+
+    def test_smallest_counts_are_accepted(self, tmp_path, capsys):
+        src = tmp_path / "path.hgf"
+        src.write_text(PATH5)
+        code, out, _ = run(capsys, "communities", "--input", str(src), "--max-iter", "1")
+        assert code == 0 and "iterations: 1\n" in out
+        code, out, _ = run(capsys, "betweenness", "--input", str(src), "--top-k", "0")
+        assert (code, out) == (0, "vertex,label,score\n")
+
+    def test_non_integer_count_keeps_the_int_message(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["betweenness", "--input", "g.hgf", "--top-k", "x"])
+        assert info.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--version"])
@@ -560,3 +612,30 @@ class TestErrorsAndUsage:
             main(["stats", "--deterministic", "--input", str(src)])
         assert info.value.code == 2
         assert "unrecognized arguments: --deterministic" in capsys.readouterr().err
+
+
+class TestInvalidUtf8:
+    """Every input file the CLI reads is UTF-8; other bytes are a format error (exit 3)."""
+
+    CASES = {
+        "hgf": ("g.hgf", b"3 1\n1=1.0 \xff\n", ["stats", "--input"]),
+        "json": ("g.json", b'{"format_version": 1, "n": "\xff"}', ["stats", "--input"]),
+        "reviews-csv": ("r.csv", b"user_id,item_id,stars\nu1,b\xff,5\n", ["stats", "--input"]),
+        "scenes-json": ("s.json", b'[{"id": 1, "members": ["\xc3"]}]', ["stats", "--format", "scenes-json", "--input"]),
+        "forecast": ("r.csv", b"user_id,item_id,stars\nu1,b\xff,5\n", ["forecast", "--input"]),
+        "partition-json": ("p.json", b'{"1": [1], "\xfe": []}', ["nmi", "good.json"]),
+        "partition-csv": ("p.csv", b"vertex,label\n1,\x80\n", ["nmi", "good.json"]),
+        "scores-csv": ("s.csv", b"vertex,label,score\n1,\xe9,0.5\n", ["correlate", "good.csv"]),
+        "manifest": ("m.manifest.json", b'{"manifest_version": 1, "argv": ["\xff"]}', ["rerun"]),
+    }
+
+    @pytest.mark.parametrize("kind", list(CASES))
+    def test_exits_3_with_an_error_line(self, tmp_path, capsys, monkeypatch, kind):
+        name, data, argv = self.CASES[kind]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "good.json").write_text(Partition({1: 1}).to_json_text())
+        (tmp_path / "good.csv").write_text("vertex,label,score\n1,,0.5\n")
+        (tmp_path / name).write_bytes(data)
+        code, out, err = run(capsys, *argv, name)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {name}: not UTF-8 text (")
