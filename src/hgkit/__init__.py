@@ -7,6 +7,8 @@ from .analytics import (
     graph_degree_centrality,
     graph_modularity,
     hypergraph_modularity,
+    induced_subhypergraph,
+    largest_connected_component,
     one_step_distribution,
     random_walk_step,
 )
@@ -31,7 +33,6 @@ from .hgio import (
     SceneRecord,
     build_from_reviews,
     build_from_scenes,
-    largest_connected_component,
     read_hgf,
     read_json,
     read_reviews_csv,
@@ -43,7 +44,7 @@ from .hgio import (
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import BipartiteView, MaterializedGraph, TwoSectionView, materialize
+from .views import BipartiteView, CachedGraph, Graph, MaterializedGraph, TwoSectionView, materialize
 
 __version__ = "0.1.0"
 
@@ -51,7 +52,9 @@ __all__ = [
     "__version__",
     "Hypergraph",
     "BipartiteView",
+    "Graph",
     "TwoSectionView",
+    "CachedGraph",
     "MaterializedGraph",
     "materialize",
     "Partition",
@@ -62,6 +65,8 @@ __all__ = [
     "SceneRecord",
     "HgkitError",
     "connected_components",
+    "induced_subhypergraph",
+    "largest_connected_component",
     "random_walk_step",
     "one_step_distribution",
     "degree_summary",
@@ -90,5 +95,4 @@ __all__ = [
     "read_scenes_json",
     "build_from_reviews",
     "build_from_scenes",
-    "largest_connected_component",
 ]

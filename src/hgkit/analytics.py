@@ -1,4 +1,4 @@
-"""Connectivity, random walks, degree summaries, and modularity.
+"""Connectivity, component extraction, random walks, degree summaries, and modularity.
 
 Unless stated otherwise these operations ignore incidence weights:
 degree is the count of incident hyperedges, walks pick uniformly, and
@@ -11,7 +11,7 @@ import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .centrality import CentralityVector
 from .errors import (
@@ -21,12 +21,14 @@ from .errors import (
     NoUsableHyperedgesError,
     PartitionNotTotalError,
 )
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, IdRemap
 from .partition import Partition
-from .views import MaterializedGraph, TwoSectionView
+from .views import Graph, neighbor_rows
 
 __all__ = [
     "connected_components",
+    "induced_subhypergraph",
+    "largest_connected_component",
     "random_walk_step",
     "one_step_distribution",
     "DegreeSummary",
@@ -72,6 +74,46 @@ def connected_components(h: Hypergraph) -> list[set[int]]:
                         queue.append(u)
         components.append(component)
     return components
+
+
+def induced_subhypergraph(
+    h: Hypergraph, keep: Iterable[int]
+) -> tuple[Hypergraph, IdRemap, IdRemap]:
+    """Restrict to a vertex subset, renumbering ids contiguously.
+
+    Hyperedges keep only surviving members; hyperedges left empty are
+    dropped.  Metadata follows the surviving ids.  Returns the new
+    hypergraph with vertex and hyperedge remaps {old: new}.
+    """
+    kept = sorted(set(keep))
+    vmap: IdRemap = {old: new for new, old in enumerate(kept, start=1)}
+    emap: IdRemap = {}
+    sub = Hypergraph(len(kept), 0)
+    for new_v, old_v in enumerate(kept, start=1):
+        sub._vmeta[new_v - 1] = h._vmeta[old_v - 1]
+    for old_e in h.hyperedges():
+        members = {
+            vmap[v]: w for v, w in h._he2v[old_e - 1].items() if v in vmap
+        }
+        if not members:
+            continue
+        new_e = sub.add_hyperedge(members, meta=h._hemeta[old_e - 1])
+        emap[old_e] = new_e
+    return sub, vmap, emap
+
+
+def largest_connected_component(h: Hypergraph) -> tuple[Hypergraph, IdRemap]:
+    """Extract the largest component (ties: smallest minimum vertex id).
+
+    Returns the component as its own hypergraph and the vertex remap
+    {old: new}.  The empty hypergraph maps to itself.
+    """
+    components = connected_components(h)
+    if not components:
+        return Hypergraph(0, 0), {}
+    champion = max(components, key=lambda c: (len(c), -min(c)))
+    sub, vmap, _ = induced_subhypergraph(h, champion)
+    return sub, vmap
 
 
 # --- random walks -------------------------------------------------------------
@@ -164,10 +206,10 @@ def degree_centrality(h: Hypergraph) -> CentralityVector:
     return CentralityVector({v: float(len(h._v2he[v - 1])) for v in h.vertices()})
 
 
-def graph_degree_centrality(view: TwoSectionView) -> CentralityVector:
-    """Score each vertex by its number of distinct co-members."""
+def graph_degree_centrality(g: Graph) -> CentralityVector:
+    """Score each node by its number of distinct neighbours (co-members in a two-section view)."""
     return CentralityVector(
-        {v: float(len(view.neighbors(v))) for v in view.nodes()}
+        {v: float(len(row)) for v, row in enumerate(neighbor_rows(g), start=1)}
     )
 
 
@@ -226,42 +268,34 @@ def hypergraph_modularity(h: Hypergraph, partition: Partition) -> float:
     return monochrome / m - tax
 
 
-def _iter_weighted_edges(
-    g: MaterializedGraph | TwoSectionView,
-) -> Iterator[tuple[int, int, float]]:
-    if isinstance(g, MaterializedGraph):
-        yield from g.edges
-    elif isinstance(g, TwoSectionView):
-        for u in g.nodes():
-            for v, w in g.neighbors(u).items():
-                if u < v:
-                    yield (u, v, float(w))
-    else:
-        raise TypeError(f"expected a graph, got {type(g).__name__}")
-
-
-def graph_modularity(
-    g: MaterializedGraph | TwoSectionView, partition: Partition
-) -> float:
+def graph_modularity(g: Graph, partition: Partition) -> float:
     """Newman modularity of a weighted simple graph partition.
 
     Computed per community as (internal weight / total weight) minus
-    (community strength / twice total weight) squared.
+    (community strength / twice total weight) squared.  Each edge
+    counts once, from its lower endpoint: nodes ascending, then each
+    row's higher neighbours in row order.  Integer weights are summed
+    into floats as they are, which rounds them as ``float`` would.
     """
     labels = partition.labels
+    rows = neighbor_rows(g)
     _check_total(labels, range(1, g.n_nodes + 1), "nodes")
-    edges = list(_iter_weighted_edges(g))
-    total = math.fsum(w for _, _, w in edges)
-    if total <= 0.0:
-        raise EmptyGraphError("graph modularity needs positive total edge weight")
+    weights: list[float] = []
     internal: dict[int, float] = {}
     strength: dict[int, float] = {}
-    for u, v, w in edges:
-        lu, lv = labels[u], labels[v]
-        strength[lu] = strength.get(lu, 0.0) + w
-        strength[lv] = strength.get(lv, 0.0) + w
-        if lu == lv:
-            internal[lu] = internal.get(lu, 0.0) + w
+    for u, row in enumerate(rows, start=1):
+        lu = labels[u]
+        for v, w in row.items():
+            if u < v:
+                weights.append(w)
+                lv = labels[v]
+                strength[lu] = strength.get(lu, 0.0) + w
+                strength[lv] = strength.get(lv, 0.0) + w
+                if lu == lv:
+                    internal[lu] = internal.get(lu, 0.0) + w
+    total = math.fsum(weights)
+    if total <= 0.0:
+        raise EmptyGraphError("graph modularity needs positive total edge weight")
     communities = sorted(set(labels.values()))
     return math.fsum(
         internal.get(c, 0.0) / total - (strength.get(c, 0.0) / (2.0 * total)) ** 2

@@ -19,6 +19,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .hypercore import Hypergraph, check_id
+from .views import co_member_counts
 
 __all__ = [
     "CentralityVector",
@@ -96,11 +97,7 @@ def s_adjacency(h: Hypergraph, s: int = 1) -> SAdjacency:
             nbrs.append(set())
             continue
         edges = sorted(row)
-        tally: dict[int, int] = {}
-        get = tally.get
-        for e in edges:
-            for v in members[e - 1]:
-                tally[v] = get(v, 0) + 1
+        tally = co_member_counts([members[e - 1] for e in edges])
         del tally[u]
         nbrs.append(set([v for v, c in tally.items() if c >= s]))
         # No later vertex reads a hyperedge whose highest member is u,

@@ -24,6 +24,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator
@@ -55,7 +56,7 @@ from .hgio import (
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import TwoSectionView
+from .views import CachedGraph, TwoSectionView
 
 INPUT_FORMATS = ("hgf", "json", "reviews-csv", "scenes-json")
 
@@ -257,9 +258,10 @@ def cmd_communities(args: argparse.Namespace) -> int:
         part, iterations = hypergraph_label_propagation(h, cfg)
         score = lambda: hypergraph_modularity(h, part)  # noqa: E731
     else:
-        view = TwoSectionView(h)
-        part, iterations = graph_label_propagation(view, cfg)
-        score = lambda: graph_modularity(view, part)  # noqa: E731
+        # LP and modularity read the same rows, so derive them once.
+        graph = CachedGraph(TwoSectionView(h))
+        part, iterations = graph_label_propagation(graph, cfg)
+        score = lambda: graph_modularity(graph, part)  # noqa: E731
     try:
         modularity = _fmt(score(), args.full_precision)
     except DegenerateInputError:
@@ -341,16 +343,13 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     if evaluation_size(hyper) == 0 and evaluation_size(graph) == 0:
         raise EmptyEvaluationSetError("no vertex received a defined prediction")
     full = args.full_precision
-    rows = [["vertex", "label", "stars", "forecast_hyper", "forecast_graph"]]
-    for v in h.vertices():
-        rows.append([
-            str(v),
-            item_labels[v - 1],
-            _fmt(ratings[v], full),
-            _fmt(hyper[v], full) if hyper[v] is not None else "",
-            _fmt(graph[v], full) if graph[v] is not None else "",
-        ])
-    _emit(args, _csv_chunks(rows), [args.input])
+    header = ["vertex", "label", "stars", "forecast_hyper", "forecast_graph"]
+    rows = (
+        [str(v), label, _fmt(ratings[v], full)]
+        + ["" if p is None else _fmt(p, full) for p in (hyper[v], graph[v])]
+        for v, label in enumerate(item_labels, start=1)
+    )
+    _emit(args, _csv_chunks(chain([header], rows)), [args.input])
     print(
         f"err-hypergraph: {_fmt(average_error(hyper, ratings), full)}"
         f" (defined {evaluation_size(hyper)}/{h.nhv})"

@@ -23,12 +23,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainMismatchError, EmptyDomainError
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import MaterializedGraph, TwoSectionView
+from .views import Graph, neighbor_rows
 
 __all__ = [
     "LpConfig",
@@ -49,10 +49,10 @@ class LpConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-def _argmax_label(labels: list[int], weights: list[float], rng: random.Random) -> int:
+def _argmax_label(labels: list[int], weights: Iterable[float], rng: random.Random) -> int:
     """The label with the largest total weight.
 
-    Weights are summed per label in list order.  A tie is broken by one
+    Weights are summed per label in the order given.  A tie is broken by one
     ``rng.randrange`` over the tied labels in ascending order; without a
     tie ``rng`` is not touched.
     """
@@ -127,7 +127,7 @@ def _gathers(rows: list[dict[int, float]]) -> list[Callable[[list[int]], Sequenc
 
 
 def graph_label_propagation(
-    g: MaterializedGraph | TwoSectionView, config: LpConfig | None = None
+    g: Graph, config: LpConfig | None = None
 ) -> tuple[Partition, int]:
     """Weighted label propagation on a graph.
 
@@ -135,30 +135,19 @@ def graph_label_propagation(
     (counting the final unchanged one).  Isolated nodes keep their
     initial unique labels.
 
-    Each node's neighbours and weights are copied once per call into
-    flat lists indexed by node id (slot 0 unused), in the graph's own
-    iteration order, and labels live in one such list.  Weight sums and
-    random draws therefore happen in the same order as a dict-keyed
-    sweep would make them: a fixed seed gives a bit-identical partition
-    and iteration count.
+    Each node's neighbour row is read once per call into a list
+    indexed by node id (slot 0 unused), and labels live in one such
+    list.  Weights are summed in each row's own order, and random draws
+    happen in the same order as a dict-keyed sweep would make them: a
+    fixed seed gives a bit-identical partition and iteration count.
     """
     cfg = config or LpConfig()
     rng = random.Random(cfg.seed)
-    if isinstance(g, MaterializedGraph):
-        neighbors = g.adjacency().__getitem__
-    elif isinstance(g, TwoSectionView):
-        neighbors = g.neighbors
-    else:
-        raise TypeError(f"expected a graph, got {type(g).__name__}")
+    rows = neighbor_rows(g)
     n = g.n_nodes
     if n == 0:
         return Partition({}), 0
-    nbr_ids: list[list[int]] = [[]]
-    nbr_weights: list[list[float]] = [[]]
-    for v in range(1, n + 1):
-        items = neighbors(v).items()
-        nbr_ids.append([u for u, _ in items])
-        nbr_weights.append([w for _, w in items])
+    nbrs: list[Mapping[int, float]] = [{}, *rows]
     labels = list(range(n + 1))
     order = list(range(1, n + 1))
     iterations = 0
@@ -167,10 +156,10 @@ def graph_label_propagation(
             rng.shuffle(order)
         changed = False
         for v in order:
-            ids = nbr_ids[v]
-            if not ids:
+            row = nbrs[v]
+            if not row:
                 continue
-            new = _argmax_label([labels[u] for u in ids], nbr_weights[v], rng)
+            new = _argmax_label([labels[u] for u in row], row.values(), rng)
             if new != labels[v]:
                 labels[v] = new
                 changed = True

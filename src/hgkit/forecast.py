@@ -14,11 +14,12 @@ A vertex with no usable hyperedge (or no neighbor) gets None.
 from __future__ import annotations
 
 from math import fsum
+from operator import mul
 from typing import Mapping
 
 from .errors import DomainMismatchError, EmptyEvaluationSetError
 from .hypercore import Hypergraph
-from .views import TwoSectionView
+from .views import Graph, TwoSectionView, neighbor_rows
 
 __all__ = [
     "forecast_hypergraph",
@@ -37,35 +38,48 @@ def _check_ratings(ratings: Mapping[int, float], n: int) -> None:
 
 
 def forecast_hypergraph(h: Hypergraph, ratings: Mapping[int, float]) -> Predictions:
-    """Predict each vertex's rating from its hyperedge neighborhoods."""
+    """Predict each vertex's rating from its hyperedge neighborhoods.
+
+    Each hyperedge's member ratings are read once, and each member's
+    leave-one-out mean is the ``fsum`` of the other ratings in member
+    order.  A vertex averages its means in its incidence row's order.
+    """
     _check_ratings(ratings, h.nhv)
+    rating = ratings.__getitem__
+    # Slot e holds hyperedge e's member -> leave-one-out mean, or None
+    # below two members.
+    loo: list[dict[int, float] | None] = [None]
+    for members in h._he2v:
+        m = len(members)
+        if m < 2:
+            loo.append(None)
+            continue
+        values = list(map(rating, members))
+        means = [fsum(values[:i] + values[i + 1 :]) / (m - 1) for i in range(m)]
+        loo.append(dict(zip(members, means)))
     out: Predictions = {}
-    for u in h.vertices():
-        per_edge: list[float] = []
-        for e in h._v2he[u - 1]:
-            members = h._he2v[e - 1]
-            if len(members) < 2:
-                continue
-            others = [ratings[v] for v in members if v != u]
-            per_edge.append(fsum(others) / len(others))
+    for u, row in enumerate(h._v2he, start=1):
+        per_edge = [loo[e][u] for e in row if loo[e] is not None]
         out[u] = fsum(per_edge) / len(per_edge) if per_edge else None
     return out
 
 
-def forecast_graph(
-    g: Hypergraph | TwoSectionView, ratings: Mapping[int, float]
-) -> Predictions:
-    """Predict each vertex's rating from its weighted two-section neighbors."""
-    view = TwoSectionView(g) if isinstance(g, Hypergraph) else g
-    _check_ratings(ratings, view.n_nodes)
+def forecast_graph(g: Hypergraph | Graph, ratings: Mapping[int, float]) -> Predictions:
+    """Predict each vertex's rating from its weighted neighbours.
+
+    ``g`` is a graph, or a hypergraph standing for its two-section
+    view.  Both sums run over the neighbour row in its own order.
+    """
+    graph = g if isinstance(g, Graph) else TwoSectionView(g)
+    _check_ratings(ratings, graph.n_nodes)
+    rating = ratings.__getitem__
     out: Predictions = {}
-    for u in view.nodes():
-        nbrs = view.neighbors(u)
+    for u, nbrs in enumerate(neighbor_rows(graph), start=1):
         if not nbrs:
             out[u] = None
             continue
-        weight = fsum(float(w) for w in nbrs.values())
-        out[u] = fsum(ratings[v] * w for v, w in nbrs.items()) / weight
+        weight = fsum(nbrs.values())
+        out[u] = fsum(map(mul, map(rating, nbrs), nbrs.values())) / weight
     return out
 
 

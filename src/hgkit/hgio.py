@@ -33,17 +33,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
-from .analytics import connected_components
 from .errors import (
     BadWeightTokenError,
     DualInconsistencyError,
+    FormatError,
     IndexOutOfRangeError,
     LineCountMismatchError,
     MalformedHeaderError,
     MalformedRecordError,
     SchemaViolationError,
 )
-from .hypercore import Hypergraph, IdRemap
+from .hypercore import Hypergraph
 
 __all__ = [
     "FORMAT_VERSION",
@@ -61,8 +61,6 @@ __all__ = [
     "read_scenes_json",
     "build_from_reviews",
     "build_from_scenes",
-    "induced_subhypergraph",
-    "largest_connected_component",
 ]
 
 FORMAT_VERSION = 1
@@ -205,6 +203,19 @@ def _parse_weight_object(obj: object, limit: int, what: str) -> dict[int, float]
     return out
 
 
+def _check_encodable(strings: Iterable[str], error: type[FormatError], what: str) -> None:
+    """Reject a string holding a lone surrogate, which no UTF-8 writer can encode.
+
+    Decoded UTF-8 holds none, so only a JSON ``\\u`` escape can make one;
+    callers check only documents whose text contains such an escape.
+    """
+    for s in strings:
+        try:
+            s.encode("utf-8")
+        except UnicodeEncodeError:
+            raise error(f"{what} {s!r} holds a lone surrogate") from None
+
+
 def read_json(text: str) -> Hypergraph:
     try:
         doc = json.loads(text)
@@ -231,6 +242,9 @@ def read_json(text: str) -> Hypergraph:
         raise SchemaViolationError("vmeta must be an array of length n")
     if not isinstance(hemeta, list) or len(hemeta) != k:
         raise SchemaViolationError("hemeta must be an array of length k")
+    if "\\u" in text:
+        strings = [m for m in (*vmeta, *hemeta) if isinstance(m, str)]
+        _check_encodable(strings, SchemaViolationError, "metadata")
     h = Hypergraph(n, k)
     for v, obj in enumerate(v2he, start=1):
         h._v2he[v - 1] = _parse_weight_object(obj, k, "v2he")
@@ -307,10 +321,11 @@ def review_rows(text: str) -> Iterator[tuple[str, str, int]]:
     """Validate a review CSV with header ``user_id,item_id,stars`` row by row.
 
     Yields ``(user_id, item_id, stars)`` lazily, so a malformed row
-    raises only when it is reached.  Blank lines are skipped; an empty
-    document (or just the header) yields nothing.
+    raises only when it is reached.  A leading byte order mark, as
+    spreadsheet exports write it, is skipped, and so are blank lines;
+    an empty document (or just the header) yields nothing.
     """
-    rows = csv.reader(io.StringIO(text))
+    rows = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     for header in rows:
         if header:
             break
@@ -347,7 +362,8 @@ def scene_rows(text: str) -> Iterator[tuple[str, list[str]]]:
 
     Yields ``(scene_id, members)`` lazily, with the id as text and the
     members deduplicated, first occurrence winning.  Scenes whose member
-    list is empty are skipped.
+    list is empty are skipped.  An id or member holding a lone surrogate
+    escape is rejected.
     """
     try:
         doc = json.loads(text)
@@ -355,6 +371,7 @@ def scene_rows(text: str) -> Iterator[tuple[str, list[str]]]:
         raise MalformedRecordError(f"scene document is not valid JSON: {exc}") from None
     if not isinstance(doc, list):
         raise MalformedRecordError("scene document must be a JSON array")
+    escaped = "\\u" in text
     for entry in doc:
         if not isinstance(entry, dict) or "id" not in entry or "members" not in entry:
             raise MalformedRecordError(f"scene entry {entry!r} needs id and members")
@@ -362,7 +379,11 @@ def scene_rows(text: str) -> Iterator[tuple[str, list[str]]]:
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
             raise MalformedRecordError(f"scene {entry['id']!r} members must be strings")
         if members:
-            yield str(entry["id"]), list(dict.fromkeys(members))
+            scene_id = str(entry["id"])
+            members = list(dict.fromkeys(members))
+            if escaped:
+                _check_encodable([scene_id, *members], MalformedRecordError, f"scene {scene_id!r}:")
+            yield scene_id, members
 
 
 def read_scenes_json(text: str) -> list[SceneRecord]:
@@ -450,46 +471,3 @@ def build_from_scenes(
     h._vmeta = list(labels)
     h._hemeta = scene_ids
     return h, labels
-
-
-# --- component extraction ----------------------------------------------------------------
-
-
-def induced_subhypergraph(
-    h: Hypergraph, keep: Iterable[int]
-) -> tuple[Hypergraph, IdRemap, IdRemap]:
-    """Restrict to a vertex subset, renumbering ids contiguously.
-
-    Hyperedges keep only surviving members; hyperedges left empty are
-    dropped.  Metadata follows the surviving ids.  Returns the new
-    hypergraph with vertex and hyperedge remaps {old: new}.
-    """
-    kept = sorted(set(keep))
-    vmap: IdRemap = {old: new for new, old in enumerate(kept, start=1)}
-    emap: IdRemap = {}
-    sub = Hypergraph(len(kept), 0)
-    for new_v, old_v in enumerate(kept, start=1):
-        sub._vmeta[new_v - 1] = h._vmeta[old_v - 1]
-    for old_e in h.hyperedges():
-        members = {
-            vmap[v]: w for v, w in h._he2v[old_e - 1].items() if v in vmap
-        }
-        if not members:
-            continue
-        new_e = sub.add_hyperedge(members, meta=h._hemeta[old_e - 1])
-        emap[old_e] = new_e
-    return sub, vmap, emap
-
-
-def largest_connected_component(h: Hypergraph) -> tuple[Hypergraph, IdRemap]:
-    """Extract the largest component (ties: smallest minimum vertex id).
-
-    Returns the component as its own hypergraph and the vertex remap
-    {old: new}.  The empty hypergraph maps to itself.
-    """
-    components = connected_components(h)
-    if not components:
-        return Hypergraph(0, 0), {}
-    champion = max(components, key=lambda c: (len(c), -min(c)))
-    sub, vmap, _ = induced_subhypergraph(h, champion)
-    return sub, vmap

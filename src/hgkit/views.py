@@ -1,19 +1,71 @@
-"""Read-only graph views over a hypergraph.
+"""Read-only graph views over a hypergraph, and the one protocol graph kernels read.
 
-Both views compute adjacency on demand from the dual incidence indexes;
-they hold a reference to the hypergraph and copy nothing.  Call
+Every graph kernel reads a :class:`Graph`: ``n_nodes`` plus
+``neighbors(v)``, a mapping of neighbour to edge weight.
+:class:`TwoSectionView` derives each row on demand from the dual
+incidence indexes and copies nothing; :class:`CachedGraph` reads a
+graph's rows once for a caller that runs several kernels; call
 :func:`materialize` to freeze a view into a plain weighted edge list
 (which carries no metadata).
 """
 
 from __future__ import annotations
 
+from collections import _count_elements
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
 from .errors import UnknownNodeError, UnknownVertexError
 from .hypercore import Hypergraph, check_id
 
-__all__ = ["BipartiteView", "TwoSectionView", "MaterializedGraph", "materialize"]
+__all__ = [
+    "Graph",
+    "BipartiteView",
+    "TwoSectionView",
+    "CachedGraph",
+    "MaterializedGraph",
+    "co_member_counts",
+    "neighbor_rows",
+    "materialize",
+]
+
+
+@runtime_checkable
+class Graph(Protocol):
+    """A weighted graph on nodes 1..n_nodes, as every graph kernel reads it.
+
+    ``neighbors(v)`` maps each neighbour of node v to the edge weight;
+    kernels that sum weights do so in the row's iteration order.
+    """
+
+    n_nodes: int
+
+    def neighbors(self, v: int) -> Mapping[int, float]: ...
+
+
+def neighbor_rows(g: Graph) -> Iterator[Mapping[int, float]]:
+    """Every node's neighbour row in node order, each read when reached.
+
+    Raises ``TypeError`` at once for an object that is not a graph, and
+    for a :class:`BipartiteView`, whose rows are unweighted sets.
+    """
+    if not isinstance(g, Graph) or isinstance(g, BipartiteView):
+        raise TypeError(f"expected a weighted graph, got {type(g).__name__}")
+    return map(g.neighbors, range(1, g.n_nodes + 1))
+
+
+def co_member_counts(rows: Iterable[Iterable[int]]) -> dict[int, int]:
+    """How often each id occurs across ``rows``, keyed in first-seen order.
+
+    The tally runs in C, in ``Counter``'s own counting loop, but fills a
+    plain dict, so reading an absent id raises ``KeyError`` instead of
+    giving 0.
+    """
+    counts: dict[int, int] = {}
+    _count_elements(counts, chain.from_iterable(rows))
+    return counts
 
 
 class BipartiteView:
@@ -82,15 +134,36 @@ class TwoSectionView:
         return range(1, self.n_nodes + 1)
 
     def neighbors(self, v: int) -> dict[int, int]:
-        """Map of co-member vertex -> number of shared hyperedges."""
+        """Map of co-member vertex -> number of shared hyperedges.
+
+        Co-members are keyed in first-seen order: v's hyperedges in its
+        incidence row's order, each one's members in its own order.
+        """
         h = self._h
         check_id(v, h.nhv, UnknownVertexError, "vertex")
-        counts: dict[int, int] = {}
-        for e in h._v2he[v - 1]:
-            for u in h._he2v[e - 1]:
-                if u != v:
-                    counts[u] = counts.get(u, 0) + 1
+        he2v = h._he2v
+        counts = co_member_counts([he2v[e - 1] for e in h._v2he[v - 1]])
+        counts.pop(v, None)
         return counts
+
+
+class CachedGraph:
+    """A graph whose neighbour rows are read once, then served from memory.
+
+    The rows are the graph's own mappings, so their order and weights
+    are the graph's.  Pass one to every kernel of a command that would
+    otherwise derive the same rows again.
+    """
+
+    __slots__ = ("n_nodes", "_rows")
+
+    def __init__(self, g: Graph) -> None:
+        self._rows = list(neighbor_rows(g))
+        self.n_nodes = len(self._rows)
+
+    def neighbors(self, v: int) -> Mapping[int, float]:
+        check_id(v, self.n_nodes, UnknownNodeError, "node")
+        return self._rows[v - 1]
 
 
 @dataclass
@@ -98,7 +171,9 @@ class MaterializedGraph:
     """Frozen weighted simple graph: node count plus a canonical edge list.
 
     Edges are (u, v, weight) with u < v, sorted ascending, one entry per
-    unordered pair.  No metadata survives materialization.
+    unordered pair.  No metadata survives materialization.  The edge
+    list is not to be changed once ``neighbors`` has been called: the
+    rows are built from it once.
     """
 
     n_nodes: int
@@ -111,9 +186,18 @@ class MaterializedGraph:
             adj[v][u] = w
         return adj
 
+    @cached_property
+    def _rows(self) -> list[dict[int, float]]:
+        return list(self.adjacency().values())
 
-def materialize(view: BipartiteView | TwoSectionView) -> MaterializedGraph:
-    """Freeze a view into a MaterializedGraph."""
+    def neighbors(self, v: int) -> dict[int, float]:
+        """Map of neighbour -> weight, in the order the edge list reaches it."""
+        check_id(v, self.n_nodes, UnknownNodeError, "node")
+        return self._rows[v - 1]
+
+
+def materialize(view: BipartiteView | Graph) -> MaterializedGraph:
+    """Freeze a bipartite view or any graph into a MaterializedGraph."""
     if isinstance(view, BipartiteView):
         h = view.hypergraph
         n = h.nhv
@@ -122,15 +206,12 @@ def materialize(view: BipartiteView | TwoSectionView) -> MaterializedGraph:
             for e in h.hyperedges()
             for v in h._he2v[e - 1]
         ]
-        edges.sort()
-        return MaterializedGraph(n_nodes=view.n_nodes, edges=edges)
-    if isinstance(view, TwoSectionView):
+    else:
         edges = [
             (u, v, float(w))
-            for u in view.nodes()
-            for v, w in view.neighbors(u).items()
+            for u, row in enumerate(neighbor_rows(view), start=1)
+            for v, w in row.items()
             if u < v
         ]
-        edges.sort()
-        return MaterializedGraph(n_nodes=view.n_nodes, edges=edges)
-    raise TypeError(f"cannot materialize {type(view).__name__}")
+    edges.sort()
+    return MaterializedGraph(n_nodes=view.n_nodes, edges=edges)

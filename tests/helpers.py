@@ -12,7 +12,11 @@ bit for bit; ``reference_build_from_reviews`` and
 ingests that the streamed ones must reproduce; ``reference_write_hgf``,
 ``reference_write_json``, ``reference_materialize`` and
 ``reference_dot_text`` are the whole-document writers that the streamed
-writers must reproduce byte for byte.
+writers must reproduce byte for byte; ``reference_two_section_neighbors``,
+``reference_forecast_hypergraph``, ``reference_forecast_graph`` and
+``reference_graph_modularity`` are the per-element loops that the
+C-counted neighbourhoods, the single-pass forecasts and the protocol
+modularity must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -20,11 +24,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from math import fsum
+from typing import Iterable, Iterator, Mapping
 
 from hgkit import (
     BipartiteView,
@@ -36,8 +42,16 @@ from hgkit import (
     TwoSectionView,
     connected_components,
 )
-from hgkit.errors import InvalidSError, MalformedRecordError
+from hgkit.analytics import _check_total
+from hgkit.errors import (
+    DomainMismatchError,
+    EmptyGraphError,
+    InvalidSError,
+    MalformedRecordError,
+    UnknownVertexError,
+)
 from hgkit.hgio import FORMAT_VERSION
+from hgkit.hypercore import check_id
 
 # --- random structures ---------------------------------------------------------
 
@@ -530,6 +544,103 @@ def reference_documents(h: Hypergraph) -> dict[str, str]:
         "dot-bipartite": reference_dot_text(reference_materialize(BipartiteView(h)), "bipartite"),
         "dot-twosection": reference_dot_text(reference_materialize(TwoSectionView(h)), "twosection"),
     }
+
+
+# --- reference two-section, forecast and modularity kernels ---------------------------------
+
+
+def reference_two_section_neighbors(view: TwoSectionView, v: int) -> dict[int, int]:
+    """Map of co-member vertex -> number of shared hyperedges."""
+    h = view.hypergraph
+    check_id(v, h.nhv, UnknownVertexError, "vertex")
+    counts: dict[int, int] = {}
+    for e in h._v2he[v - 1]:
+        for u in h._he2v[e - 1]:
+            if u != v:
+                counts[u] = counts.get(u, 0) + 1
+    return counts
+
+
+def _reference_check_ratings(ratings: Mapping[int, float], n: int) -> None:
+    missing = [v for v in range(1, n + 1) if v not in ratings]
+    if missing:
+        raise DomainMismatchError(f"ratings missing for vertices {missing[:5]}")
+
+
+def reference_forecast_hypergraph(h: Hypergraph, ratings: Mapping[int, float]) -> dict[int, float | None]:
+    """Predict each vertex's rating from its hyperedge neighborhoods."""
+    _reference_check_ratings(ratings, h.nhv)
+    out: dict[int, float | None] = {}
+    for u in h.vertices():
+        per_edge: list[float] = []
+        for e in h._v2he[u - 1]:
+            members = h._he2v[e - 1]
+            if len(members) < 2:
+                continue
+            others = [ratings[v] for v in members if v != u]
+            per_edge.append(fsum(others) / len(others))
+        out[u] = fsum(per_edge) / len(per_edge) if per_edge else None
+    return out
+
+
+def reference_forecast_graph(
+    g: Hypergraph | TwoSectionView, ratings: Mapping[int, float]
+) -> dict[int, float | None]:
+    """Predict each vertex's rating from its weighted two-section neighbors."""
+    view = TwoSectionView(g) if isinstance(g, Hypergraph) else g
+    _reference_check_ratings(ratings, view.n_nodes)
+    out: dict[int, float | None] = {}
+    for u in view.nodes():
+        nbrs = view.neighbors(u)
+        if not nbrs:
+            out[u] = None
+            continue
+        weight = fsum(float(w) for w in nbrs.values())
+        out[u] = fsum(ratings[v] * w for v, w in nbrs.items()) / weight
+    return out
+
+
+def _reference_iter_weighted_edges(
+    g: MaterializedGraph | TwoSectionView,
+) -> Iterator[tuple[int, int, float]]:
+    if isinstance(g, MaterializedGraph):
+        yield from g.edges
+    elif isinstance(g, TwoSectionView):
+        for u in g.nodes():
+            for v, w in g.neighbors(u).items():
+                if u < v:
+                    yield (u, v, float(w))
+    else:
+        raise TypeError(f"expected a graph, got {type(g).__name__}")
+
+
+def reference_graph_modularity(
+    g: MaterializedGraph | TwoSectionView, partition: Partition
+) -> float:
+    """Newman modularity of a weighted simple graph partition.
+
+    Computed per community as (internal weight / total weight) minus
+    (community strength / twice total weight) squared.
+    """
+    labels = partition.labels
+    _check_total(labels, range(1, g.n_nodes + 1), "nodes")
+    edges = list(_reference_iter_weighted_edges(g))
+    total = math.fsum(w for _, _, w in edges)
+    if total <= 0.0:
+        raise EmptyGraphError("graph modularity needs positive total edge weight")
+    internal: dict[int, float] = {}
+    strength: dict[int, float] = {}
+    for u, v, w in edges:
+        lu, lv = labels[u], labels[v]
+        strength[lu] = strength.get(lu, 0.0) + w
+        strength[lv] = strength.get(lv, 0.0) + w
+        if lu == lv:
+            internal[lu] = internal.get(lu, 0.0) + w
+    communities = sorted(set(labels.values()))
+    return math.fsum(
+        internal.get(c, 0.0) / total - (strength.get(c, 0.0) / (2.0 * total)) ** 2
+        for c in communities
+    )
 
 
 # --- reference modularity -------------------------------------------------------------

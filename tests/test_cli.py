@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from hgkit import Partition, read_hgf, write_json
+from hgkit import Partition, TwoSectionView, read_hgf, write_json
 from hgkit.cli import _read_scores_csv, main
 
 from helpers import hypergraph_from_edges
@@ -177,6 +177,17 @@ class TestCommunities:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_graph_algo_derives_each_row_once(self, tmp_path, capsys, monkeypatch):
+        # LP and modularity share one derivation of the two-section rows.
+        src = tmp_path / "two.hgf"
+        src.write_text("6 3\n1=1.0 2=1.0 3=1.0\n3=1.0 4=1.0\n4=1.0 5=1.0 6=1.0\n")
+        calls = []
+        neighbors = TwoSectionView.neighbors
+        monkeypatch.setattr(TwoSectionView, "neighbors", lambda self, v: calls.append(v) or neighbors(self, v))
+        code, out, _ = run(capsys, "communities", "--input", str(src), "--algo", "graph-lp", "--max-iter", "5")
+        assert code == 0 and "modularity: n/a" not in out
+        assert sorted(calls) == [1, 2, 3, 4, 5, 6]
 
     def test_degenerate_modularity_reported_as_na(self, tmp_path, capsys):
         src = tmp_path / "empty.hgf"
@@ -639,3 +650,56 @@ class TestInvalidUtf8:
         code, out, err = run(capsys, *argv, name)
         assert (code, out) == (3, "")
         assert err.startswith(f"error: {name}: not UTF-8 text (")
+
+
+class TestByteOrderMark:
+    """A review CSV may start with the UTF-8 byte order mark that spreadsheet exports write."""
+
+    @pytest.mark.parametrize("command", [["stats"], ["forecast", "--full-precision"]])
+    def test_same_output_with_and_without_it(self, tmp_path, capsys, command):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(REVIEWS.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + REVIEWS.encode())
+        want = run(capsys, *command, "--input", str(plain))
+        assert want[0] == 0
+        assert run(capsys, *command, "--input", str(marked)) == want
+
+
+class TestLoneSurrogates:
+    """A JSON ``\\ud800`` escape decodes to a string no UTF-8 writer can encode: exit 3."""
+
+    SCENES = '[{"id": 1, "members": ["\\ud800", "b"]}, {"id": 2, "members": ["b", "c"]}]'
+
+    def test_scene_member_exits_3_before_any_output(self, tmp_path, capsys):
+        src, dst = tmp_path / "s.json", tmp_path / "scores.csv"
+        src.write_text(self.SCENES)
+        code, out, err = run(
+            capsys, "betweenness", "--input", str(src), "--format", "scenes-json", "--output", str(dst)
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: scene '1': '\\ud800' holds a lone surrogate\n"
+        assert not dst.exists()
+
+    def test_json_label_exits_3_before_any_output(self, tmp_path, capsys):
+        h = hypergraph_from_edges(2, [(1, 2)])
+        h.set_vertex_meta(1, "\udc80")
+        src, dst = tmp_path / "g.json", tmp_path / "scores.csv"
+        src.write_text(write_json(h))
+        code, out, err = run(capsys, "betweenness", "--input", str(src), "--output", str(dst))
+        assert (code, out) == (3, "")
+        assert err == "error: metadata '\\udc80' holds a lone surrogate\n"
+        assert not dst.exists()
+
+    def test_escaped_pairs_and_nested_metadata_still_load(self, tmp_path, capsys):
+        scenes = tmp_path / "s.json"
+        scenes.write_text('[{"id": "\\u00e9", "members": ["\\ud83d\\ude00", "b"]}]')
+        code, _, _ = run(capsys, "betweenness", "--input", str(scenes), "--format", "scenes-json")
+        assert code == 0
+        h = hypergraph_from_edges(2, [(1, 2)])
+        h.set_vertex_meta(1, "\u00e9\U0001f600")
+        h.set_vertex_meta(2, {"nested": "\ud800"})
+        src = tmp_path / "g.json"
+        src.write_text(write_json(h))
+        code, out, _ = run(capsys, "betweenness", "--input", str(src))
+        assert code == 0
+        assert out.splitlines()[1:] == ["1,\u00e9\U0001f600,0", "2,,0"]

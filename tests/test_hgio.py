@@ -428,7 +428,7 @@ class TestLargestComponent:
     def test_restricts_straddling_hyperedges(self):
         # one big hyperedge cannot straddle components by definition, so
         # build the straddle by restricting to a subset instead
-        from hgkit.hgio import induced_subhypergraph
+        from hgkit.analytics import induced_subhypergraph
 
         h = hypergraph_from_edges(4, [(1, 2, 3, 4)])
         sub, vmap, emap = induced_subhypergraph(h, [1, 3])

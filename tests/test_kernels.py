@@ -13,26 +13,39 @@ import random
 import pytest
 
 from hgkit import (
+    BipartiteView,
+    CachedGraph,
     Hypergraph,
     LpConfig,
     MaterializedGraph,
+    Partition,
     TwoSectionView,
     build_from_reviews,
+    forecast_graph,
+    forecast_hypergraph,
     graph_label_propagation,
+    graph_modularity,
     hypergraph_label_propagation,
     materialize,
     s_adjacency,
     s_betweenness,
 )
 from hgkit.centrality import _brandes
+from hgkit.errors import EmptyGraphError
 
 from helpers import (
     hypergraph_from_edges,
     random_hypergraph,
+    random_partition,
     reference_brandes,
+    reference_forecast_graph,
+    reference_forecast_hypergraph,
     reference_graph_label_propagation,
+    reference_graph_modularity,
     reference_hypergraph_label_propagation,
+    reference_materialize,
     reference_s_adjacency,
+    reference_two_section_neighbors,
 )
 
 
@@ -142,9 +155,34 @@ def test_graph_lp_sums_weights_in_adjacency_order():
             assert (got[0].labels, got[1]) == (want[0].labels, want[1])
 
 
+def test_graph_lp_on_cached_rows_matches_reference_on_the_graph():
+    for i, h in enumerate(CASES):
+        for g in (TwoSectionView(h), _weighted_graph(h, i), _unsorted_rows(_weighted_graph(h, i), i)):
+            cached = CachedGraph(g)
+            for cfg in CONFIGS:
+                got = graph_label_propagation(cached, cfg)
+                want = reference_graph_label_propagation(g, cfg)
+                assert (got[0].labels, got[1]) == (want[0].labels, want[1])
+                assert list(got[0].labels) == list(want[0].labels)
+
+
 def test_graph_lp_still_rejects_non_graphs():
     with pytest.raises(TypeError):
         graph_label_propagation(Hypergraph(2, 0))
+
+
+def test_graph_kernels_reject_unweighted_bipartite_views():
+    view = BipartiteView(hypergraph_from_edges(2, [(1, 2)]))
+    with pytest.raises(TypeError):
+        graph_label_propagation(view)
+    with pytest.raises(TypeError):
+        graph_modularity(view, Partition({1: 1, 2: 1, 3: 1}))
+    with pytest.raises(TypeError):
+        forecast_graph(view, {1: 1.0, 2: 1.0, 3: 1.0})
+    with pytest.raises(TypeError):
+        CachedGraph(view)
+    with pytest.raises(TypeError):
+        CachedGraph(object())
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -234,3 +272,159 @@ def test_hypergraph_lp_matches_reference_at_review_scale(max_iterations):
         assert got[1] == want[1]
         assert got[0].labels == want[0].labels
         assert list(got[0].labels) == list(want[0].labels)
+
+
+# --- two-section rows, forecasts and modularity -----------------------------------------
+
+
+def _mutated_cases(seed: int, count: int) -> list[Hypergraph]:
+    """Random hypergraphs edited by ``remove_*`` and ``add_*``.
+
+    Removing an id moves the last one into its slot, which appends the
+    moved hyperedge to its members' rows, so rows leave ascending id
+    order; added vertices and hyperedges land in arbitrary rows.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        h = random_hypergraph(rng, max_n=14, max_k=12)
+        for _ in range(rng.randint(1, 8)):
+            op = rng.randrange(4)
+            if op == 0 and h.nhe:
+                h.remove_hyperedge(rng.randint(1, h.nhe))
+            elif op == 1 and h.nhv:
+                h.remove_vertex(rng.randint(1, h.nhv))
+            elif op == 2 and h.nhv:
+                h.add_hyperedge(rng.sample(range(1, h.nhv + 1), rng.randint(0, min(h.nhv, 6))))
+            elif op == 3 and h.nhe:
+                h.add_vertex(rng.sample(range(1, h.nhe + 1), rng.randint(0, min(h.nhe, 4))))
+        out.append(h)
+    return out
+
+
+GRAPH_CASES = CASES + _mutated_cases(12, 80)
+
+
+def test_mutated_cases_have_rows_out_of_id_order():
+    rows = [list(row) for h in GRAPH_CASES for row in h._v2he + h._he2v]
+    assert sum(row != sorted(row) for row in rows) > 50
+
+
+def test_two_section_neighbors_match_reference_in_value_and_order():
+    for h in GRAPH_CASES:
+        view = TwoSectionView(h)
+        for v in h.vertices():
+            got = view.neighbors(v)
+            want = reference_two_section_neighbors(view, v)
+            assert type(got) is dict
+            assert got == want and list(got) == list(want)
+
+
+def _outcome(f, *args):
+    """A kernel's result as (vertex, repr) pairs in order, or the type of what it raised."""
+    try:
+        result = f(*args)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+    return [(v, repr(p)) for v, p in result.items()]
+
+
+def _rating_tables(h: Hypergraph, rng: random.Random) -> list[dict[int, float]]:
+    vs = list(h.vertices())
+    return [
+        {v: rng.uniform(1.0, 5.0) for v in vs},
+        {v: rng.randint(1, 5) for v in vs},
+        {v: rng.choice((1e-300, 3e-300, -2e-300)) for v in vs},
+        {v: rng.choice((1e308, -1e308, 9e307, -9e307, 1.0)) for v in vs},
+    ]
+
+
+def test_forecasts_match_reference_bit_for_bit():
+    rng = random.Random(41)
+    outcomes = set()
+    for h in GRAPH_CASES:
+        view = TwoSectionView(h)
+        for ratings in _rating_tables(h, rng):
+            want = _outcome(reference_forecast_hypergraph, h, ratings)
+            assert _outcome(forecast_hypergraph, h, ratings) == want
+            outcomes.add(want if isinstance(want, type) else list)
+            want = _outcome(reference_forecast_graph, h, ratings)
+            for g in (h, view, CachedGraph(view)):
+                assert _outcome(forecast_graph, g, ratings) == want
+            outcomes.add(want if isinstance(want, type) else list)
+    # Between them the cases reach finite results, overflow and inf - inf.
+    assert outcomes == {list, OverflowError, ValueError}
+
+
+def test_hypergraph_forecast_keeps_member_and_row_order():
+    # Vertex 2's leave-one-out ratings are 1e308, 1e308, -1e308 in member
+    # order: that order overflows, and so does no rotation of it.
+    h = hypergraph_from_edges(4, [(1, 2, 3, 4)])
+    ratings = {1: 1e308, 2: -1e308, 3: 1e308, 4: -1e308}
+    assert _outcome(reference_forecast_hypergraph, h, ratings) is OverflowError
+    assert _outcome(forecast_hypergraph, h, ratings) is OverflowError
+    # Vertex 1's hyperedges give means 1e308, 1e308 and -1e308 in row
+    # order but 1e308, -1e308 and 1e308 in id order: only the row order
+    # overflows.
+    h = hypergraph_from_edges(5, [(1, 2), (1, 5), (1, 3), (1, 4)])
+    h.remove_hyperedge(2)
+    assert list(h._v2he[0]) == [1, 3, 2]
+    ratings = {1: 0.0, 2: 1e308, 3: 1e308, 4: -1e308, 5: 0.0}
+    assert _outcome(reference_forecast_hypergraph, h, ratings) is OverflowError
+    assert _outcome(forecast_hypergraph, h, ratings) is OverflowError
+    ratings[3] = -1e308
+    ratings[4] = 1e308
+    want = _outcome(reference_forecast_hypergraph, h, ratings)
+    assert want is not OverflowError
+    assert _outcome(forecast_hypergraph, h, ratings) == want
+
+
+def _unsorted_rows(g: MaterializedGraph, seed: int) -> MaterializedGraph:
+    """The same edges, grouped by lower endpoint, each group shuffled.
+
+    Each node's higher neighbours then reach its row out of id order,
+    in the order the edge list gives them.
+    """
+    rng = random.Random(seed)
+    groups: dict[int, list[tuple[int, int, float]]] = {}
+    for edge in g.edges:
+        groups.setdefault(edge[0], []).append(edge)
+    edges = []
+    for u in sorted(groups):
+        rng.shuffle(groups[u])
+        edges += groups[u]
+    return MaterializedGraph(n_nodes=g.n_nodes, edges=edges)
+
+
+def test_graph_modularity_matches_reference_bit_for_bit():
+    rng = random.Random(43)
+    for i, h in enumerate(GRAPH_CASES):
+        view = TwoSectionView(h)
+        materialized = materialize(view)
+        assert materialized.edges == reference_materialize(view).edges
+        graphs = [(view, view), (view, CachedGraph(view)), (materialized, materialized)]
+        weighted = _weighted_graph(h, i)
+        unsorted = _unsorted_rows(weighted, i)
+        graphs += [(weighted, weighted), (unsorted, unsorted), (unsorted, CachedGraph(unsorted))]
+        for _ in range(3):
+            p = random_partition(rng, h.vertices())
+            for reference_input, g in graphs:
+                try:
+                    want = reference_graph_modularity(reference_input, p)
+                except EmptyGraphError:
+                    with pytest.raises(EmptyGraphError):
+                        graph_modularity(g, p)
+                    continue
+                assert graph_modularity(g, p) == want
+
+
+def test_materialized_rows_are_built_once(monkeypatch):
+    g = _weighted_graph(hypergraph_from_edges(4, [(1, 2, 3), (3, 4), (2, 4)]), 0)
+    calls = []
+    build = MaterializedGraph.adjacency
+    monkeypatch.setattr(MaterializedGraph, "adjacency", lambda self: calls.append(1) or build(self))
+    first = [g.neighbors(v) for v in range(1, 5)]
+    again = [g.neighbors(v) for v in range(1, 5)]
+    assert len(calls) == 1
+    assert first == list(build(g).values())
+    assert all(a is b for a, b in zip(first, again))
