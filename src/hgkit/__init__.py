@@ -29,8 +29,6 @@ from .community import (
 from .errors import HgkitError
 from .forecast import average_error, evaluation_size, forecast_graph, forecast_hypergraph
 from .hgio import (
-    ReviewRecord,
-    SceneRecord,
     build_from_reviews,
     build_from_scenes,
     read_hgf,
@@ -61,8 +59,6 @@ __all__ = [
     "CentralityVector",
     "SAdjacency",
     "LpConfig",
-    "ReviewRecord",
-    "SceneRecord",
     "HgkitError",
     "connected_components",
     "induced_subhypergraph",

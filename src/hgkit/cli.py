@@ -45,6 +45,7 @@ from .errors import (
 )
 from .forecast import average_error, evaluation_size, forecast_graph, forecast_hypergraph
 from .hgio import (
+    _check_encodable,
     build_from_reviews,
     build_from_scenes,
     hgf_chunks,
@@ -419,6 +420,8 @@ def _read_manifest(path: str) -> dict[str, Any]:
             for r in records
         ):
             raise FormatError(f"{path}: {key} must be a list of path and sha256 strings")
+    paths = [r["path"] for key in ("inputs", "outputs") for r in doc[key]]
+    _check_encodable([*argv, *paths], FormatError, f"{path}: manifest string")
     return doc
 
 

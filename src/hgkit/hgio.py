@@ -30,7 +30,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
@@ -53,8 +52,6 @@ __all__ = [
     "read_hgf",
     "write_json",
     "read_json",
-    "ReviewRecord",
-    "SceneRecord",
     "review_rows",
     "scene_rows",
     "read_reviews_csv",
@@ -207,7 +204,7 @@ def _check_encodable(strings: Iterable[str], error: type[FormatError], what: str
     """Reject a string holding a lone surrogate, which no UTF-8 writer can encode.
 
     Decoded UTF-8 holds none, so only a JSON ``\\u`` escape can make one;
-    callers check only documents whose text contains such an escape.
+    a caller may skip a document whose text contains no such escape.
     """
     for s in strings:
         try:
@@ -267,54 +264,7 @@ def read_json(text: str) -> Hypergraph:
     return h
 
 
-# --- dataset records ---------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class ReviewRecord:
-    """One review: a user rated an item with 1..5 stars.
-
-    Unpacks as ``user_id, item_id, stars``, the row shape that
-    ``review_rows`` yields and ``build_from_reviews`` consumes.
-    """
-
-    user_id: str
-    item_id: str
-    stars: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.stars, int) or isinstance(self.stars, bool):
-            raise MalformedRecordError(f"stars must be an integer, got {self.stars!r}")
-        _check_stars(self.stars)
-
-    def __iter__(self) -> Iterator[str | int]:
-        return iter((self.user_id, self.item_id, self.stars))
-
-
-@dataclass(slots=True)
-class SceneRecord:
-    """One scene: an identifier and the characters appearing in it.
-
-    Members are deduplicated, first occurrence wins; at least one is
-    required.  Unpacks as ``scene_id, members``, the row shape that
-    ``scene_rows`` yields and ``build_from_scenes`` consumes.
-    """
-
-    scene_id: str
-    members: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.members = list(dict.fromkeys(self.members))
-        if not self.members:
-            raise MalformedRecordError(f"scene {self.scene_id!r} has no members")
-
-    def __iter__(self) -> Iterator[str | list[str]]:
-        return iter((self.scene_id, self.members))
-
-
-def _check_stars(stars: int) -> None:
-    if not 1 <= stars <= 5:
-        raise MalformedRecordError(f"stars must be in 1..5, got {stars}")
+# --- dataset rows ------------------------------------------------------------------
 
 
 def review_rows(text: str) -> Iterator[tuple[str, str, int]]:
@@ -345,16 +295,14 @@ def review_rows(text: str) -> Iterator[tuple[str, str, int]]:
             stars = int(stars_text)
         except ValueError:
             raise MalformedRecordError(f"stars {stars_text!r} is not an integer") from None
-        _check_stars(stars)
+        if not 1 <= stars <= 5:
+            raise MalformedRecordError(f"stars must be in 1..5, got {stars}")
         yield user, item, stars
 
 
-def read_reviews_csv(text: str) -> list[ReviewRecord]:
-    """Parse a review CSV with header ``user_id,item_id,stars``.
-
-    An empty document (or just the header) yields no records.
-    """
-    return [ReviewRecord(user, item, stars) for user, item, stars in review_rows(text)]
+def read_reviews_csv(text: str) -> list[tuple[str, str, int]]:
+    """All rows of ``review_rows`` at once."""
+    return list(review_rows(text))
 
 
 def scene_rows(text: str) -> Iterator[tuple[str, list[str]]]:
@@ -386,22 +334,22 @@ def scene_rows(text: str) -> Iterator[tuple[str, list[str]]]:
             yield scene_id, members
 
 
-def read_scenes_json(text: str) -> list[SceneRecord]:
-    """Parse scene JSON into records; scenes without members are skipped."""
-    return [SceneRecord(scene_id, members) for scene_id, members in scene_rows(text)]
+def read_scenes_json(text: str) -> list[tuple[str, list[str]]]:
+    """All rows of ``scene_rows`` at once."""
+    return list(scene_rows(text))
 
 
 # --- dataset builders -----------------------------------------------------------------
 
 
 def build_from_reviews(
-    records: Iterable[ReviewRecord] | Iterable[tuple[str, str, int]],
+    rows: Iterable[tuple[str, str, int]],
     star_filter: Iterable[int] | None = None,
 ) -> tuple[Hypergraph, list[str], list[str]]:
     """One vertex per distinct item, one hyperedge per distinct user.
 
-    ``records`` are ``ReviewRecord``s or the ``(user_id, item_id,
-    stars)`` rows of ``review_rows``; either is consumed in one pass.
+    ``rows`` are ``(user_id, item_id, stars)`` tuples, as
+    ``review_rows`` yields them, consumed in one pass.
     With a star filter, only reviews whose star value is in the filter
     survive; users and items left without any surviving review get no
     id.  Ids are assigned in first-seen order, and each incidence dict
@@ -415,7 +363,7 @@ def build_from_reviews(
     user_ids: dict[str, int] = {}
     v2he: list[dict[int, float]] = []
     he2v: list[dict[int, float]] = []
-    for user, item, stars in records:
+    for user, item, stars in rows:
         if allowed is not None and stars not in allowed:
             continue
         v = item_ids.get(item)
@@ -438,13 +386,13 @@ def build_from_reviews(
 
 
 def build_from_scenes(
-    records: Iterable[SceneRecord] | Iterable[tuple[str, list[str]]],
+    rows: Iterable[tuple[str, list[str]]],
 ) -> tuple[Hypergraph, list[str]]:
     """One vertex per distinct character, one hyperedge per scene.
 
-    ``records`` are ``SceneRecord``s or the ``(scene_id, members)`` rows
-    of ``scene_rows``; either is consumed in one pass, each scene
-    becoming the next hyperedge with its members in listed order.
+    ``rows`` are ``(scene_id, members)`` tuples, as ``scene_rows``
+    yields them, consumed in one pass, each scene becoming the next
+    hyperedge with its members in listed order.
     Character ids are assigned in first-seen order.  Returns the
     hypergraph and the character label table (position i-1 labels id
     i); character labels and scene ids are also stored as metadata.
@@ -453,7 +401,7 @@ def build_from_scenes(
     v2he: list[dict[int, float]] = []
     he2v: list[dict[int, float]] = []
     scene_ids: list[str] = []
-    for scene_id, members in records:
+    for scene_id, members in rows:
         e = len(he2v) + 1
         col: dict[int, float] = {}
         for name in members:

@@ -27,7 +27,7 @@ from .errors import (
     UnknownVertexError,
 )
 
-__all__ = ["Hypergraph", "IdRemap", "DEFAULT_WEIGHT", "check_id", "check_weight", "as_weight_map"]
+__all__ = ["Hypergraph", "IdRemap", "DEFAULT_WEIGHT", "check_id", "check_weight"]
 
 IdRemap = dict[int, int]
 WeightMap = dict[int, float]
@@ -49,7 +49,7 @@ def check_weight(value: Any) -> float:
     return w
 
 
-def as_weight_map(memberships: Any, default: float = DEFAULT_WEIGHT) -> WeightMap:
+def _as_weight_map(memberships: Any, default: float = DEFAULT_WEIGHT) -> WeightMap:
     """Normalize a membership argument.
 
     Accepts None, a mapping id -> weight, or a bare iterable of ids
@@ -184,7 +184,7 @@ class Hypergraph:
         iterable of hyperedge ids (default weight 1.0).  Returns the new
         vertex id.
         """
-        members = as_weight_map(hyperedges)
+        members = _as_weight_map(hyperedges)
         for e in members:
             self._check_hyperedge(e)
         v = self.nhv + 1
@@ -196,7 +196,7 @@ class Hypergraph:
 
     def add_hyperedge(self, vertices: Any = None, meta: Any = None) -> int:
         """Append a hyperedge; optional memberships are applied atomically."""
-        members = as_weight_map(vertices)
+        members = _as_weight_map(vertices)
         for v in members:
             self._check_vertex(v)
         e = self.nhe + 1

@@ -92,10 +92,6 @@ class BipartiteView:
     def nodes(self) -> range:
         return range(1, self.n_nodes + 1)
 
-    def is_hyperedge_node(self, node: int) -> bool:
-        self._check_node(node)
-        return node > self._h.nhv
-
     def neighbors(self, node: int) -> set[int]:
         """Adjacent node ids; hyperedge neighbors carry the n offset."""
         self._check_node(node)

@@ -524,6 +524,23 @@ class TestRerun:
         code, _, err = run(capsys, "rerun", str(manifest))
         assert code == 3 and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"argv": ["stats", "--input", "\ud800"], "inputs": [], "outputs": []},
+            {"argv": ["stats", "--input", "g.hgf"], "inputs": [{"path": "\udc80", "sha256": "0"}], "outputs": []},
+            {"argv": ["stats", "--input", "g.hgf"], "inputs": [], "outputs": [{"path": "\ud800.txt", "sha256": "0"}]},
+        ],
+        ids=["argv", "input-path", "output-path"],
+    )
+    def test_lone_surrogate_in_manifest_exits_3(self, tmp_path, capsys, doc):
+        manifest = tmp_path / "m.manifest.json"
+        manifest.write_text(json.dumps({"manifest_version": 1, **doc}))
+        code, out, err = run(capsys, "rerun", str(manifest))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {manifest}: manifest string '\\u")
+        assert err.endswith("' holds a lone surrogate\n") and err.count("\n") == 1
+
     def test_manifest_replaying_rerun_is_refused(self, tmp_path, capsys):
         manifest = tmp_path / "m.manifest.json"
         doc = {"manifest_version": 1, "argv": ["rerun", str(manifest)], "outputs": []}

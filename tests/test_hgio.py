@@ -12,8 +12,6 @@ import pytest
 
 from hgkit import (
     Hypergraph,
-    ReviewRecord,
-    SceneRecord,
     build_from_reviews,
     build_from_scenes,
     largest_connected_component,
@@ -211,9 +209,9 @@ def _seeded_reviews_csv(rng: random.Random) -> str:
 class TestReviews:
     def test_csv_parsing(self):
         text = "user_id,item_id,stars\nu1,b1,5\nu1,b2,5\nu2,b2,3\n"
-        records = read_reviews_csv(text)
-        assert records[0] == ReviewRecord("u1", "b1", 5)
-        assert len(records) == 3
+        rows = read_reviews_csv(text)
+        assert rows == [("u1", "b1", 5), ("u1", "b2", 5), ("u2", "b2", 3)]
+        assert all(type(row) is tuple for row in rows)
 
     def test_csv_empty_documents(self):
         assert read_reviews_csv("") == []
@@ -221,11 +219,7 @@ class TestReviews:
 
     def test_csv_blank_lines_are_skipped(self):
         text = "\nuser_id,item_id,stars\n\nu1,b1,5\n\n"
-        assert read_reviews_csv(text) == [ReviewRecord("u1", "b1", 5)]
-
-    def test_records_are_slotted(self):
-        for record in (ReviewRecord("u1", "b1", 5), SceneRecord("s1", ["a"])):
-            assert not hasattr(record, "__dict__")
+        assert read_reviews_csv(text) == [("u1", "b1", 5)]
 
     @pytest.mark.parametrize(
         "text",
@@ -260,6 +254,9 @@ class TestReviews:
         if seed == 0:
             texts += ["", "user_id,item_id,stars\n", "\n\n user_id , item_id,stars\r\n\n"]
         for text in texts:
+            rows = read_reviews_csv(text)
+            assert rows == list(review_rows(text))
+            assert all(type(row) is tuple and type(row[2]) is int for row in rows)
             for star_filter in (None, {5}, {1, 2}):
                 want = reference_build_from_reviews(text, star_filter)
                 assert build_from_reviews(review_rows(text), star_filter) == want
@@ -273,25 +270,20 @@ class TestReviews:
         assert [list(row) for row in h._v2he] == [[1, 2], [2, 1], [1]]
 
     def test_build_star_filter(self):
-        records = [
-            ReviewRecord("u1", "b1", 5),
-            ReviewRecord("u1", "b2", 5),
-            ReviewRecord("u2", "b2", 3),
-        ]
-        h, items, users = build_from_reviews(records, star_filter={5})
+        rows = [("u1", "b1", 5), ("u1", "b2", 5), ("u2", "b2", 3)]
+        h, items, users = build_from_reviews(rows, star_filter={5})
         assert (h.nhv, h.nhe) == (2, 1)
         assert items == ["b1", "b2"]
         assert users == ["u1"]
         assert h.get_vertices(1) == {1: 1.0, 2: 1.0}
 
     def test_build_dedupes_repeat_reviews(self):
-        records = [ReviewRecord("u1", "b1", 4), ReviewRecord("u1", "b1", 2)]
-        h, items, users = build_from_reviews(records)
+        h, items, users = build_from_reviews([("u1", "b1", 4), ("u1", "b1", 2)])
         assert (h.nhv, h.nhe) == (1, 1)
         assert h.get_weight(1, 1) == 1.0
 
     def test_build_keeps_labels_as_metadata(self):
-        h, items, users = build_from_reviews([ReviewRecord("u9", "b7", 1)])
+        h, items, users = build_from_reviews([("u9", "b7", 1)])
         assert h.get_vertex_meta(1) == "b7"
         assert h.get_hyperedge_meta(1) == "u9"
 
@@ -331,9 +323,7 @@ SCENE_MALFORMED = {
 class TestScenes:
     def test_json_parsing_and_dedup(self):
         text = '[{"id": "s1", "members": ["a", "b", "a"]}, {"id": "s2", "members": []}]'
-        records = read_scenes_json(text)
-        assert len(records) == 1
-        assert records[0].members == ["a", "b"]
+        assert read_scenes_json(text) == [("s1", ["a", "b"])]
 
     def test_json_malformed(self):
         with pytest.raises(MalformedRecordError):
@@ -342,10 +332,6 @@ class TestScenes:
             read_scenes_json('[{"id": "s"}]')
         with pytest.raises(MalformedRecordError):
             read_scenes_json('[{"id": "s", "members": [1]}]')
-
-    def test_scene_record_requires_members(self):
-        with pytest.raises(MalformedRecordError):
-            SceneRecord("s", [])
 
     @pytest.mark.parametrize("text", SCENE_MALFORMED.values(), ids=SCENE_MALFORMED.keys())
     def test_malformed_messages_match_reference(self, text, tmp_path, capsys):
@@ -369,9 +355,10 @@ class TestScenes:
             texts += ["[]", '[{"id": "s", "members": []}]', '[{"id": 1, "members": ["a", "a"]}]']
         for text in texts:
             want_h, want_labels = reference_build_from_scenes(text)
-            records = read_scenes_json(text)
-            assert isinstance(records, list)
-            for h, labels in (build_from_scenes(scene_rows(text)), build_from_scenes(records)):
+            rows = read_scenes_json(text)
+            assert rows == list(scene_rows(text))
+            assert all(type(row) is tuple for row in rows)
+            for h, labels in (build_from_scenes(scene_rows(text)), build_from_scenes(rows)):
                 assert (h, labels) == (want_h, want_labels)
                 assert [list(row) for row in h._v2he] == [list(row) for row in want_h._v2he]
                 assert [list(col) for col in h._he2v] == [list(col) for col in want_h._he2v]
@@ -390,12 +377,11 @@ class TestScenes:
         assert [list(col) for col in h._he2v] == [[1, 2], [2, 3]]
 
     def test_records_unpack_as_rows(self):
-        scene_id, members = SceneRecord("s1", ["a", "b", "a"])
+        [(scene_id, members)] = read_scenes_json('[{"id": "s1", "members": ["a", "b", "a"]}]')
         assert (scene_id, members) == ("s1", ["a", "b"])
 
     def test_build(self):
-        records = [SceneRecord("s1", ["a", "b"]), SceneRecord("s2", ["b", "c"])]
-        h, chars = build_from_scenes(records)
+        h, chars = build_from_scenes([("s1", ["a", "b"]), ("s2", ["b", "c"])])
         assert (h.nhv, h.nhe) == (3, 2)
         assert chars == ["a", "b", "c"]
         assert h.get_vertices(2) == {2: 1.0, 3: 1.0}

@@ -23,8 +23,6 @@ class TestBipartiteView:
         view = BipartiteView(triangle_pair)
         assert view.n_nodes == 5
         assert list(view.nodes()) == [1, 2, 3, 4, 5]
-        assert not view.is_hyperedge_node(3)
-        assert view.is_hyperedge_node(4)
 
     def test_vertex_side_neighbors(self, triangle_pair):
         view = BipartiteView(triangle_pair)
