@@ -118,8 +118,8 @@ def s_shortest_path_length(
     no path exists.
     """
     adj = s_adjacency(g, s) if isinstance(g, Hypergraph) else g
-    adj.neighbors(u)
-    adj.neighbors(v)
+    check_id(u, adj.n, UnknownVertexError, "vertex")
+    check_id(v, adj.n, UnknownVertexError, "vertex")
     if u == v:
         return 0
     dist = {u: 0}

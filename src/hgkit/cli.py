@@ -38,6 +38,7 @@ from .analytics import (
 from .centrality import pearson, s_betweenness
 from .community import LpConfig, graph_label_propagation, hypergraph_label_propagation, nmi
 from .errors import (
+    JSON_DECODE_ERRORS,
     DegenerateInputError,
     EmptyEvaluationSetError,
     FormatError,
@@ -57,7 +58,7 @@ from .hgio import (
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import CachedGraph, TwoSectionView
+from .views import BipartiteView, CachedGraph, Graph, TwoSectionView, neighbor_rows
 
 INPUT_FORMATS = ("hgf", "json", "reviews-csv", "scenes-json")
 
@@ -203,33 +204,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # --- convert ----------------------------------------------------------------
 
 
-# Both DOT writers list every node, then each edge (u, v) with u < v in
-# ascending order, one chunk per node and one per u.  Both weights are
-# integer counts, so each prints as ``str``.
+def _dot_chunks(name: str, g: Graph) -> Iterator[str]:
+    """A graph in DOT: every node, then each edge (u, v) with u < v in ascending order.
 
-
-def _dot_nodes(name: str, n_nodes: int) -> Iterator[str]:
+    One chunk per node line and one per u.  Both views written here weigh
+    edges by integer counts, so each weight prints as ``str``.
+    """
     yield f"graph {name} {{\n"
-    for v in range(1, n_nodes + 1):
+    for v in range(1, g.n_nodes + 1):
         yield f"  {v};\n"
-
-
-def _bipartite_dot_chunks(h: Hypergraph) -> Iterator[str]:
-    """Incidence graph: vertex v joins hyperedge node n+e with weight 1."""
-    n = h.nhv
-    yield from _dot_nodes("bipartite", n + h.nhe)
-    for v, row in enumerate(h._v2he, start=1):
-        yield "".join(f"  {v} -- {n + e} [weight=1];\n" for e in sorted(row))
-    yield "}\n"
-
-
-def _twosection_dot_chunks(h: Hypergraph) -> Iterator[str]:
-    """Clique expansion: u joins v with the number of hyperedges they share."""
-    view = TwoSectionView(h)
-    yield from _dot_nodes("twosection", h.nhv)
-    for u in view.nodes():
-        counts = view.neighbors(u)
-        yield "".join(f"  {u} -- {v} [weight={counts[v]}];\n" for v in sorted(counts) if v > u)
+    for u, row in enumerate(neighbor_rows(g), start=1):
+        yield "".join(f"  {u} -- {v} [weight={row[v]}];\n" for v in sorted(row) if v > u)
     yield "}\n"
 
 
@@ -237,8 +222,8 @@ def _twosection_dot_chunks(h: Hypergraph) -> Iterator[str]:
 _CONVERT_WRITERS = {
     "hgf": hgf_chunks,
     "json": json_chunks,
-    "dot-bipartite": _bipartite_dot_chunks,
-    "dot-twosection": _twosection_dot_chunks,
+    "dot-bipartite": lambda h: _dot_chunks("bipartite", BipartiteView(h)),
+    "dot-twosection": lambda h: _dot_chunks("twosection", TwoSectionView(h)),
 }
 OUTPUT_FORMATS = tuple(_CONVERT_WRITERS)
 
@@ -404,7 +389,7 @@ def _read_manifest(path: str) -> dict[str, Any]:
     """Load a run manifest, rejecting any document ``rerun`` cannot replay."""
     try:
         doc = json.loads(_read_text(path))
-    except ValueError as exc:
+    except JSON_DECODE_ERRORS as exc:
         raise FormatError(f"{path}: not a JSON manifest ({exc})") from None
     if not isinstance(doc, dict) or doc.get("manifest_version") != 1:
         raise FormatError(f"{path}: manifest_version must be 1")

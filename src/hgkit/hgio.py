@@ -33,6 +33,7 @@ import math
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
+    JSON_DECODE_ERRORS,
     BadWeightTokenError,
     DualInconsistencyError,
     FormatError,
@@ -193,7 +194,10 @@ def _parse_weight_object(obj: object, limit: int, what: str) -> dict[int, float]
             raise SchemaViolationError(f"{what} id {ident} outside 1..{limit}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaViolationError(f"{what} weight {value!r} is not a number")
-        w = float(value)
+        try:
+            w = float(value)
+        except OverflowError:  # an integer beyond the float range
+            w = math.inf
         if not math.isfinite(w):
             raise SchemaViolationError(f"{what} weight {value!r} is not finite")
         out[ident] = w
@@ -216,7 +220,7 @@ def _check_encodable(strings: Iterable[str], error: type[FormatError], what: str
 def read_json(text: str) -> Hypergraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except JSON_DECODE_ERRORS as exc:
         raise SchemaViolationError(f"document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaViolationError("document must be a JSON object")
@@ -276,28 +280,31 @@ def review_rows(text: str) -> Iterator[tuple[str, str, int]]:
     an empty document (or just the header) yields nothing.
     """
     rows = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    for header in rows:
-        if header:
-            break
-    else:
-        return
-    if [c.strip() for c in header] != ["user_id", "item_id", "stars"]:
-        raise MalformedRecordError(
-            "review CSV must start with header user_id,item_id,stars"
-        )
-    for row in rows:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise MalformedRecordError(f"review row {row!r} must have three fields")
-        user, item, stars_text = row
-        try:
-            stars = int(stars_text)
-        except ValueError:
-            raise MalformedRecordError(f"stars {stars_text!r} is not an integer") from None
-        if not 1 <= stars <= 5:
-            raise MalformedRecordError(f"stars must be in 1..5, got {stars}")
-        yield user, item, stars
+    try:
+        for header in rows:
+            if header:
+                break
+        else:
+            return
+        if [c.strip() for c in header] != ["user_id", "item_id", "stars"]:
+            raise MalformedRecordError(
+                "review CSV must start with header user_id,item_id,stars"
+            )
+        for row in rows:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise MalformedRecordError(f"review row {row!r} must have three fields")
+            user, item, stars_text = row
+            try:
+                stars = int(stars_text)
+            except ValueError:
+                raise MalformedRecordError(f"stars {stars_text!r} is not an integer") from None
+            if not 1 <= stars <= 5:
+                raise MalformedRecordError(f"stars must be in 1..5, got {stars}")
+            yield user, item, stars
+    except csv.Error as exc:
+        raise MalformedRecordError(f"review CSV unparseable: {exc}") from None
 
 
 def read_reviews_csv(text: str) -> list[tuple[str, str, int]]:
@@ -315,7 +322,7 @@ def scene_rows(text: str) -> Iterator[tuple[str, list[str]]]:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except JSON_DECODE_ERRORS as exc:
         raise MalformedRecordError(f"scene document is not valid JSON: {exc}") from None
     if not isinstance(doc, list):
         raise MalformedRecordError("scene document must be a JSON array")

@@ -49,17 +49,17 @@ def check_weight(value: Any) -> float:
     return w
 
 
-def _as_weight_map(memberships: Any, default: float = DEFAULT_WEIGHT) -> WeightMap:
+def _as_weight_map(memberships: Any) -> WeightMap:
     """Normalize a membership argument.
 
     Accepts None, a mapping id -> weight, or a bare iterable of ids
-    (each of which gets the default weight).
+    (each of which gets ``DEFAULT_WEIGHT``).
     """
     if memberships is None:
         return {}
     if isinstance(memberships, Mapping):
         return {int(i): check_weight(w) for i, w in memberships.items()}
-    return {int(i): default for i in memberships}
+    return {int(i): DEFAULT_WEIGHT for i in memberships}
 
 
 class Hypergraph:

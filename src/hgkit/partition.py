@@ -13,7 +13,7 @@ import io
 import json
 from typing import Iterable, Mapping
 
-from .errors import FormatError
+from .errors import JSON_DECODE_ERRORS, FormatError
 
 __all__ = ["Partition"]
 
@@ -83,7 +83,7 @@ class Partition:
     def from_json_text(cls, text: str) -> "Partition":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except JSON_DECODE_ERRORS as exc:
             raise FormatError(f"partition JSON unparseable: {exc}") from None
         if not isinstance(obj, dict):
             raise FormatError("partition JSON must be an object of label -> [vertex]")
@@ -113,8 +113,10 @@ class Partition:
 
     @classmethod
     def from_csv_text(cls, text: str) -> "Partition":
-        reader = csv.reader(io.StringIO(text))
-        rows = [row for row in reader if row]
+        try:
+            rows = [row for row in csv.reader(io.StringIO(text)) if row]
+        except csv.Error as exc:
+            raise FormatError(f"partition CSV unparseable: {exc}") from None
         if not rows or [c.strip() for c in rows[0]] != ["vertex", "label"]:
             raise FormatError("partition CSV must start with header vertex,label")
         labels: dict[int, int] = {}

@@ -2,11 +2,11 @@
 
 Every graph kernel reads a :class:`Graph`: ``n_nodes`` plus
 ``neighbors(v)``, a mapping of neighbour to edge weight.
-:class:`TwoSectionView` derives each row on demand from the dual
-incidence indexes and copies nothing; :class:`CachedGraph` reads a
-graph's rows once for a caller that runs several kernels; call
-:func:`materialize` to freeze a view into a plain weighted edge list
-(which carries no metadata).
+:class:`BipartiteView` and :class:`TwoSectionView` derive each row on
+demand from the dual incidence indexes and copy nothing;
+:class:`CachedGraph` reads a graph's rows once for a caller that runs
+several kernels; call :func:`materialize` to freeze a graph into a
+plain weighted edge list (which carries no metadata).
 """
 
 from __future__ import annotations
@@ -48,10 +48,9 @@ class Graph(Protocol):
 def neighbor_rows(g: Graph) -> Iterator[Mapping[int, float]]:
     """Every node's neighbour row in node order, each read when reached.
 
-    Raises ``TypeError`` at once for an object that is not a graph, and
-    for a :class:`BipartiteView`, whose rows are unweighted sets.
+    Raises ``TypeError`` at once for an object that is not a graph.
     """
-    if not isinstance(g, Graph) or isinstance(g, BipartiteView):
+    if not isinstance(g, Graph):
         raise TypeError(f"expected a weighted graph, got {type(g).__name__}")
     return map(g.neighbors, range(1, g.n_nodes + 1))
 
@@ -73,7 +72,8 @@ class BipartiteView:
 
     Node ids 1..n are the vertices, n+1..n+k stand for hyperedges 1..k.
     Vertex node v is adjacent to hyperedge node n+e iff v is a member
-    of e.  Weights are not part of this view; incidence edges count 1.
+    of e.  Incidence weights are not part of this view: every edge
+    weighs 1.
     """
 
     __slots__ = ("_h",)
@@ -92,17 +92,17 @@ class BipartiteView:
     def nodes(self) -> range:
         return range(1, self.n_nodes + 1)
 
-    def neighbors(self, node: int) -> set[int]:
-        """Adjacent node ids; hyperedge neighbors carry the n offset."""
-        self._check_node(node)
+    def neighbors(self, node: int) -> dict[int, int]:
+        """Map of adjacent node -> 1; hyperedge nodes carry the n offset.
+
+        Neighbours are keyed in the order the node's incidence row iterates.
+        """
         h = self._h
         n = h.nhv
+        check_id(node, n + h.nhe, UnknownNodeError, "bipartite node")
         if node <= n:
-            return {n + e for e in h._v2he[node - 1]}
-        return set(h._he2v[node - n - 1])
-
-    def _check_node(self, node: int) -> None:
-        check_id(node, self.n_nodes, UnknownNodeError, "bipartite node")
+            return dict.fromkeys([n + e for e in h._v2he[node - 1]], 1)
+        return dict.fromkeys(h._he2v[node - n - 1], 1)
 
 
 class TwoSectionView:
@@ -192,22 +192,13 @@ class MaterializedGraph:
         return self._rows[v - 1]
 
 
-def materialize(view: BipartiteView | Graph) -> MaterializedGraph:
-    """Freeze a bipartite view or any graph into a MaterializedGraph."""
-    if isinstance(view, BipartiteView):
-        h = view.hypergraph
-        n = h.nhv
-        edges = [
-            (v, n + e, 1.0)
-            for e in h.hyperedges()
-            for v in h._he2v[e - 1]
-        ]
-    else:
-        edges = [
-            (u, v, float(w))
-            for u, row in enumerate(neighbor_rows(view), start=1)
-            for v, w in row.items()
-            if u < v
-        ]
+def materialize(view: Graph) -> MaterializedGraph:
+    """Freeze any graph, a view included, into a MaterializedGraph."""
+    edges = [
+        (u, v, float(w))
+        for u, row in enumerate(neighbor_rows(view), start=1)
+        for v, w in row.items()
+        if u < v
+    ]
     edges.sort()
     return MaterializedGraph(n_nodes=view.n_nodes, edges=edges)

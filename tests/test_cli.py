@@ -720,3 +720,98 @@ class TestLoneSurrogates:
         code, out, _ = run(capsys, "betweenness", "--input", str(src))
         assert code == 0
         assert out.splitlines()[1:] == ["1,\u00e9\U0001f600,0", "2,,0"]
+
+
+class TestParserLimits:
+    """Inputs past a parser's limits are format errors (exit 3), not tracebacks.
+
+    ``json`` refuses integer literals of more than 4,300 digits with a
+    plain ``ValueError`` and nesting past the recursion limit with a
+    ``RecursionError``, ``float`` overflows on an integer weight of
+    1e309, and ``csv`` refuses fields of more than 131,072 characters.
+    """
+
+    LONG_INT = "1" * 5000
+    DEEP = "[" * 100000 + "]" * 100000
+    TOO_DEEP = "maximum recursion depth exceeded"
+    HUGE_WEIGHT = "1" + "0" * 309
+    LONG_FIELD = "b" * 131073
+    CASES = {
+        "json-long-int": (
+            "g.json",
+            f'{{"format_version": 1, "n": {LONG_INT}, "k": 0}}',
+            ["stats", "--input"],
+            "error: document is not valid JSON: Exceeds the limit (4300 digits)",
+        ),
+        "scenes-long-int": (
+            "s.json",
+            f'[{{"id": {LONG_INT}, "members": ["a"]}}]',
+            ["stats", "--format", "scenes-json", "--input"],
+            "error: scene document is not valid JSON: Exceeds the limit (4300 digits)",
+        ),
+        "partition-json-long-int": (
+            "p.json",
+            f'{{"1": [{LONG_INT}]}}',
+            ["nmi", "good.json"],
+            "error: partition JSON unparseable: Exceeds the limit (4300 digits)",
+        ),
+        "json-deep": (
+            "g.json",
+            DEEP,
+            ["stats", "--input"],
+            f"error: document is not valid JSON: {TOO_DEEP}",
+        ),
+        "scenes-deep": (
+            "s.json",
+            DEEP,
+            ["stats", "--format", "scenes-json", "--input"],
+            f"error: scene document is not valid JSON: {TOO_DEEP}",
+        ),
+        "partition-json-deep": (
+            "p.json",
+            f'{{"1": {DEEP}}}',
+            ["nmi", "good.json"],
+            f"error: partition JSON unparseable: {TOO_DEEP}",
+        ),
+        "manifest-deep": (
+            "m.manifest.json",
+            DEEP,
+            ["rerun"],
+            f"error: m.manifest.json: not a JSON manifest ({TOO_DEEP}",
+        ),
+        "json-huge-weight": (
+            "g.json",
+            f'{{"format_version": 1, "n": 1, "k": 1, "v2he": [{{"1": {HUGE_WEIGHT}}}], "he2v": [{{"1": 1.0}}]}}',
+            ["stats", "--input"],
+            f"error: v2he weight {HUGE_WEIGHT} is not finite\n",
+        ),
+        "reviews-long-field": (
+            "r.csv",
+            f"user_id,item_id,stars\nu1,{LONG_FIELD},5\n",
+            ["stats", "--input"],
+            "error: review CSV unparseable: field larger than field limit (131072)\n",
+        ),
+        "forecast-long-field": (
+            "r.csv",
+            f"user_id,item_id,stars\nu1,b1,5\n{LONG_FIELD},b1,5\n",
+            ["forecast", "--input"],
+            "error: review CSV unparseable: field larger than field limit (131072)\n",
+        ),
+        "partition-csv-long-field": (
+            "p.csv",
+            f"vertex,label\n1,{LONG_FIELD}\n",
+            ["nmi", "good.json"],
+            "error: partition CSV unparseable: field larger than field limit (131072)\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(CASES))
+    def test_exits_3_with_an_error_line(self, tmp_path, capsys, monkeypatch, kind):
+        name, text, argv, message = self.CASES[kind]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "good.json").write_text(Partition({1: 1}).to_json_text())
+        (tmp_path / name).write_text(text)
+        code, out, err = run(capsys, *argv, name)
+        assert (code, out) == (3, "")
+        assert err.startswith(message)
+        assert err.count("\n") == 1

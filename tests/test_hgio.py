@@ -155,6 +155,8 @@ class TestJson:
             lambda d: d["v2he"][0].update({"one": 1.0}),
             lambda d: d["v2he"][0].update({"1": "heavy"}),
             lambda d: d["v2he"][0].update({"1": True}),
+            lambda d: d["v2he"][0].update({"1": 10**309}),
+            lambda d: d["he2v"][0].update({"1": -(10**309)}),
         ],
     )
     def test_schema_violations(self, mangle):

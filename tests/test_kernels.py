@@ -18,11 +18,11 @@ from hgkit import (
     Hypergraph,
     LpConfig,
     MaterializedGraph,
-    Partition,
     TwoSectionView,
     build_from_reviews,
     forecast_graph,
     forecast_hypergraph,
+    graph_degree_centrality,
     graph_label_propagation,
     graph_modularity,
     hypergraph_label_propagation,
@@ -171,16 +171,7 @@ def test_graph_lp_still_rejects_non_graphs():
         graph_label_propagation(Hypergraph(2, 0))
 
 
-def test_graph_kernels_reject_unweighted_bipartite_views():
-    view = BipartiteView(hypergraph_from_edges(2, [(1, 2)]))
-    with pytest.raises(TypeError):
-        graph_label_propagation(view)
-    with pytest.raises(TypeError):
-        graph_modularity(view, Partition({1: 1, 2: 1, 3: 1}))
-    with pytest.raises(TypeError):
-        forecast_graph(view, {1: 1.0, 2: 1.0, 3: 1.0})
-    with pytest.raises(TypeError):
-        CachedGraph(view)
+def test_cached_graph_rejects_non_graphs():
     with pytest.raises(TypeError):
         CachedGraph(object())
 
@@ -416,6 +407,35 @@ def test_graph_modularity_matches_reference_bit_for_bit():
                         graph_modularity(g, p)
                     continue
                 assert graph_modularity(g, p) == want
+
+
+def test_graph_kernels_on_bipartite_views_match_reference():
+    # The incidence graph is a unit-weight graph: every graph kernel
+    # runs on it as on any other, and on its cached rows.
+    rng = random.Random(47)
+    for h in GRAPH_CASES:
+        view = BipartiteView(h)
+        frozen = reference_materialize(view)
+        assert materialize(view) == frozen
+        for g in (view, CachedGraph(view)):
+            for cfg in CONFIGS:
+                got = graph_label_propagation(g, cfg)
+                want = reference_graph_label_propagation(frozen, cfg)
+                assert (got[0].labels, got[1]) == (want[0].labels, want[1])
+            degrees = graph_degree_centrality(g).scores
+            assert degrees == {v: float(len(row)) for v, row in frozen.adjacency().items()}
+            for _ in range(2):
+                p = random_partition(rng, range(1, view.n_nodes + 1))
+                try:
+                    want = reference_graph_modularity(frozen, p)
+                except EmptyGraphError:
+                    with pytest.raises(EmptyGraphError):
+                        graph_modularity(g, p)
+                    continue
+                assert graph_modularity(g, p) == want
+            ratings = {v: rng.uniform(1.0, 5.0) for v in range(1, view.n_nodes + 1)}
+            want = _outcome(reference_forecast_graph, view, ratings)
+            assert _outcome(forecast_graph, g, ratings) == want
 
 
 def test_materialized_rows_are_built_once(monkeypatch):

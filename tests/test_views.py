@@ -26,13 +26,13 @@ class TestBipartiteView:
 
     def test_vertex_side_neighbors(self, triangle_pair):
         view = BipartiteView(triangle_pair)
-        assert view.neighbors(1) == {4, 5}
-        assert view.neighbors(3) == {5}
+        assert view.neighbors(1) == {4: 1, 5: 1}
+        assert view.neighbors(3) == {5: 1}
 
     def test_hyperedge_side_neighbors(self, triangle_pair):
         view = BipartiteView(triangle_pair)
-        assert view.neighbors(4) == {1, 2}
-        assert view.neighbors(5) == {1, 2, 3}
+        assert view.neighbors(4) == {1: 1, 2: 1}
+        assert view.neighbors(5) == {1: 1, 2: 1, 3: 1}
 
     def test_unknown_node(self, triangle_pair):
         view = BipartiteView(triangle_pair)
@@ -44,7 +44,15 @@ class TestBipartiteView:
     def test_view_tracks_mutation(self, triangle_pair):
         view = BipartiteView(triangle_pair)
         triangle_pair.set_weight(3, 1, 1.0)
-        assert view.neighbors(3) == {4, 5}
+        assert view.neighbors(3) == {4: 1, 5: 1}
+
+    def test_rows_keep_incidence_order(self):
+        h = hypergraph_from_edges(5, [(3, 1), (1, 5), (1, 3), (1, 4)])
+        h.remove_hyperedge(2)
+        assert list(h._v2he[0]) == [1, 3, 2]
+        view = BipartiteView(h)
+        assert list(view.neighbors(1)) == [6, 8, 7]
+        assert list(view.neighbors(6)) == [3, 1]
 
 
 class TestTwoSectionView:
