@@ -16,7 +16,11 @@ writers must reproduce byte for byte; ``reference_two_section_neighbors``,
 ``reference_forecast_hypergraph``, ``reference_forecast_graph`` and
 ``reference_graph_modularity`` are the per-element loops that the
 C-counted neighbourhoods, the single-pass forecasts and the protocol
-modularity must reproduce bit for bit.
+modularity must reproduce bit for bit; ``reference_add_vertex``,
+``reference_add_hyperedge``, ``reference_as_weight_map`` and
+``reference_check_dual_consistency`` are the per-member id checks and
+the two-direction cell walk that the batched id check and the one-pass
+consistency check must agree with.
 """
 
 from __future__ import annotations
@@ -48,10 +52,11 @@ from hgkit.errors import (
     EmptyGraphError,
     InvalidSError,
     MalformedRecordError,
+    UnknownHyperedgeError,
     UnknownVertexError,
 )
 from hgkit.hgio import FORMAT_VERSION
-from hgkit.hypercore import check_id
+from hgkit.hypercore import DEFAULT_WEIGHT, check_id, check_weight
 
 # --- random structures ---------------------------------------------------------
 
@@ -696,6 +701,57 @@ def newman_modularity_exact(
             a = weight.get((u, v), 0)
             q += Fraction(a, 1) - Fraction(strength[u] * strength[v], two_m)
     return q / two_m
+
+
+# --- per-member id checks and the two-direction consistency walk ---------------
+#
+# The mutators and the consistency check as they were before the ids of a
+# call were checked together.  The per-id test is check_id, which the
+# methods repeated inline; member ids were coerced with int().
+
+
+def reference_as_weight_map(memberships) -> dict[int, float]:
+    if memberships is None:
+        return {}
+    if isinstance(memberships, Mapping):
+        return {int(i): check_weight(w) for i, w in memberships.items()}
+    return {int(i): DEFAULT_WEIGHT for i in memberships}
+
+
+def reference_add_vertex(h: Hypergraph, hyperedges=None, meta=None) -> int:
+    members = reference_as_weight_map(hyperedges)
+    for e in members:
+        check_id(e, h.nhe, UnknownHyperedgeError, "hyperedge")
+    v = h.nhv + 1
+    h._v2he.append(members)
+    h._vmeta.append(meta)
+    for e, w in members.items():
+        h._he2v[e - 1][v] = w
+    return v
+
+
+def reference_add_hyperedge(h: Hypergraph, vertices=None, meta=None) -> int:
+    members = reference_as_weight_map(vertices)
+    for v in members:
+        check_id(v, h.nhv, UnknownVertexError, "vertex")
+    e = h.nhe + 1
+    h._he2v.append(members)
+    h._hemeta.append(meta)
+    for v, w in members.items():
+        h._v2he[v - 1][e] = w
+    return e
+
+
+def reference_check_dual_consistency(h: Hypergraph) -> bool:
+    for v, row in enumerate(h._v2he, start=1):
+        for e, w in row.items():
+            if h._he2v[e - 1].get(v) != w:
+                return False
+    for e, column in enumerate(h._he2v, start=1):
+        for v, w in column.items():
+            if h._v2he[v - 1].get(e) != w:
+                return False
+    return True
 
 
 # --- misc -------------------------------------------------------------------------------

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import enum
 import random
 import time
 
 import pytest
+from helpers import (
+    random_hypergraph,
+    reference_add_hyperedge,
+    reference_add_vertex,
+    reference_check_dual_consistency,
+)
 
 from hgkit import Hypergraph
 from hgkit.errors import (
+    HgkitError,
     NonFiniteWeightError,
     NonRectangularError,
     UnknownHyperedgeError,
@@ -186,6 +194,160 @@ def _random_mutation(h: Hypergraph, rng: random.Random, cap: int = 40) -> None:
         h.set_weight(rng.randint(1, h.nhv), rng.randint(1, h.nhe), None)
 
 
+class TestMemberIds:
+    def test_bool_float_and_str_member_ids_rejected(self):
+        h = Hypergraph(3, 1)
+        before = h.copy()
+        with pytest.raises(UnknownVertexError, match=r"^no vertex True \(have 1\.\.3\)$"):
+            h.add_hyperedge([True, 2.9, "3"])
+        with pytest.raises(UnknownHyperedgeError, match=r"^no hyperedge True \(have 1\.\.1\)$"):
+            h.add_vertex({True: 1})
+        for bad in ([2.9], ("3",), {1.0: 1.0}, [1, True], [2, 2.0], (i for i in (1, "1"))):
+            with pytest.raises(UnknownVertexError):
+                h.add_hyperedge(bad)
+        for bad in ([1.0], {"1": 2.0}, (False,)):
+            with pytest.raises(UnknownHyperedgeError):
+                h.add_vertex(bad)
+        assert h == before
+        assert h.check_dual_consistency()
+
+    def test_int_subclass_ids_are_stored_as_plain_ints(self):
+        class Id(enum.IntEnum):
+            ONE = 1
+            TWO = 2
+
+        h = Hypergraph(2, 0)
+        e = h.add_hyperedge([Id.TWO, Id.ONE])
+        v = h.add_vertex({Id.ONE: 2.0})
+        cells = [*h._he2v, *h._v2he]
+        assert {type(i) for row in cells for i in row} == {int}
+        assert h.get_vertices(e) == {1: 1.0, 2: 1.0, v: 2.0}
+
+    def test_nan_weight_raises_before_bad_id(self):
+        nan = float("nan")
+        for members in ({0: 1.0, 1: nan}, {1: nan, 9: 1.0}, {-2: nan}):
+            h = Hypergraph(2, 2)
+            with pytest.raises(NonFiniteWeightError):
+                h.add_vertex(members)
+            with pytest.raises(NonFiniteWeightError):
+                h.add_hyperedge(members)
+            with pytest.raises(NonFiniteWeightError):
+                reference_add_vertex(h.copy(), members)
+            assert h == Hypergraph(2, 2)
+
+
+def _membership_shapes(ids: list, weights: list) -> dict:
+    """One factory per accepted membership shape, each giving the same ids."""
+    return {
+        "list": lambda: list(ids),
+        "tuple": lambda: tuple(ids),
+        "set": lambda: set(ids),
+        "generator": lambda: (i for i in ids),
+        "mapping": lambda: dict(zip(ids, weights)),
+    }
+
+
+def test_batched_id_check_matches_per_member_reference():
+    rng = random.Random(20261018)
+    mutators = (
+        (Hypergraph.add_vertex, reference_add_vertex, Hypergraph.nhe.fget),
+        (Hypergraph.add_hyperedge, reference_add_hyperedge, Hypergraph.nhv.fget),
+    )
+    for _ in range(60):
+        h = random_hypergraph(rng, max_n=7, max_k=7, weighted=True)
+        for add, reference_add, bound in mutators:
+            n = bound(h)
+            good = rng.sample(range(1, n + 1), rng.randint(0, min(n, 4)))
+            bad = rng.choice((0, n + 1, -rng.randint(1, 5)))
+            placed = {
+                "none": good,
+                "first": [bad, *good],
+                "middle": [*good[:1], bad, *good[1:]],
+                "last": [*good, bad],
+            }
+            for where, ids in placed.items():
+                weights = [rng.choice((0.5, 1.0, 2.0)) for _ in ids]
+                for shape, make in _membership_shapes(ids, weights).items():
+                    expected = h.copy()  # the reference checks before it writes
+                    try:
+                        result = reference_add(expected, make(), meta=shape)
+                    except HgkitError as exc:
+                        with pytest.raises(type(exc)) as info:
+                            add(h, make(), meta=shape)
+                        assert (type(info.value), str(info.value)) == (type(exc), str(exc)), (where, shape)
+                    else:
+                        assert add(h, make(), meta=shape) == result, (where, shape)
+                    assert h == expected, (where, shape)
+                    assert h.check_dual_consistency()
+        # None and the empty shapes add a member-less vertex and hyperedge.
+        for make in (lambda: None, list, tuple, set, dict, lambda: iter(())):
+            expected = h.copy()
+            assert h.add_vertex(make()) == reference_add_vertex(expected, make())
+            assert h.add_hyperedge(make()) == reference_add_hyperedge(expected, make())
+            assert h == expected
+
+
+def test_dual_consistency_flags_cells_outside_the_id_ranges():
+    h = Hypergraph(2, 1)
+    h.set_weight(2, 1, 1.0)
+    h._he2v[0][0] = 1.0  # vertex 0 would be read through _v2he[-1], vertex 2's row
+    assert not h.check_dual_consistency()
+    h = Hypergraph(2, 1)
+    h.set_weight(2, 1, 1.0)
+    h._he2v[0][3] = 1.0  # vertex n + 1
+    assert not h.check_dual_consistency()
+    for bad in (0, 3):  # hyperedge 0 would be read through _he2v[-1], 3 past the end
+        h = Hypergraph(2, 2)
+        h.set_weight(1, 2, 1.0)
+        h._v2he[0] = {bad: 1.0}
+        assert not h.check_dual_consistency()
+
+
+def _corrupt(h: Hypergraph, rng: random.Random) -> str:
+    """Damage one side of the store in one of six ways; name the damage."""
+    cells = [(v, e) for v in h.vertices() for e in h._v2he[v - 1]]
+    free = [(v, e) for v in h.vertices() for e in h.hyperedges() if e not in h._v2he[v - 1]]
+    kinds = ["add to vertex index", "add to hyperedge index"] if free else []
+    if cells:
+        kinds += [
+            "reweigh in vertex index",
+            "reweigh in hyperedge index",
+            "drop from vertex index",
+            "drop from hyperedge index",
+        ]
+    if not kinds:
+        return "none"
+    kind = rng.choice(kinds)
+    v, e = rng.choice(free if kind.startswith("add") else cells)
+    row, column = h._v2he[v - 1], h._he2v[e - 1]
+    if kind == "add to vertex index":
+        row[e] = 1.0
+    elif kind == "add to hyperedge index":
+        column[v] = 1.0
+    elif kind == "reweigh in vertex index":
+        row[e] += 0.5
+    elif kind == "reweigh in hyperedge index":
+        column[v] += 0.5
+    elif kind == "drop from vertex index":
+        del row[e]
+    else:
+        del column[v]
+    return kind
+
+
+def test_one_pass_dual_consistency_matches_two_direction_reference():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(400):
+        h = random_hypergraph(rng, weighted=True)
+        assert h.check_dual_consistency() is reference_check_dual_consistency(h) is True
+        kind = _corrupt(h, rng)
+        seen.add(kind)
+        expected = kind == "none"
+        assert h.check_dual_consistency() is reference_check_dual_consistency(h) is expected, kind
+    assert len(seen - {"none"}) == 6
+
+
 def test_dual_consistency_after_every_operation():
     rng = random.Random(20240817)
     for _ in range(300):
@@ -309,6 +471,12 @@ def test_seeded_mutation_stream_matches_dense_model():
                 if h.nhv:
                     with pytest.raises(UnknownHyperedgeError):
                         h.set_weight(h.nhv, h.nhe + 1, 1.0)
+                # Bool, float and str member ids are not ids, even in range.
+                for bad in (True, 1.0, "1", h.nhv + 0.5):
+                    with pytest.raises(UnknownVertexError):
+                        h.add_hyperedge([*range(1, h.nhv + 1), bad])
+                    with pytest.raises(UnknownHyperedgeError):
+                        h.add_vertex({bad: 1.0, **dict.fromkeys(range(1, h.nhe + 1), 2.0)})
             elif op == 7 and h.nhv and h.nhe:
                 v, e = rng.randint(1, h.nhv), rng.randint(1, h.nhe)
                 meta = f"{model.vmeta[v - 1]}'"
