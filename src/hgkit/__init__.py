@@ -42,7 +42,7 @@ from .hgio import (
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import BipartiteView, CachedGraph, Graph, MaterializedGraph, TwoSectionView, materialize
+from .views import BipartiteView, Graph, MaterializedGraph, TwoSectionView, materialize
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "BipartiteView",
     "Graph",
     "TwoSectionView",
-    "CachedGraph",
     "MaterializedGraph",
     "materialize",
     "Partition",

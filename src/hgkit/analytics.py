@@ -23,7 +23,7 @@ from .errors import (
 )
 from .hypercore import Hypergraph, IdRemap
 from .partition import Partition
-from .views import Graph, neighbor_rows
+from .views import Graph, neighbor_rows, upper_rows
 
 __all__ = [
     "connected_components",
@@ -278,21 +278,21 @@ def graph_modularity(g: Graph, partition: Partition) -> float:
     into floats as they are, which rounds them as ``float`` would.
     """
     labels = partition.labels
-    rows = neighbor_rows(g)
+    rows = upper_rows(g)
     _check_total(labels, range(1, g.n_nodes + 1), "nodes")
     weights: list[float] = []
     internal: dict[int, float] = {}
     strength: dict[int, float] = {}
-    for u, row in enumerate(rows, start=1):
+    for u, row, higher in rows:
         lu = labels[u]
-        for v, w in row.items():
-            if u < v:
-                weights.append(w)
-                lv = labels[v]
-                strength[lu] = strength.get(lu, 0.0) + w
-                strength[lv] = strength.get(lv, 0.0) + w
-                if lu == lv:
-                    internal[lu] = internal.get(lu, 0.0) + w
+        for v in higher:
+            w = row[v]
+            weights.append(w)
+            lv = labels[v]
+            strength[lu] = strength.get(lu, 0.0) + w
+            strength[lv] = strength.get(lv, 0.0) + w
+            if lu == lv:
+                internal[lu] = internal.get(lu, 0.0) + w
     total = math.fsum(weights)
     if total <= 0.0:
         raise EmptyGraphError("graph modularity needs positive total edge weight")

@@ -58,7 +58,7 @@ from .hgio import (
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import BipartiteView, CachedGraph, Graph, TwoSectionView, neighbor_rows
+from .views import BipartiteView, Graph, TwoSectionView, materialize, upper_rows
 
 INPUT_FORMATS = ("hgf", "json", "reviews-csv", "scenes-json")
 
@@ -207,14 +207,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def _dot_chunks(name: str, g: Graph) -> Iterator[str]:
     """A graph in DOT: every node, then each edge (u, v) with u < v in ascending order.
 
-    One chunk per node line and one per u.  Both views written here weigh
-    edges by integer counts, so each weight prints as ``str``.
+    One chunk per node line and one per u with higher neighbours.  Both
+    views weigh edges by integer counts, so each weight prints as ``str``.
     """
     yield f"graph {name} {{\n"
     for v in range(1, g.n_nodes + 1):
         yield f"  {v};\n"
-    for u, row in enumerate(neighbor_rows(g), start=1):
-        yield "".join(f"  {u} -- {v} [weight={row[v]}];\n" for v in sorted(row) if v > u)
+    for u, row, higher in upper_rows(g):
+        if higher:
+            higher.sort()
+            yield "".join([f"  {u} -- {v} [weight={row[v]}];\n" for v in higher])
     yield "}\n"
 
 
@@ -245,7 +247,7 @@ def cmd_communities(args: argparse.Namespace) -> int:
         score = lambda: hypergraph_modularity(h, part)  # noqa: E731
     else:
         # LP and modularity read the same rows, so derive them once.
-        graph = CachedGraph(TwoSectionView(h))
+        graph = materialize(TwoSectionView(h))
         part, iterations = graph_label_propagation(graph, cfg)
         score = lambda: graph_modularity(graph, part)  # noqa: E731
     try:

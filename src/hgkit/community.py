@@ -42,7 +42,6 @@ __all__ = [
 class LpConfig:
     max_iterations: int = 100
     seed: int = 0
-    shuffle_order: bool = True
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -152,8 +151,7 @@ def graph_label_propagation(
     order = list(range(1, n + 1))
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        if cfg.shuffle_order:
-            rng.shuffle(order)
+        rng.shuffle(order)
         changed = False
         for v in order:
             row = nbrs[v]
@@ -198,9 +196,8 @@ def hypergraph_label_propagation(
     eorder = list(range(1, k + 1))
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        if cfg.shuffle_order:
-            rng.shuffle(eorder)
-            rng.shuffle(vorder)
+        rng.shuffle(eorder)
+        rng.shuffle(vorder)
         for e in eorder:
             gather = members[e]
             if gather is not None:

@@ -81,6 +81,10 @@ class NonFiniteWeightError(ContractError):
     pass
 
 
+class NonNumericWeightError(ContractError):
+    """Weight is not an int or float; bools and strings are not coerced."""
+
+
 class NonRectangularError(ContractError):
     """Incidence matrix rows have differing lengths."""
 

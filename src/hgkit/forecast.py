@@ -70,11 +70,12 @@ def forecast_graph(g: Hypergraph | Graph, ratings: Mapping[int, float]) -> Predi
     ``g`` is a graph, or a hypergraph standing for its two-section
     view.  Both sums run over the neighbour row in its own order.
     """
-    graph = g if isinstance(g, Graph) else TwoSectionView(g)
+    graph = TwoSectionView(g) if isinstance(g, Hypergraph) else g
+    rows = neighbor_rows(graph)
     _check_ratings(ratings, graph.n_nodes)
     rating = ratings.__getitem__
     out: Predictions = {}
-    for u, nbrs in enumerate(neighbor_rows(graph), start=1):
+    for u, nbrs in enumerate(rows, start=1):
         if not nbrs:
             out[u] = None
             continue

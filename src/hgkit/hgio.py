@@ -251,18 +251,8 @@ def read_json(text: str) -> Hypergraph:
         h._v2he[v - 1] = _parse_weight_object(obj, k, "v2he")
     for e, obj in enumerate(he2v, start=1):
         h._he2v[e - 1] = _parse_weight_object(obj, n, "he2v")
-    for v in h.vertices():
-        for e, w in h._v2he[v - 1].items():
-            if h._he2v[e - 1].get(v) != w:
-                raise DualInconsistencyError(
-                    f"cell (vertex {v}, hyperedge {e}) differs between directions"
-                )
-    for e in h.hyperedges():
-        for v in h._he2v[e - 1]:
-            if e not in h._v2he[v - 1]:
-                raise DualInconsistencyError(
-                    f"cell (vertex {v}, hyperedge {e}) present in he2v only"
-                )
+    if not h.check_dual_consistency():
+        raise DualInconsistencyError("v2he and he2v do not hold the same cells")
     h._vmeta = list(vmeta)
     h._hemeta = list(hemeta)
     return h

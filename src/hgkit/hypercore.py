@@ -28,6 +28,7 @@ from typing import Any, Iterable
 
 from .errors import (
     NonFiniteWeightError,
+    NonNumericWeightError,
     NonRectangularError,
     UnknownHyperedgeError,
     UnknownVertexError,
@@ -49,11 +50,17 @@ def check_id(i: Any, n: int, error: type[Exception], noun: str) -> None:
 
 
 def check_weight(value: Any) -> float:
-    """Coerce to float, rejecting NaN and infinities."""
-    w = float(value)
-    if not math.isfinite(w):
+    """A finite int or float weight as a float; bools, strings and other types are rejected."""
+    if type(value) is not float:
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise NonNumericWeightError(f"weight must be an int or float, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise NonFiniteWeightError("weight must be finite, got an int beyond the float range") from None
+    if not math.isfinite(value):
         raise NonFiniteWeightError(f"weight must be finite, got {value!r}")
-    return w
+    return value
 
 
 def _as_weight_map(memberships: Any, n: int, error: type[Exception], noun: str) -> WeightMap:
@@ -107,7 +114,7 @@ class Hypergraph:
         """Build from a dense n-by-k matrix of optional weights.
 
         A cell that is None means "not a member".  Rows must all have
-        the same length; weights must be finite.
+        the same length; weights must be finite ints or floats.
         """
         rows = [list(row) for row in matrix]
         n = len(rows)
@@ -340,8 +347,8 @@ class Hypergraph:
         hyperedge index is left unmatched: one pass proves both
         directions.
 
-        Intended for tests and debugging; mutators keep this true by
-        construction.
+        The mutators keep this true by construction; ``read_json`` runs
+        it on every document it reads.
         """
         columns = self._he2v
         k = len(columns)

@@ -4,16 +4,14 @@ Every graph kernel reads a :class:`Graph`: ``n_nodes`` plus
 ``neighbors(v)``, a mapping of neighbour to edge weight.
 :class:`BipartiteView` and :class:`TwoSectionView` derive each row on
 demand from the dual incidence indexes and copy nothing;
-:class:`CachedGraph` reads a graph's rows once for a caller that runs
-several kernels; call :func:`materialize` to freeze a graph into a
-plain weighted edge list (which carries no metadata).
+:func:`materialize` freezes any graph into a :class:`MaterializedGraph`
+that reads each row once, for a caller that runs several kernels.
+:func:`upper_rows` is the one walk that visits each edge once.
 """
 
 from __future__ import annotations
 
 from collections import _count_elements
-from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
@@ -24,10 +22,10 @@ __all__ = [
     "Graph",
     "BipartiteView",
     "TwoSectionView",
-    "CachedGraph",
     "MaterializedGraph",
     "co_member_counts",
     "neighbor_rows",
+    "upper_rows",
     "materialize",
 ]
 
@@ -53,6 +51,16 @@ def neighbor_rows(g: Graph) -> Iterator[Mapping[int, float]]:
     if not isinstance(g, Graph):
         raise TypeError(f"expected a weighted graph, got {type(g).__name__}")
     return map(g.neighbors, range(1, g.n_nodes + 1))
+
+
+def upper_rows(g: Graph) -> Iterator[tuple[int, Mapping[int, float], list[int]]]:
+    """``(u, row, higher)`` for u = 1..n ascending: u's row and its neighbours above u.
+
+    ``higher`` keeps the row's order; its pairs (u, v) visit every edge once, at
+    its lower endpoint.  Raises ``TypeError`` at once for an object that is not a graph.
+    """
+    rows = neighbor_rows(g)
+    return ((u, row, [v for v in row if v > u]) for u, row in enumerate(rows, start=1))
 
 
 def co_member_counts(rows: Iterable[Iterable[int]]) -> dict[int, int]:
@@ -89,9 +97,6 @@ class BipartiteView:
     def n_nodes(self) -> int:
         return self._h.nhv + self._h.nhe
 
-    def nodes(self) -> range:
-        return range(1, self.n_nodes + 1)
-
     def neighbors(self, node: int) -> dict[int, int]:
         """Map of adjacent node -> 1; hyperedge nodes carry the n offset.
 
@@ -126,9 +131,6 @@ class TwoSectionView:
     def n_nodes(self) -> int:
         return self._h.nhv
 
-    def nodes(self) -> range:
-        return range(1, self.n_nodes + 1)
-
     def neighbors(self, v: int) -> dict[int, int]:
         """Map of co-member vertex -> number of shared hyperedges.
 
@@ -143,12 +145,12 @@ class TwoSectionView:
         return counts
 
 
-class CachedGraph:
-    """A graph whose neighbour rows are read once, then served from memory.
+class MaterializedGraph:
+    """A graph frozen in memory: each neighbour row read once from a source graph.
 
-    The rows are the graph's own mappings, so their order and weights
-    are the graph's.  Pass one to every kernel of a command that would
-    otherwise derive the same rows again.
+    The rows are the source's own mappings, so their order and weights
+    are the source's.  Pass one to every kernel of a command that would
+    otherwise derive the same rows again.  No metadata survives.
     """
 
     __slots__ = ("n_nodes", "_rows")
@@ -161,44 +163,12 @@ class CachedGraph:
         check_id(v, self.n_nodes, UnknownNodeError, "node")
         return self._rows[v - 1]
 
-
-@dataclass
-class MaterializedGraph:
-    """Frozen weighted simple graph: node count plus a canonical edge list.
-
-    Edges are (u, v, weight) with u < v, sorted ascending, one entry per
-    unordered pair.  No metadata survives materialization.  The edge
-    list is not to be changed once ``neighbors`` has been called: the
-    rows are built from it once.
-    """
-
-    n_nodes: int
-    edges: list[tuple[int, int, float]] = field(default_factory=list)
-
-    def adjacency(self) -> dict[int, dict[int, float]]:
-        adj: dict[int, dict[int, float]] = {u: {} for u in range(1, self.n_nodes + 1)}
-        for u, v, w in self.edges:
-            adj[u][v] = w
-            adj[v][u] = w
-        return adj
-
-    @cached_property
-    def _rows(self) -> list[dict[int, float]]:
-        return list(self.adjacency().values())
-
-    def neighbors(self, v: int) -> dict[int, float]:
-        """Map of neighbour -> weight, in the order the edge list reaches it."""
-        check_id(v, self.n_nodes, UnknownNodeError, "node")
-        return self._rows[v - 1]
+    @property
+    def edges(self) -> list[tuple[int, int, float]]:
+        """Every edge once as (u, v, weight) with u < v, sorted ascending, weights as floats."""
+        return [(u, v, float(row[v])) for u, row, higher in upper_rows(self) for v in sorted(higher)]
 
 
 def materialize(view: Graph) -> MaterializedGraph:
     """Freeze any graph, a view included, into a MaterializedGraph."""
-    edges = [
-        (u, v, float(w))
-        for u, row in enumerate(neighbor_rows(view), start=1)
-        for v, w in row.items()
-        if u < v
-    ]
-    edges.sort()
-    return MaterializedGraph(n_nodes=view.n_nodes, edges=edges)
+    return MaterializedGraph(view)

@@ -20,7 +20,8 @@ modularity must reproduce bit for bit; ``reference_add_vertex``,
 ``reference_add_hyperedge``, ``reference_as_weight_map`` and
 ``reference_check_dual_consistency`` are the per-member id checks and
 the two-direction cell walk that the batched id check and the one-pass
-consistency check must agree with.
+consistency check must agree with.  ``EdgeListGraph`` is the oracles' own
+frozen graph: a canonical edge list whose rows are built from it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import fsum
 from typing import Iterable, Iterator, Mapping
 
@@ -40,7 +42,6 @@ from hgkit import (
     BipartiteView,
     Hypergraph,
     LpConfig,
-    MaterializedGraph,
     Partition,
     SAdjacency,
     TwoSectionView,
@@ -53,6 +54,7 @@ from hgkit.errors import (
     InvalidSError,
     MalformedRecordError,
     UnknownHyperedgeError,
+    UnknownNodeError,
     UnknownVertexError,
 )
 from hgkit.hgio import FORMAT_VERSION
@@ -214,6 +216,39 @@ def enumerated_betweenness(adj: dict[int, dict[int, int] | set[int]]) -> dict[in
     return score
 
 
+# --- reference frozen graph ---------------------------------------------------------------
+
+
+@dataclass
+class EdgeListGraph:
+    """Frozen weighted simple graph: node count plus a canonical edge list.
+
+    Edges are (u, v, weight) with u < v, sorted ascending, one entry per
+    unordered pair.  No metadata survives materialization.  The edge
+    list is not to be changed once ``neighbors`` has been called: the
+    rows are built from it once.
+    """
+
+    n_nodes: int
+    edges: list[tuple[int, int, float]] = field(default_factory=list)
+
+    def adjacency(self) -> dict[int, dict[int, float]]:
+        adj: dict[int, dict[int, float]] = {u: {} for u in range(1, self.n_nodes + 1)}
+        for u, v, w in self.edges:
+            adj[u][v] = w
+            adj[v][u] = w
+        return adj
+
+    @cached_property
+    def _rows(self) -> list[dict[int, float]]:
+        return list(self.adjacency().values())
+
+    def neighbors(self, v: int) -> dict[int, float]:
+        """Map of neighbour -> weight, in the order the edge list reaches it."""
+        check_id(v, self.n_nodes, UnknownNodeError, "node")
+        return self._rows[v - 1]
+
+
 # --- reference kernels (dict-keyed) ------------------------------------------------------
 
 
@@ -226,11 +261,11 @@ def reference_argmax_label(counts: Counter[int] | dict[int, float], rng: random.
 
 
 def reference_graph_label_propagation(
-    g: MaterializedGraph | TwoSectionView, config: LpConfig | None = None
+    g: EdgeListGraph | TwoSectionView, config: LpConfig | None = None
 ) -> tuple[Partition, int]:
     cfg = config or LpConfig()
     rng = random.Random(cfg.seed)
-    if isinstance(g, MaterializedGraph):
+    if isinstance(g, EdgeListGraph):
         adjacency = g.adjacency()
         neighbors = adjacency.__getitem__
     elif isinstance(g, TwoSectionView):
@@ -244,8 +279,7 @@ def reference_graph_label_propagation(
     order = list(nodes)
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        if cfg.shuffle_order:
-            rng.shuffle(order)
+        rng.shuffle(order)
         changed = False
         for v in order:
             counts: dict[int, float] = {}
@@ -276,9 +310,8 @@ def reference_hypergraph_label_propagation(
     eorder = list(h.hyperedges())
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        if cfg.shuffle_order:
-            rng.shuffle(eorder)
-            rng.shuffle(vorder)
+        rng.shuffle(eorder)
+        rng.shuffle(vorder)
         for e in eorder:
             members = h._he2v[e - 1]
             if not members:
@@ -506,8 +539,8 @@ def reference_write_json(h: Hypergraph) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def reference_materialize(view: BipartiteView | TwoSectionView) -> MaterializedGraph:
-    """Freeze a view into a MaterializedGraph."""
+def reference_materialize(view: BipartiteView | TwoSectionView) -> EdgeListGraph:
+    """Freeze a view into an EdgeListGraph."""
     if isinstance(view, BipartiteView):
         h = view.hypergraph
         n = h.nhv
@@ -517,20 +550,20 @@ def reference_materialize(view: BipartiteView | TwoSectionView) -> MaterializedG
             for v in h._he2v[e - 1]
         ]
         edges.sort()
-        return MaterializedGraph(n_nodes=view.n_nodes, edges=edges)
+        return EdgeListGraph(n_nodes=view.n_nodes, edges=edges)
     if isinstance(view, TwoSectionView):
         edges = [
             (u, v, float(w))
-            for u in view.nodes()
+            for u in range(1, view.n_nodes + 1)
             for v, w in view.neighbors(u).items()
             if u < v
         ]
         edges.sort()
-        return MaterializedGraph(n_nodes=view.n_nodes, edges=edges)
+        return EdgeListGraph(n_nodes=view.n_nodes, edges=edges)
     raise TypeError(f"cannot materialize {type(view).__name__}")
 
 
-def reference_dot_text(g: MaterializedGraph, name: str) -> str:
+def reference_dot_text(g: EdgeListGraph, name: str) -> str:
     def num(w: float) -> str:
         return str(int(w)) if float(w).is_integer() else repr(float(w))
 
@@ -595,7 +628,7 @@ def reference_forecast_graph(
     view = TwoSectionView(g) if isinstance(g, Hypergraph) else g
     _reference_check_ratings(ratings, view.n_nodes)
     out: dict[int, float | None] = {}
-    for u in view.nodes():
+    for u in range(1, view.n_nodes + 1):
         nbrs = view.neighbors(u)
         if not nbrs:
             out[u] = None
@@ -606,12 +639,12 @@ def reference_forecast_graph(
 
 
 def _reference_iter_weighted_edges(
-    g: MaterializedGraph | TwoSectionView,
+    g: EdgeListGraph | TwoSectionView,
 ) -> Iterator[tuple[int, int, float]]:
-    if isinstance(g, MaterializedGraph):
+    if isinstance(g, EdgeListGraph):
         yield from g.edges
     elif isinstance(g, TwoSectionView):
-        for u in g.nodes():
+        for u in range(1, g.n_nodes + 1):
             for v, w in g.neighbors(u).items():
                 if u < v:
                     yield (u, v, float(w))
@@ -620,7 +653,7 @@ def _reference_iter_weighted_edges(
 
 
 def reference_graph_modularity(
-    g: MaterializedGraph | TwoSectionView, partition: Partition
+    g: EdgeListGraph | TwoSectionView, partition: Partition
 ) -> float:
     """Newman modularity of a weighted simple graph partition.
 

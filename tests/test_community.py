@@ -38,7 +38,6 @@ class TestLpConfig:
         cfg = LpConfig()
         assert cfg.max_iterations == 100
         assert cfg.seed == 0
-        assert cfg.shuffle_order is True
 
     def test_rejects_nonpositive_iteration_cap(self):
         with pytest.raises(ValueError):

@@ -16,8 +16,10 @@ from helpers import (
 
 from hgkit import Hypergraph
 from hgkit.errors import (
+    ContractError,
     HgkitError,
     NonFiniteWeightError,
+    NonNumericWeightError,
     NonRectangularError,
     UnknownHyperedgeError,
     UnknownVertexError,
@@ -81,6 +83,28 @@ class TestWeights:
             with pytest.raises(NonFiniteWeightError):
                 h.set_weight(1, 1, bad)
         assert h.get_weight(1, 1) is None
+
+    def test_only_ints_and_floats_are_weights(self):
+        # Strings, bools and other non-numbers are rejected by every mutator,
+        # not coerced with float(); ints are stored as floats.
+        assert issubclass(NonNumericWeightError, ContractError)
+        for bad in ("2.5", "3", "x", True, False, b"1", [1.0], None.__class__):
+            h = Hypergraph(1, 1)
+            with pytest.raises(NonNumericWeightError):
+                h.set_weight(1, 1, bad)
+            with pytest.raises(NonNumericWeightError):
+                h.add_vertex({1: bad})
+            with pytest.raises(NonNumericWeightError):
+                h.add_hyperedge({1: bad})
+            with pytest.raises(NonNumericWeightError):
+                Hypergraph.from_incidence([[bad]])
+            assert h == Hypergraph(1, 1)
+        with pytest.raises(NonFiniteWeightError):
+            Hypergraph(1, 1).set_weight(1, 1, 10**400)
+        h = Hypergraph(1, 1)
+        h.set_weight(1, 1, 3)
+        v = h.add_vertex({1: 2})
+        assert [type(w) for w in (h.get_weight(1, 1), h.get_weight(v, 1))] == [float, float]
 
     def test_unknown_ids(self):
         h = Hypergraph(2, 2)

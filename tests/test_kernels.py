@@ -14,10 +14,10 @@ import pytest
 
 from hgkit import (
     BipartiteView,
-    CachedGraph,
     Hypergraph,
     LpConfig,
-    MaterializedGraph,
+    Partition,
+    SAdjacency,
     TwoSectionView,
     build_from_reviews,
     forecast_graph,
@@ -32,8 +32,10 @@ from hgkit import (
 )
 from hgkit.centrality import _brandes
 from hgkit.errors import EmptyGraphError
+from hgkit.views import upper_rows
 
 from helpers import (
+    EdgeListGraph,
     hypergraph_from_edges,
     random_hypergraph,
     random_partition,
@@ -108,16 +110,14 @@ CASES = _edge_cases() + _tie_cases() + _random_cases(7, 60, 12, 10) + _random_ca
 CONFIGS = [
     LpConfig(seed=0),
     LpConfig(seed=3, max_iterations=2),
-    LpConfig(seed=11, shuffle_order=False),
-    LpConfig(seed=5, max_iterations=1, shuffle_order=False),
 ]
 
 
-def _weighted_graph(h: Hypergraph, seed: int) -> MaterializedGraph:
+def _weighted_graph(h: Hypergraph, seed: int) -> EdgeListGraph:
     """Two-section edges with weights whose sums depend on summation order."""
     rng = random.Random(seed)
     edges = [(u, v, rng.choice((0.1, 0.2, 0.3, 0.7, 1e-3))) for u, v, _ in materialize(TwoSectionView(h)).edges]
-    return MaterializedGraph(n_nodes=h.nhv, edges=edges)
+    return EdgeListGraph(n_nodes=h.nhv, edges=edges)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=repr)
@@ -133,9 +133,10 @@ def test_hypergraph_lp_matches_reference(cfg):
 @pytest.mark.parametrize("cfg", CONFIGS, ids=repr)
 def test_graph_lp_matches_reference_on_views_and_materialized(cfg):
     for i, h in enumerate(CASES):
-        for g in (TwoSectionView(h), materialize(TwoSectionView(h)), _weighted_graph(h, i)):
+        view, weighted = TwoSectionView(h), _weighted_graph(h, i)
+        for reference_input, g in ((view, view), (view, materialize(view)), (weighted, weighted)):
             got = graph_label_propagation(g, cfg)
-            want = reference_graph_label_propagation(g, cfg)
+            want = reference_graph_label_propagation(reference_input, cfg)
             assert got[1] == want[1]
             assert got[0].labels == want[0].labels
             assert list(got[0].labels) == list(want[0].labels)
@@ -146,19 +147,18 @@ def test_graph_lp_sums_weights_in_adjacency_order():
     # through 0.6: summed in adjacency order the first wins outright
     # (0.6000000000000001), summed in any other order it ties.
     edges = [(1, 2, 10.0), (1, 3, 10.0), (1, 4, 10.0), (2, 9, 0.1), (3, 9, 0.2), (4, 9, 0.3), (8, 9, 0.6)]
-    g = MaterializedGraph(n_nodes=9, edges=edges)
+    g = EdgeListGraph(n_nodes=9, edges=edges)
     for seed in range(20):
-        for shuffle in (False, True):
-            cfg = LpConfig(seed=seed, shuffle_order=shuffle)
-            got = graph_label_propagation(g, cfg)
-            want = reference_graph_label_propagation(g, cfg)
-            assert (got[0].labels, got[1]) == (want[0].labels, want[1])
+        cfg = LpConfig(seed=seed)
+        got = graph_label_propagation(g, cfg)
+        want = reference_graph_label_propagation(g, cfg)
+        assert (got[0].labels, got[1]) == (want[0].labels, want[1])
 
 
 def test_graph_lp_on_cached_rows_matches_reference_on_the_graph():
     for i, h in enumerate(CASES):
         for g in (TwoSectionView(h), _weighted_graph(h, i), _unsorted_rows(_weighted_graph(h, i), i)):
-            cached = CachedGraph(g)
+            cached = materialize(g)
             for cfg in CONFIGS:
                 got = graph_label_propagation(cached, cfg)
                 want = reference_graph_label_propagation(g, cfg)
@@ -171,9 +171,34 @@ def test_graph_lp_still_rejects_non_graphs():
         graph_label_propagation(Hypergraph(2, 0))
 
 
-def test_cached_graph_rejects_non_graphs():
+NON_GRAPHS = {
+    "object": object(),
+    "SAdjacency": SAdjacency(s=1, n=2, _nbrs=[{2}, {1}]),
+    "dict": {1: {2: 1.0}, 2: {1: 1.0}},
+    "Hypergraph": hypergraph_from_edges(2, [(1, 2)]),
+}
+GRAPH_KERNELS = {
+    "graph_label_propagation": graph_label_propagation,
+    "graph_modularity": lambda g: graph_modularity(g, Partition({1: 1, 2: 1})),
+    "graph_degree_centrality": graph_degree_centrality,
+    "forecast_graph": lambda g: forecast_graph(g, {1: 1.0, 2: 2.0}),
+    "materialize": materialize,
+}
+
+
+@pytest.mark.parametrize(
+    "kernel, given",
+    [
+        (kernel, given)
+        for kernel in GRAPH_KERNELS
+        for given in NON_GRAPHS
+        # forecast_graph reads a hypergraph as its two-section view.
+        if not (kernel == "forecast_graph" and given == "Hypergraph")
+    ],
+)
+def test_graph_kernels_reject_non_graphs(kernel, given):
     with pytest.raises(TypeError):
-        CachedGraph(object())
+        GRAPH_KERNELS[kernel](NON_GRAPHS[given])
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -340,7 +365,7 @@ def test_forecasts_match_reference_bit_for_bit():
             assert _outcome(forecast_hypergraph, h, ratings) == want
             outcomes.add(want if isinstance(want, type) else list)
             want = _outcome(reference_forecast_graph, h, ratings)
-            for g in (h, view, CachedGraph(view)):
+            for g in (h, view, materialize(view)):
                 assert _outcome(forecast_graph, g, ratings) == want
             outcomes.add(want if isinstance(want, type) else list)
     # Between them the cases reach finite results, overflow and inf - inf.
@@ -370,7 +395,7 @@ def test_hypergraph_forecast_keeps_member_and_row_order():
     assert _outcome(forecast_hypergraph, h, ratings) == want
 
 
-def _unsorted_rows(g: MaterializedGraph, seed: int) -> MaterializedGraph:
+def _unsorted_rows(g: EdgeListGraph, seed: int) -> EdgeListGraph:
     """The same edges, grouped by lower endpoint, each group shuffled.
 
     Each node's higher neighbours then reach its row out of id order,
@@ -384,7 +409,7 @@ def _unsorted_rows(g: MaterializedGraph, seed: int) -> MaterializedGraph:
     for u in sorted(groups):
         rng.shuffle(groups[u])
         edges += groups[u]
-    return MaterializedGraph(n_nodes=g.n_nodes, edges=edges)
+    return EdgeListGraph(n_nodes=g.n_nodes, edges=edges)
 
 
 def test_graph_modularity_matches_reference_bit_for_bit():
@@ -393,10 +418,10 @@ def test_graph_modularity_matches_reference_bit_for_bit():
         view = TwoSectionView(h)
         materialized = materialize(view)
         assert materialized.edges == reference_materialize(view).edges
-        graphs = [(view, view), (view, CachedGraph(view)), (materialized, materialized)]
+        graphs = [(view, view), (view, materialized)]
         weighted = _weighted_graph(h, i)
         unsorted = _unsorted_rows(weighted, i)
-        graphs += [(weighted, weighted), (unsorted, unsorted), (unsorted, CachedGraph(unsorted))]
+        graphs += [(weighted, weighted), (unsorted, unsorted), (unsorted, materialize(unsorted))]
         for _ in range(3):
             p = random_partition(rng, h.vertices())
             for reference_input, g in graphs:
@@ -411,13 +436,14 @@ def test_graph_modularity_matches_reference_bit_for_bit():
 
 def test_graph_kernels_on_bipartite_views_match_reference():
     # The incidence graph is a unit-weight graph: every graph kernel
-    # runs on it as on any other, and on its cached rows.
+    # runs on it as on any other, and on its materialized rows.
     rng = random.Random(47)
     for h in GRAPH_CASES:
         view = BipartiteView(h)
         frozen = reference_materialize(view)
-        assert materialize(view) == frozen
-        for g in (view, CachedGraph(view)):
+        materialized = materialize(view)
+        assert (materialized.n_nodes, materialized.edges) == (frozen.n_nodes, frozen.edges)
+        for g in (view, materialized):
             for cfg in CONFIGS:
                 got = graph_label_propagation(g, cfg)
                 want = reference_graph_label_propagation(frozen, cfg)
@@ -438,13 +464,33 @@ def test_graph_kernels_on_bipartite_views_match_reference():
             assert _outcome(forecast_graph, g, ratings) == want
 
 
-def test_materialized_rows_are_built_once(monkeypatch):
-    g = _weighted_graph(hypergraph_from_edges(4, [(1, 2, 3), (3, 4), (2, 4)]), 0)
+def test_materialized_rows_are_built_once():
+    # Each source row is read once, when the graph is frozen, and served
+    # as it is: the same mapping, in its order and with its int weights.
+    view = TwoSectionView(hypergraph_from_edges(4, [(3, 1, 2), (3, 4), (2, 4)]))
     calls = []
-    build = MaterializedGraph.adjacency
-    monkeypatch.setattr(MaterializedGraph, "adjacency", lambda self: calls.append(1) or build(self))
+    source = type("Source", (), {"n_nodes": 4, "neighbors": lambda self, v: calls.append(v) or view.neighbors(v)})()
+    g = materialize(source)
+    assert calls == [1, 2, 3, 4]
     first = [g.neighbors(v) for v in range(1, 5)]
     again = [g.neighbors(v) for v in range(1, 5)]
-    assert len(calls) == 1
-    assert first == list(build(g).values())
+    assert calls == [1, 2, 3, 4]
     assert all(a is b for a, b in zip(first, again))
+    assert [list(row.items()) for row in first] == [list(view.neighbors(v).items()) for v in range(1, 5)]
+    assert g.neighbors(1) == {3: 1, 2: 1} and type(g.neighbors(1)[3]) is int
+    assert g.edges == [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)]
+
+
+def test_upper_rows_visit_each_edge_once_at_its_lower_endpoint_in_row_order():
+    for i, h in enumerate(GRAPH_CASES):
+        for view in (TwoSectionView(h), BipartiteView(h), _unsorted_rows(_weighted_graph(h, i), i)):
+            walked = list(upper_rows(view))
+            assert [u for u, _, _ in walked] == list(range(1, view.n_nodes + 1))
+            for u, row, higher in walked:
+                assert row == view.neighbors(u)
+                assert higher == [v for v in view.neighbors(u) if v > u]
+            pairs = [(u, v) for u, _, higher in walked for v in higher]
+            assert len(pairs) == len(set(pairs))
+            assert sorted(pairs) == [
+                (u, v) for u in range(1, view.n_nodes + 1) for v in sorted(view.neighbors(u)) if u < v
+            ]
