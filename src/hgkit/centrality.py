@@ -7,7 +7,6 @@ hop lengths; geodesic counts are exact integers.
 
 from __future__ import annotations
 
-import statistics
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -230,6 +229,8 @@ def pearson(
     keys = sorted(sx)
     if len(keys) < 2:
         raise ZeroVarianceError("correlation needs at least two vertices")
+    import statistics  # kept off the import of every CLI command
+
     try:
         return statistics.correlation([sx[k] for k in keys], [sy[k] for k in keys])
     except statistics.StatisticsError as exc:

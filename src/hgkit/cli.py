@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections import Counter
 from itertools import chain
 from pathlib import Path
@@ -463,6 +462,8 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     # Every command that writes a manifest reads one --input.
     if getattr(replay, "input", None) is not None:
         replay.input = str(base / replay.input)
+    import tempfile  # only rerun needs it; kept off every other command's start-up
+
     with tempfile.TemporaryDirectory() as tmp:
         if getattr(replay, "output", None):
             replay.output = str(Path(tmp) / Path(replay.output).name)

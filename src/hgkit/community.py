@@ -13,15 +13,19 @@ Both start from unique per-vertex labels, break frequency ties
 uniformly at random from the seeded source, shuffle processing order
 every iteration, and stop after a sweep that changes no vertex label
 or after ``max_iterations`` sweeps.  Fixed seed means bit-identical
-output.
+output.  Draws and shuffles call the generator's ``getrandbits``
+directly but consume it exactly as ``randrange`` and ``shuffle`` do, so
+the partitions are those of a sweep written with ``random``'s own
+methods.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, _count_elements
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -44,67 +48,75 @@ class LpConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
+            raise ValueError(f"max_iterations must be an int, not {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
 
-def _argmax_label(labels: list[int], weights: Iterable[float], rng: random.Random) -> int:
-    """The label with the largest total weight.
+def _draw(tied: list[int], getrandbits: Callable[[int], int]) -> int:
+    """``tied[rng.randrange(len(tied))]``, given ``rng.getrandbits``.
 
-    Weights are summed per label in the order given.  A tie is broken by one
-    ``rng.randrange`` over the tied labels in ascending order; without a
-    tie ``rng`` is not touched.
+    Draws ``len(tied).bit_length()`` bits until the value is below
+    ``len(tied)``: the bits ``Random._randbelow_with_getrandbits``
+    draws for ``randrange``, so the result and the generator state are
+    the same.  Even a one-label list consumes bits, so callers draw only
+    on a tie.
     """
-    first = labels[0]
+    n = len(tied)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return tied[r]
+
+
+def _shuffle(x: list[int], getrandbits: Callable[[int], int]) -> None:
+    """``rng.shuffle(x)``, given ``rng.getrandbits``.
+
+    Each swap index is drawn as in ``_draw``, inlined: this loop makes
+    one draw per element every sweep.
+    """
+    for i in reversed(range(1, len(x))):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _argmax_labels(labels: list[int], weights: Iterable[float]) -> list[int]:
+    """The labels with the largest total weight, in ascending order.
+
+    Weights are summed per label in the order given.
+    """
     if len(labels) == 1:
-        return first
+        return labels
     tally: dict[int, float] = {}
     for lab, w in zip(labels, weights):
         tally[lab] = tally.get(lab, 0.0) + w
     if len(tally) == 1:
-        return first
+        return labels[:1]
     best = max(tally.values())
-    candidates = [lab for lab, c in tally.items() if c == best]
-    if len(candidates) == 1:
-        return candidates[0]
-    candidates.sort()
-    return candidates[rng.randrange(len(candidates))]
-
-
-# Above this many element comparisons (distinct labels times labels),
-# one ``Counter`` pass beats a ``count`` scan per distinct label.
-_COUNT_SCAN_LIMIT = 256
-
-
-def _most_frequent_label(labels: Sequence[int], rng: random.Random) -> int:
-    """The most frequent label, ties broken as in ``_argmax_label``.
-
-    Counting runs in C: one ``set``, then one ``count`` scan per
-    distinct label (one ``Counter`` pass for long, varied rows), skipped
-    when every label agrees or every label differs.
-    """
-    distinct = set(labels)
-    if len(distinct) == 1:
-        return labels[0]
-    if len(distinct) == len(labels):
-        tied = sorted(distinct)
-        return tied[rng.randrange(len(tied))]
-    if len(distinct) * len(labels) <= _COUNT_SCAN_LIMIT:
-        counts = zip(distinct, map(labels.count, distinct))
-    else:
-        counts = Counter(labels).items()
-    best = 0
-    tied = []
-    for lab, c in counts:
-        if c > best:
-            best = c
-            tied = [lab]
-        elif c == best:
-            tied.append(lab)
-    if len(tied) == 1:
-        return tied[0]
+    tied = [lab for lab, c in tally.items() if c == best]
     tied.sort()
-    return tied[rng.randrange(len(tied))]
+    return tied
+
+
+def _most_frequent_labels(labels: Sequence[int]) -> list[int]:
+    """The most frequent labels, in ascending order.
+
+    One C tally pass (``Counter``'s own loop) into a plain dict, then
+    the tied labels picked out in C; when every label differs, all of
+    them tie.
+    """
+    counts: dict[int, int] = {}
+    _count_elements(counts, labels)
+    if len(counts) == len(labels):
+        return sorted(counts)
+    best = max(counts.values())
+    return sorted(compress(counts, map(best.__eq__, counts.values())))
 
 
 def _gathers(rows: list[dict[int, float]]) -> list[Callable[[list[int]], Sequence[int]] | None]:
@@ -141,7 +153,7 @@ def graph_label_propagation(
     fixed seed gives a bit-identical partition and iteration count.
     """
     cfg = config or LpConfig()
-    rng = random.Random(cfg.seed)
+    getrandbits = random.Random(cfg.seed).getrandbits
     rows = neighbor_rows(g)
     n = g.n_nodes
     if n == 0:
@@ -151,13 +163,14 @@ def graph_label_propagation(
     order = list(range(1, n + 1))
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        rng.shuffle(order)
+        _shuffle(order, getrandbits)
         changed = False
         for v in order:
             row = nbrs[v]
             if not row:
                 continue
-            new = _argmax_label([labels[u] for u in row], row.values(), rng)
+            tied = _argmax_labels([labels[u] for u in row], row.values())
+            new = tied[0] if len(tied) == 1 else _draw(tied, getrandbits)
             if new != labels[v]:
                 labels[v] = new
                 changed = True
@@ -182,32 +195,49 @@ def hypergraph_label_propagation(
     matter; ties draw from the same ascending candidate list as a
     dict-keyed sweep, so a fixed seed gives a bit-identical partition
     and iteration count.
+
+    A vertex's tied labels depend only on its hyperedges' labels, so
+    each vertex keeps its last tie list and is recounted only after one
+    of its hyperedges took a new label in this sweep's phase one.  It
+    still draws from that list in its turn, so the generator advances
+    as in a sweep that recounts every vertex.
     """
     cfg = config or LpConfig()
-    rng = random.Random(cfg.seed)
+    getrandbits = random.Random(cfg.seed).getrandbits
     n, k = h.nhv, h.nhe
     if n == 0:
         return Partition({}), 0
+    erows = [{}, *h._he2v]
     members = _gathers(h._he2v)
     incident = _gathers(h._v2he)
     vlabels = list(range(n + 1))
     elabels = [0] * (k + 1)
+    vties: list[list[int] | None] = [None] * (n + 1)
     vorder = list(range(1, n + 1))
     eorder = list(range(1, k + 1))
     iterations = 0
     for iterations in range(1, cfg.max_iterations + 1):
-        rng.shuffle(eorder)
-        rng.shuffle(vorder)
+        _shuffle(eorder, getrandbits)
+        _shuffle(vorder, getrandbits)
+        stale: set[int] = set()
         for e in eorder:
             gather = members[e]
-            if gather is not None:
-                elabels[e] = _most_frequent_label(gather(vlabels), rng)
-        changed = False
-        for v in vorder:
-            gather = incident[v]
             if gather is None:
                 continue
-            new = _most_frequent_label(gather(elabels), rng)
+            tied = _most_frequent_labels(gather(vlabels))
+            new = tied[0] if len(tied) == 1 else _draw(tied, getrandbits)
+            if new != elabels[e]:
+                elabels[e] = new
+                stale.update(erows[e])
+        changed = False
+        for v in vorder:
+            if v in stale:
+                tied = vties[v] = _most_frequent_labels(incident[v](elabels))
+            else:
+                tied = vties[v]
+                if tied is None:
+                    continue
+            new = tied[0] if len(tied) == 1 else _draw(tied, getrandbits)
             if new != vlabels[v]:
                 vlabels[v] = new
                 changed = True

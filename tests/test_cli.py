@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hgkit
 from hgkit import Partition, TwoSectionView, read_hgf, write_json
 from hgkit.cli import _read_scores_csv, main
 
@@ -815,3 +819,18 @@ class TestParserLimits:
         assert (code, out) == (3, "")
         assert err.startswith(message)
         assert err.count("\n") == 1
+
+
+def test_importing_the_cli_loads_neither_statistics_nor_tempfile():
+    # -S keeps site hooks, which may import either module themselves, out
+    # of the interpreter; the package directory goes on the path by hand.
+    package_root = str(Path(hgkit.__file__).resolve().parent.parent)
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import hgkit.cli; "
+        "print(sorted({'statistics', 'tempfile'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, package_root],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "[]\n"

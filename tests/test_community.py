@@ -20,6 +20,7 @@ from hgkit import (
     materialize,
     nmi,
 )
+from hgkit.community import _draw, _shuffle
 from hgkit.errors import DomainMismatchError, EmptyDomainError
 
 from helpers import hypergraph_from_edges, planted_two_cluster, random_hypergraph
@@ -42,6 +43,45 @@ class TestLpConfig:
     def test_rejects_nonpositive_iteration_cap(self):
         with pytest.raises(ValueError):
             LpConfig(max_iterations=0)
+
+    def test_rejects_a_float_iteration_cap(self):
+        with pytest.raises(ValueError):
+            LpConfig(max_iterations=2.5)
+
+    def test_rejects_a_bool_iteration_cap(self):
+        with pytest.raises(ValueError):
+            LpConfig(max_iterations=True)
+
+    def test_rejects_a_string_iteration_cap(self):
+        with pytest.raises(ValueError):
+            LpConfig(max_iterations="3")
+
+
+# Every length from 1 to 130 covers each 2**k and 2**k + 1 up to 129,
+# where the number of bits drawn per index changes.
+DRAW_LENGTHS = range(1, 131)
+
+
+class TestDrawsMatchRandom:
+    """The LPs' own draws consume the generator as ``random``'s methods do."""
+
+    def test_shuffle_matches_random_shuffle(self):
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for n in DRAW_LENGTHS:
+                x, y = list(range(n)), list(range(n))
+                _shuffle(x, ours.getrandbits)
+                theirs.shuffle(y)
+                assert x == y
+                assert ours.getstate() == theirs.getstate()
+
+    def test_draw_matches_randrange(self):
+        for seed in range(50):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for n in DRAW_LENGTHS:
+                tied = list(range(100, 100 + n))
+                assert _draw(tied, ours.getrandbits) == tied[theirs.randrange(len(tied))]
+                assert ours.getstate() == theirs.getstate()
 
 
 class TestGraphLabelPropagation:

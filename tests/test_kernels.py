@@ -290,6 +290,51 @@ def test_hypergraph_lp_matches_reference_at_review_scale(max_iterations):
         assert list(got[0].labels) == list(want[0].labels)
 
 
+def _cached_tie_case(seed: int) -> Hypergraph:
+    """Six planted clusters joined by small random bridge hyperedges.
+
+    Each cluster of ten is covered by two overlapping core hyperedges,
+    which settle on one label and keep it; the bridges join members of
+    different clusters, tie between their labels and keep relabelling.
+    A vertex in one core hyperedge and one bridge then ties or not
+    depending on the bridge's latest label, so a vertex whose tie list
+    is reused after its bridge relabelled draws from the wrong list.
+    """
+    rng = random.Random(seed)
+    clusters, size = 6, 10
+    edges = []
+    for c in range(clusters):
+        vs = list(range(c * size + 1, c * size + size + 1))
+        rng.shuffle(vs)
+        edges += [tuple(sorted(vs[:6])), tuple(sorted(vs[4:]))]
+    for _ in range(30):
+        a, b = rng.sample(range(clusters), 2)
+        bridge = {rng.randint(a * size + 1, a * size + size), rng.randint(b * size + 1, b * size + size)}
+        if rng.random() < 0.3:
+            bridge.add(rng.randint(1, clusters * size))
+        edges.append(tuple(sorted(bridge)))
+    rng.shuffle(edges)
+    return hypergraph_from_edges(clusters * size, edges)
+
+
+@pytest.mark.parametrize("max_iterations", [20, 100])
+def test_hypergraph_lp_recounts_every_member_of_a_relabelled_hyperedge(max_iterations):
+    sweeps = []
+    for case in range(3):
+        h = _cached_tie_case(case)
+        assert all(len(row) >= 1 for row in h._v2he) and max(len(row) for row in h._v2he) >= 3
+        for seed in range(5):
+            cfg = LpConfig(seed=seed, max_iterations=max_iterations)
+            got = hypergraph_label_propagation(h, cfg)
+            want = reference_hypergraph_label_propagation(h, cfg)
+            assert got[1] == want[1]
+            assert got[0].labels == want[0].labels
+            sweeps.append(want[1])
+    # Some runs still relabel in their last sweep, so the comparison
+    # covers late sweeps as well as the first, where every vertex is stale.
+    assert max_iterations in sweeps
+
+
 # --- two-section rows, forecasts and modularity -----------------------------------------
 
 
