@@ -88,18 +88,19 @@ def induced_subhypergraph(
     kept = sorted(set(keep))
     vmap: IdRemap = {old: new for new, old in enumerate(kept, start=1)}
     emap: IdRemap = {}
-    sub = Hypergraph(len(kept), 0)
-    for new_v, old_v in enumerate(kept, start=1):
-        sub._vmeta[new_v - 1] = h._vmeta[old_v - 1]
-    for old_e in h.hyperedges():
-        members = {
-            vmap[v]: w for v, w in h._he2v[old_e - 1].items() if v in vmap
-        }
+    vmeta = [h._vmeta[v - 1] for v in kept]
+    v2he: list[dict[int, float]] = [{} for _ in kept]
+    he2v: list[dict[int, float]] = []
+    for old_e, column in enumerate(h._he2v, start=1):
+        members = {vmap[v]: w for v, w in column.items() if v in vmap}
         if not members:
             continue
-        new_e = sub.add_hyperedge(members, meta=h._hemeta[old_e - 1])
-        emap[old_e] = new_e
-    return sub, vmap, emap
+        he2v.append(members)
+        new_e = emap[old_e] = len(he2v)
+        for v, w in members.items():
+            v2he[v - 1][new_e] = w
+    hemeta = [h._hemeta[old_e - 1] for old_e in emap]
+    return Hypergraph._from_rows(v2he, he2v, vmeta, hemeta), vmap, emap
 
 
 def largest_connected_component(h: Hypergraph) -> tuple[Hypergraph, IdRemap]:

@@ -52,6 +52,8 @@ class LpConfig:
             raise ValueError(f"max_iterations must be an int, not {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, not {self.seed!r}")
 
 
 def _draw(tied: list[int], getrandbits: Callable[[int], int]) -> int:

@@ -6,7 +6,9 @@ Text format (HGF)
     order.  Weights are written in shortest round-trip float form (so
     they always carry a decimal point or an exponent).  An empty
     hyperedge is an empty line.  Metadata is not part of this format.
-    Readers tolerate extra blanks between tokens.
+    Readers tolerate extra blanks between tokens.  A header may declare
+    at most ``MAX_HGF_VERTICES`` vertices, since a row is allocated for
+    each before any hyperedge line is read.
 
 JSON format
     Object with ``format_version`` (1), ``n``, ``k``, ``v2he`` and
@@ -47,6 +49,7 @@ from .hypercore import Hypergraph
 
 __all__ = [
     "FORMAT_VERSION",
+    "MAX_HGF_VERTICES",
     "hgf_chunks",
     "json_chunks",
     "write_hgf",
@@ -62,6 +65,8 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
+# 2**21 admits the paper's Yelp scale (about 1.6 million users) even with users as vertices.
+MAX_HGF_VERTICES = 2**21
 
 
 # --- HGF text format -----------------------------------------------------------
@@ -93,13 +98,16 @@ def read_hgf(text: str) -> Hypergraph:
         ) from None
     if n < 0 or k < 0:
         raise MalformedHeaderError("vertex and hyperedge counts must be non-negative")
+    if n > MAX_HGF_VERTICES:
+        raise MalformedHeaderError(f"header declares {n} vertices, above the limit of {MAX_HGF_VERTICES}")
     body = lines[1:]
     if len(body) != k:
         raise LineCountMismatchError(
             f"expected {k} hyperedge lines, found {len(body)}"
         )
-    h = Hypergraph(n, k)
-    for e, line in enumerate(body, start=1):
+    v2he: list[dict[int, float]] = [{} for _ in range(n)]
+    he2v: list[dict[int, float]] = [{} for _ in range(k)]
+    for e, (line, col) in enumerate(zip(body, he2v), start=1):
         for token in line.split():
             left, sep, right = token.partition("=")
             if not sep or not left or not right:
@@ -120,11 +128,11 @@ def read_hgf(text: str) -> Hypergraph:
                 raise IndexOutOfRangeError(
                     f"vertex {v} outside 1..{n} on hyperedge line {e}"
                 )
-            if v in h._he2v[e - 1]:
+            if v in col:
                 raise BadWeightTokenError(f"vertex {v} appears twice on hyperedge line {e}")
-            h._v2he[v - 1][e] = w
-            h._he2v[e - 1][v] = w
-    return h
+            col[v] = w
+            v2he[v - 1][e] = w
+    return Hypergraph._from_rows(v2he, he2v, [None] * n, [None] * k)
 
 
 # --- JSON format -----------------------------------------------------------------
@@ -246,15 +254,14 @@ def read_json(text: str) -> Hypergraph:
     if "\\u" in text:
         strings = [m for m in (*vmeta, *hemeta) if isinstance(m, str)]
         _check_encodable(strings, SchemaViolationError, "metadata")
-    h = Hypergraph(n, k)
-    for v, obj in enumerate(v2he, start=1):
-        h._v2he[v - 1] = _parse_weight_object(obj, k, "v2he")
-    for e, obj in enumerate(he2v, start=1):
-        h._he2v[e - 1] = _parse_weight_object(obj, n, "he2v")
+    h = Hypergraph._from_rows(
+        [_parse_weight_object(obj, k, "v2he") for obj in v2he],
+        [_parse_weight_object(obj, n, "he2v") for obj in he2v],
+        list(vmeta),
+        list(hemeta),
+    )
     if not h.check_dual_consistency():
         raise DualInconsistencyError("v2he and he2v do not hold the same cells")
-    h._vmeta = list(vmeta)
-    h._hemeta = list(hemeta)
     return h
 
 
@@ -373,12 +380,9 @@ def build_from_reviews(
             e = user_ids[user] = len(he2v)
         v2he[v - 1][e] = 1.0
         he2v[e - 1][v] = 1.0
-    h = Hypergraph(0, 0)
-    h._v2he, h._he2v = v2he, he2v
     item_labels = list(item_ids)
     user_labels = list(user_ids)
-    h._vmeta = list(item_labels)
-    h._hemeta = list(user_labels)
+    h = Hypergraph._from_rows(v2he, he2v, list(item_labels), list(user_labels))
     return h, item_labels, user_labels
 
 
@@ -410,9 +414,5 @@ def build_from_scenes(
             v2he[v - 1][e] = 1.0
         he2v.append(col)
         scene_ids.append(scene_id)
-    h = Hypergraph(0, 0)
-    h._v2he, h._he2v = v2he, he2v
     labels = list(char_ids)
-    h._vmeta = list(labels)
-    h._hemeta = scene_ids
-    return h, labels
+    return Hypergraph._from_rows(v2he, he2v, list(labels), scene_ids), labels

@@ -5,8 +5,11 @@ vertices (ids 1..n), columns are hyperedges (ids 1..k), and a present
 cell (v, e) means v is a member of e with that weight.  Present cells
 are stored twice, in a per-vertex and a per-hyperedge hash map, so
 incidence queries cost O(1) from either side regardless of n and k.
-Every mutator updates the two indexes together; nothing else in the
-package writes to them.
+This module is the only writer of the indexes and their metadata lists;
+other modules only read them.  The mutators update both indexes together.
+Readers that build a whole hypergraph at once pass their finished lists
+to ``Hypergraph._from_rows``, which adopts them without copying or
+checking: its callers check ids, weights and that the two sides agree.
 
 Member ids are plain ``int`` ids in range; bools, floats and strings
 are rejected, not coerced.  ``add_vertex`` and ``add_hyperedge`` check
@@ -89,6 +92,39 @@ def _as_weight_map(memberships: Any, n: int, error: type[Exception], noun: str) 
     return members
 
 
+def _append(own: list[WeightMap], other: list[WeightMap], meta: list, members: WeightMap, value: Any) -> int:
+    """Append checked ``members`` as the next id of ``own`` and mirror them into ``other``."""
+    i = len(own) + 1
+    own.append(members)
+    meta.append(value)
+    for j, w in members.items():
+        other[j - 1][i] = w
+    return i
+
+
+def _swap_remove(own: list[WeightMap], other: list[WeightMap], meta: list, i: int) -> IdRemap:
+    """Remove checked id ``i`` of ``own``; the last id moves into its slot.
+
+    Each cell of the moved id in ``other`` is deleted and re-inserted
+    under its new id.  Returns the remap {old_id: new_id}.
+    """
+    last = len(own)
+    for j in own[i - 1]:
+        del other[j - 1][i]
+    remap: IdRemap = {}
+    if i != last:
+        moved = own[i - 1] = own[last - 1]
+        meta[i - 1] = meta[last - 1]
+        for j, w in moved.items():
+            cells = other[j - 1]
+            del cells[last]
+            cells[i] = w
+        remap[last] = i
+    own.pop()
+    meta.pop()
+    return remap
+
+
 class Hypergraph:
     """Mutable weighted hypergraph with optional per-id metadata.
 
@@ -117,20 +153,24 @@ class Hypergraph:
         the same length; weights must be finite ints or floats.
         """
         rows = [list(row) for row in matrix]
-        n = len(rows)
         k = len(rows[0]) if rows else 0
         for row in rows:
             if len(row) != k:
                 raise NonRectangularError(
                     f"incidence rows must share one length, saw {len(row)} and {k}"
                 )
-        h = cls(n, k)
-        for v, row in enumerate(rows, start=1):
-            for e, cell in enumerate(row, start=1):
-                if cell is not None:
-                    w = check_weight(cell)
-                    h._v2he[v - 1][e] = w
-                    h._he2v[e - 1][v] = w
+        v2he = [{e: check_weight(c) for e, c in enumerate(row, start=1) if c is not None} for row in rows]
+        he2v: list[WeightMap] = [{} for _ in range(k)]
+        for v, row in enumerate(v2he, start=1):
+            for e, w in row.items():
+                he2v[e - 1][v] = w
+        return cls._from_rows(v2he, he2v, [None] * len(rows), [None] * k)
+
+    @classmethod
+    def _from_rows(cls, v2he: list[WeightMap], he2v: list[WeightMap], vmeta: list, hemeta: list) -> "Hypergraph":
+        """Adopt the four lists as they are; the caller has checked that the two sides agree."""
+        h = cls.__new__(cls)
+        h._v2he, h._he2v, h._vmeta, h._hemeta = v2he, he2v, vmeta, hemeta
         return h
 
     # --- sizes and iteration -----------------------------------------------
@@ -213,22 +253,12 @@ class Hypergraph:
         vertex id.
         """
         members = _as_weight_map(hyperedges, len(self._he2v), UnknownHyperedgeError, "hyperedge")
-        v = len(self._v2he) + 1
-        self._v2he.append(members)
-        self._vmeta.append(meta)
-        for e, w in members.items():
-            self._he2v[e - 1][v] = w
-        return v
+        return _append(self._v2he, self._he2v, self._vmeta, members, meta)
 
     def add_hyperedge(self, vertices: Any = None, meta: Any = None) -> int:
         """Append a hyperedge; optional memberships are applied atomically."""
         members = _as_weight_map(vertices, len(self._v2he), UnknownVertexError, "vertex")
-        e = len(self._he2v) + 1
-        self._he2v.append(members)
-        self._hemeta.append(meta)
-        for v, w in members.items():
-            self._v2he[v - 1][e] = w
-        return e
+        return _append(self._he2v, self._v2he, self._hemeta, members, meta)
 
     def remove_vertex(self, v: int) -> IdRemap:
         """Remove v; the last vertex takes its id.
@@ -237,42 +267,12 @@ class Hypergraph:
         was already the last one).
         """
         self._check_vertex(v)
-        n = self.nhv
-        for e in self._v2he[v - 1]:
-            del self._he2v[e - 1][v]
-        remap: IdRemap = {}
-        if v != n:
-            moved = self._v2he[n - 1]
-            self._v2he[v - 1] = moved
-            self._vmeta[v - 1] = self._vmeta[n - 1]
-            for e, w in moved.items():
-                column = self._he2v[e - 1]
-                del column[n]
-                column[v] = w
-            remap[n] = v
-        self._v2he.pop()
-        self._vmeta.pop()
-        return remap
+        return _swap_remove(self._v2he, self._he2v, self._vmeta, v)
 
     def remove_hyperedge(self, e: int) -> IdRemap:
         """Remove e; the last hyperedge takes its id."""
         self._check_hyperedge(e)
-        k = self.nhe
-        for v in self._he2v[e - 1]:
-            del self._v2he[v - 1][e]
-        remap: IdRemap = {}
-        if e != k:
-            moved = self._he2v[k - 1]
-            self._he2v[e - 1] = moved
-            self._hemeta[e - 1] = self._hemeta[k - 1]
-            for v, w in moved.items():
-                row = self._v2he[v - 1]
-                del row[k]
-                row[e] = w
-            remap[k] = e
-        self._he2v.pop()
-        self._hemeta.pop()
-        return remap
+        return _swap_remove(self._he2v, self._v2he, self._hemeta, e)
 
     # --- metadata ------------------------------------------------------------
 
@@ -300,12 +300,8 @@ class Hypergraph:
         return [[row.get(e) for e in range(1, k + 1)] for row in self._v2he]
 
     def copy(self) -> "Hypergraph":
-        dup = Hypergraph.__new__(Hypergraph)
-        dup._v2he = [dict(row) for row in self._v2he]
-        dup._he2v = [dict(col) for col in self._he2v]
-        dup._vmeta = list(self._vmeta)
-        dup._hemeta = list(self._hemeta)
-        return dup
+        rows = [dict(row) for row in self._v2he], [dict(col) for col in self._he2v]
+        return Hypergraph._from_rows(*rows, list(self._vmeta), list(self._hemeta))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):

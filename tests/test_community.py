@@ -56,6 +56,16 @@ class TestLpConfig:
         with pytest.raises(ValueError):
             LpConfig(max_iterations="3")
 
+    @pytest.mark.parametrize("seed", [None, True, 1.0, "7", random.Random(0)])
+    def test_rejects_a_seed_that_is_not_an_int(self, seed):
+        # None would seed from OS entropy and make every run different.
+        with pytest.raises(ValueError, match="seed must be an int"):
+            LpConfig(seed=seed)
+
+    def test_accepts_negative_and_large_int_seeds(self):
+        assert LpConfig(seed=-1).seed == -1
+        assert LpConfig(seed=2**80).seed == 2**80
+
 
 # Every length from 1 to 130 covers each 2**k and 2**k + 1 up to 129,
 # where the number of bits drawn per index changes.

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -35,6 +36,7 @@ from hgkit.errors import (
 )
 
 from hgkit.cli import main
+from hgkit.hgio import MAX_HGF_VERTICES
 
 from helpers import (
     hypergraph_from_edges,
@@ -92,6 +94,18 @@ class TestHgf:
     def test_malformed_header(self, text):
         with pytest.raises(MalformedHeaderError):
             read_hgf(text)
+
+    def test_header_above_the_vertex_ceiling_is_refused_before_allocation(self):
+        assert MAX_HGF_VERTICES >= 1_600_000  # the paper's Yelp scale
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedHeaderError, match="above the limit") as info:
+                read_hgf(f"{MAX_HGF_VERTICES + 1} 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.exit_code == 3
+        assert peak < 1 << 20
 
     def test_line_count_mismatch(self):
         with pytest.raises(LineCountMismatchError):
