@@ -20,8 +20,9 @@ from .errors import (
     NoHyperedgesError,
     NoUsableHyperedgesError,
     PartitionNotTotalError,
+    UnknownVertexError,
 )
-from .hypercore import Hypergraph, IdRemap
+from .hypercore import Hypergraph, IdRemap, check_id
 from .partition import Partition
 from .views import Graph, neighbor_rows, upper_rows
 
@@ -83,9 +84,13 @@ def induced_subhypergraph(
 
     Hyperedges keep only surviving members; hyperedges left empty are
     dropped.  Metadata follows the surviving ids.  Returns the new
-    hypergraph with vertex and hyperedge remaps {old: new}.
+    hypergraph with vertex and hyperedge remaps {old: new}.  Every kept
+    id must be an int in 1..n, else ``UnknownVertexError``.
     """
-    kept = sorted(set(keep))
+    distinct = dict.fromkeys(keep)
+    for v in distinct:
+        check_id(v, h.nhv, UnknownVertexError, "vertex")
+    kept = sorted(distinct)
     vmap: IdRemap = {old: new for new, old in enumerate(kept, start=1)}
     emap: IdRemap = {}
     vmeta = [h._vmeta[v - 1] for v in kept]

@@ -10,6 +10,13 @@ Every command that writes an output file also writes a sibling
 ``<output>.manifest.json`` recording the arguments plus input and
 output digests; ``hgkit rerun`` replays a manifest and verifies the
 outputs come back byte-identical.
+
+``stats``, ``convert``, ``communities`` and ``betweenness`` load their
+input through ``_load_hypergraph``, which reads it once as bytes and
+takes the hypergraph from ``loadcache`` when an earlier command cached
+the same bytes (inputs of at least ``loadcache.MIN_BYTES``); otherwise
+it parses them and, once the command has succeeded, caches the result.
+Outputs are the same either way.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator
 
-from . import __version__
+from . import __version__, loadcache
 from .analytics import (
     connected_components,
     graph_modularity,
@@ -81,16 +88,20 @@ def _csv_chunks(rows: Iterable[list[str]]) -> Iterator[str]:
         yield records.pop()[:-2] + "\n"
 
 
-def _read_text(path: str, newline: str | None = None) -> str:
-    """The text of a UTF-8 input file, read with ``open``'s ``newline`` rule.
+def _decode(data: bytes, path: str, newline: str | None = None) -> str:
+    """The bytes of input file ``path`` as text, decoded as ``open`` decodes UTF-8 with ``newline``.
 
     Bytes that are not UTF-8 raise ``FormatError``.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as f:
-            return f.read()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline).read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_text(path: str, newline: str | None = None) -> str:
+    """The text of a UTF-8 input file, read with ``open``'s ``newline`` rule."""
+    return _decode(Path(path).read_bytes(), path, newline)
 
 
 def _infer_format(path: str) -> str:
@@ -98,9 +109,15 @@ def _infer_format(path: str) -> str:
     return {".hgf": "hgf", ".json": "json", ".csv": "reviews-csv"}.get(suffix, "hgf")
 
 
-def _load_hypergraph(path: str, fmt: str | None) -> Hypergraph:
-    text = _read_text(path)
+def _load_hypergraph(args: argparse.Namespace, fmt: str | None) -> Hypergraph:
+    """The hypergraph in ``args.input``, from the load cache when it holds these bytes."""
+    path = args.input
+    data = Path(path).read_bytes()
     fmt = fmt or _infer_format(path)
+    return args.cache.load(data, fmt, lambda: _parse_hypergraph(_decode(data, path), fmt))
+
+
+def _parse_hypergraph(text: str, fmt: str) -> Hypergraph:
     # An entirely empty file stands for the empty structure in any format.
     if not text.strip():
         return Hypergraph(0, 0)
@@ -134,7 +151,7 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: dict[s
     parameters = {
         key: value
         for key, value in vars(args).items()
-        if key not in ("func", "argv_snapshot") and isinstance(value, (str, int, float, bool, list, type(None)))
+        if key not in ("func", "argv_snapshot", "cache") and isinstance(value, (str, int, float, bool, list, type(None)))
     }
     doc = {
         "manifest_version": 1,
@@ -179,7 +196,7 @@ def _histogram_line(counts: Counter[int]) -> str:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input, args.format)
+    h = _load_hypergraph(args, args.format)
     components = connected_components(h)
     sizes = Counter(h.hyperedge_size(e) for e in h.hyperedges())
     degrees = Counter(h.degree(v) for v in h.vertices())
@@ -230,7 +247,7 @@ OUTPUT_FORMATS = tuple(_CONVERT_WRITERS)
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input, args.from_fmt)
+    h = _load_hypergraph(args, args.from_fmt)
     _emit(args, _CONVERT_WRITERS[args.to_fmt](h), [args.input])
     return 0
 
@@ -239,7 +256,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_communities(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input, args.format)
+    h = _load_hypergraph(args, args.format)
     cfg = LpConfig(max_iterations=args.max_iter, seed=args.seed)
     if args.algo == "hyper-lp":
         part, iterations = hypergraph_label_propagation(h, cfg)
@@ -290,7 +307,7 @@ def _score_rows(h: Hypergraph, ranked: list[tuple[int, float]], full: bool) -> I
 
 
 def cmd_betweenness(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args.input, args.format)
+    h = _load_hypergraph(args, args.format)
     vector = s_betweenness(h, args.s)
     ranked = vector.top(args.top_k) if args.top_k is not None else vector.ranked()
     _emit(args, _csv_chunks(_score_rows(h, ranked, args.full_precision)), [args.input])
@@ -459,6 +476,7 @@ def cmd_rerun(args: argparse.Namespace) -> int:
         return 1
     replay = _build_parser().parse_args(doc["argv"])
     replay.argv_snapshot = list(doc["argv"])
+    replay.cache = args.cache
     # Every command that writes a manifest reads one --input.
     if getattr(replay, "input", None) is not None:
         replay.input = str(base / replay.input)
@@ -567,14 +585,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     args.argv_snapshot = list(argv)
+    args.cache = loadcache.Session()
     try:
-        return args.func(args)
+        rc = args.func(args)
     except HgkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # Only a command that succeeded leaves load-cache entries behind.
+    if rc == 0:
+        args.cache.commit()
+    return rc
 
 
 if __name__ == "__main__":

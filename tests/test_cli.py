@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +14,16 @@ from pathlib import Path
 import pytest
 
 import hgkit
-from hgkit import Partition, TwoSectionView, read_hgf, write_json
+from hgkit import (
+    Partition,
+    TwoSectionView,
+    build_from_reviews,
+    read_hgf,
+    review_rows,
+    write_hgf,
+    write_json,
+)
+from hgkit import cli, loadcache
 from hgkit.cli import _read_scores_csv, main
 
 from helpers import hypergraph_from_edges
@@ -834,3 +846,214 @@ def test_importing_the_cli_loads_neither_statistics_nor_tempfile():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout == "[]\n"
+
+
+class TestLoadCache:
+    """Commands on one input load it from a cache entry after the first; outputs never change."""
+
+    FORMATS = ("hgf", "json", "reviews-csv", "scenes-json")
+    COMMANDS = {
+        "stats": ["stats", "--format", "{fmt}", "--output", "{out}.txt"],
+        "convert": ["convert", "--from", "{fmt}", "--to", "json", "--output", "{out}.json"],
+        "communities": ["communities", "--format", "{fmt}", "--max-iter", "5", "--output", "{out}.json"],
+        "betweenness": ["betweenness", "--format", "{fmt}", "--s", "2", "--top-k", "10", "--output", "{out}.csv"],
+    }
+
+    @staticmethod
+    def reviews_text(seed: int = 7, rows: int = 4500) -> str:
+        rng = random.Random(seed)
+        lines = ["user_id,item_id,stars"] + [
+            f"u{rng.randrange(1500)},b{rng.randrange(2000)},{rng.randint(1, 5)}" for _ in range(rows)
+        ]
+        return "\n".join(lines) + "\n"
+
+    @classmethod
+    def write_input(cls, tmp_path: Path, fmt: str) -> Path:
+        """An input in ``fmt`` above the cache's size threshold."""
+        text = cls.reviews_text()
+        if fmt in ("hgf", "json"):
+            h, _, _ = build_from_reviews(review_rows(text))
+            text = write_hgf(h) if fmt == "hgf" else write_json(h)
+        elif fmt == "scenes-json":
+            rng = random.Random(8)
+            text = json.dumps([
+                {"id": f"s{i}", "members": [f"c{rng.randrange(1500)}" for _ in range(rng.randint(2, 5))]}
+                for i in range(1500)
+            ])
+        # Named so that every format but scenes-json is inferred.
+        src = tmp_path / {"hgf": "in.hgf", "json": "in.json", "reviews-csv": "in.csv"}.get(fmt, "scenes.json")
+        src.write_text(text)
+        assert src.stat().st_size >= loadcache.MIN_BYTES
+        return src
+
+    @staticmethod
+    def entries() -> list[Path]:
+        return sorted((Path(os.environ["XDG_CACHE_HOME"]) / "hgkit").glob("*.marshal"))
+
+    @staticmethod
+    def outcome(capsys, argv: list[str], out: str) -> tuple:
+        """Exit code, stdout and the bytes of the output file and its manifest."""
+        code, stdout, _ = run(capsys, *argv)
+        files = [Path(out), Path(out + ".manifest.json")]
+        return code, stdout, [p.read_bytes() if p.exists() else None for p in files]
+
+    @classmethod
+    def argv(cls, command: str, src: Path, fmt: str, out: Path) -> tuple[list[str], str]:
+        argv = [a.format(fmt=fmt, out=out) for a in cls.COMMANDS[command]]
+        return [*argv, "--input", str(src)], argv[-1]
+
+    @staticmethod
+    def forbid_parsing(monkeypatch) -> None:
+        """Fail any load that parses instead of adopting a cache entry."""
+
+        def forbidden(text, fmt):
+            raise AssertionError("parsed although the cache holds the input")
+
+        monkeypatch.setattr(cli, "_parse_hypergraph", forbidden)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_cold_warm_and_unusable_runs_agree(self, tmp_path, capsys, monkeypatch, fmt, command):
+        src = self.write_input(tmp_path, fmt)
+        argv, out = self.argv(command, src, fmt, tmp_path / "out")
+        cold = self.outcome(capsys, argv, out)
+        assert cold[0] == 0 and len(self.entries()) == 1
+        with monkeypatch.context() as patch:
+            self.forbid_parsing(patch)
+            assert self.outcome(capsys, argv, out) == cold
+        unusable = tmp_path / "unusable"
+        unusable.mkdir()
+        (unusable / "hgkit").write_text("a file where the cache directory belongs")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(unusable))
+        assert self.outcome(capsys, argv, out) == cold
+
+    def test_subprocesses_share_entries(self, tmp_path):
+        src = self.write_input(tmp_path, "reviews-csv")
+        argv = [sys.executable, "-m", "hgkit.cli", "stats", "--input", str(src)]
+        env = {**os.environ, "PYTHONPATH": str(Path(hgkit.__file__).resolve().parent.parent)}
+        done = [subprocess.run(argv, capture_output=True, timeout=60, env=env) for _ in range(2)]
+        assert [d.returncode for d in done] == [0, 0]
+        assert done[0].stdout == done[1].stdout and done[0].stderr == done[1].stderr == b""
+        [entry] = self.entries()
+        assert entry.stat().st_mode & 0o777 == 0o600
+        assert entry.parent.stat().st_mode & 0o777 == 0o700
+
+    def test_an_edited_source_is_a_miss(self, tmp_path):
+        package = tmp_path / "pkg"
+        shutil.copytree(Path(hgkit.__file__).resolve().parent, package / "hgkit",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        src = self.write_input(tmp_path, "reviews-csv")
+        argv = [sys.executable, "-m", "hgkit.cli", "stats", "--input", str(src)]
+        env = {**os.environ, "PYTHONPATH": str(package)}
+        for edit in ("", "", "# an edit that changes nothing else\n"):
+            with open(package / "hgkit" / "views.py", "a") as f:
+                f.write(edit)
+            assert subprocess.run(argv, capture_output=True, timeout=60, env=env).returncode == 0
+        assert len(self.entries()) == 2
+
+    def test_rerun_of_a_cold_manifest_passes_warm(self, tmp_path, capsys, monkeypatch):
+        src = self.write_input(tmp_path, "scenes-json")
+        argv, out = self.argv("betweenness", src, "scenes-json", tmp_path / "scores")
+        assert run(capsys, *argv)[0] == 0
+        self.forbid_parsing(monkeypatch)
+        assert run(capsys, "rerun", out + ".manifest.json")[:2] == (0, "")
+
+    def test_one_changed_byte_is_a_miss(self, tmp_path, capsys):
+        src = self.write_input(tmp_path, "reviews-csv")
+        assert run(capsys, "stats", "--input", str(src))[0] == 0
+        data = bytearray(src.read_bytes())
+        data[-2:-1] = b"4" if data[-2:-1] != b"4" else b"5"
+        src.write_bytes(data)
+        assert run(capsys, "stats", "--input", str(src))[0] == 0
+        assert len(self.entries()) == 2
+
+    def test_the_format_is_part_of_the_key(self, tmp_path, capsys):
+        src = self.write_input(tmp_path, "scenes-json")
+        assert run(capsys, "stats", "--format", "scenes-json", "--input", str(src))[0] == 0
+        # Inferred from the name, the format is json, whose reader rejects an array.
+        code, out, err = run(capsys, "stats", "--input", str(src))
+        assert (code, out) == (3, "") and err == "error: document must be a JSON object\n"
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip"])
+    def test_damaged_entry_is_ignored_and_rewritten(self, tmp_path, capsys, damage):
+        src = self.write_input(tmp_path, "json")
+        want = run(capsys, "stats", "--input", str(src))
+        [entry] = self.entries()
+        good = entry.read_bytes()
+        if damage == "truncate":
+            entry.write_bytes(good[: len(good) // 2])
+        else:
+            # One bit of the last hyperedge label: marshal loads the payload,
+            # only the entry's digest tells it from the original.
+            at = good.rindex(json.loads(src.read_text())["hemeta"][-1].encode())
+            entry.write_bytes(good[:at] + bytes([good[at] ^ 0x01]) + good[at + 1 :])
+        assert run(capsys, "stats", "--input", str(src)) == want
+        assert self.entries() == [entry] and entry.read_bytes() == good
+
+    @pytest.mark.parametrize("kind", ["symlink", "group-writable", "foreign-owned"])
+    def test_untrusted_directory_is_not_used(self, tmp_path, capsys, monkeypatch, kind):
+        src = self.write_input(tmp_path, "hgf")
+        want = run(capsys, "stats", "--input", str(src))
+        xdg, target = tmp_path / "xdg", tmp_path / "target"
+        xdg.mkdir()
+        target.mkdir(mode=0o700)
+        if kind == "symlink":
+            (xdg / "hgkit").symlink_to(target)
+        else:
+            target = xdg / "hgkit"
+            target.mkdir(mode=0o700)
+            if kind == "group-writable":
+                target.chmod(0o770)
+            elif os.geteuid() == 0:
+                os.chown(target, 54321, -1)
+            else:
+                pytest.skip("only root can hand a directory to another user")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+        for _ in range(2):
+            assert run(capsys, "stats", "--input", str(src)) == want
+        assert list(target.iterdir()) == []
+
+    def test_failing_commands_leave_no_entry(self, tmp_path, capsys, monkeypatch):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(self.reviews_text() + "u1,b1,9\n")
+        scenes = self.write_input(tmp_path, "scenes-json")
+        argv, out = self.argv("betweenness", scenes, "scenes-json", tmp_path / "scores")
+        with monkeypatch.context() as patch:
+            patch.setenv("XDG_CACHE_HOME", str(tmp_path / "elsewhere"))
+            assert run(capsys, *argv)[0] == 0
+        Path(out).write_text("changed\n")  # so that a replay exits 1
+        for argv, code in (
+            (["stats", "--input", str(bad)], 3),
+            (["betweenness", "--input", str(scenes), "--format", "scenes-json", "--s", "0"], 4),
+            (["rerun", out + ".manifest.json"], 1),
+        ):
+            assert [run(capsys, *argv)[0] for _ in range(2)] == [code, code]
+            assert self.entries() == []
+
+    def test_least_recently_used_entries_are_evicted(self, tmp_path, capsys):
+        text = self.reviews_text()
+        inputs = []
+        for i in range(loadcache.MAX_ENTRIES + 3):
+            src = tmp_path / f"r{i}.csv"
+            src.write_text(text + f"extra{i},b1,5\n")
+            inputs.append(src)
+        dated: list[Path] = []
+        for i, src in enumerate(inputs[: loadcache.MAX_ENTRIES]):
+            assert run(capsys, "stats", "--input", str(src))[0] == 0
+            [new] = set(self.entries()) - set(dated)
+            # Distinct, ordered use times however coarse the file system clock.
+            os.utime(new, ns=(i, i))
+            dated.append(new)
+        assert run(capsys, "stats", "--input", str(inputs[0]))[0] == 0  # a hit: now the most recent
+        for src in inputs[loadcache.MAX_ENTRIES:]:
+            assert run(capsys, "stats", "--input", str(src))[0] == 0
+            assert len(self.entries()) == loadcache.MAX_ENTRIES
+        # The three newcomers pushed out the three least recently used.
+        assert set(self.entries()) & set(dated) == {dated[0], *dated[4:]}
+
+    def test_small_inputs_are_never_cached(self, tmp_path, capsys):
+        src = tmp_path / "g.hgf"
+        src.write_text(GOLDEN)
+        for _ in range(2):
+            assert run(capsys, "stats", "--input", str(src))[0] == 0
+        assert self.entries() == []

@@ -33,6 +33,7 @@ from hgkit.errors import (
     MalformedHeaderError,
     MalformedRecordError,
     SchemaViolationError,
+    UnknownVertexError,
 )
 
 from hgkit.cli import main
@@ -438,6 +439,15 @@ class TestLargestComponent:
         assert sub.get_vertices(1) == {1: 1.0, 2: 1.0}
         assert vmap == {1: 1, 3: 2}
         assert emap == {1: 1}
+
+    @pytest.mark.parametrize("keep", [[0, 1], [4], [True], [1, "2"]])
+    def test_induced_subhypergraph_rejects_ids_outside_1_to_n(self, keep):
+        from hgkit.analytics import induced_subhypergraph
+
+        h = hypergraph_from_edges(3, [(1, 2), (2, 3)])
+        h.set_vertex_meta(3, "three")
+        with pytest.raises(UnknownVertexError):
+            induced_subhypergraph(h, keep)
 
     def test_empty_hypergraph(self):
         sub, remap = largest_connected_component(Hypergraph())
