@@ -96,6 +96,24 @@ class TestShortestPaths:
         assert s_shortest_path_length(h, 1, 3, s=1) == 1
         assert s_shortest_path_length(h, 1, 3, s=2) is None
 
+    def test_prebuilt_adjacency_fixes_s(self):
+        h = path_hypergraph(3)
+        adj = s_adjacency(h, 1)
+        assert s_shortest_path_length(adj, 1, 3) == 2
+        assert s_shortest_path_length(adj, 1, 3, s=1) == 2
+        for bad in (5, 2, 0, True, "1"):
+            with pytest.raises(InvalidSError) as info:
+                s_shortest_path_length(adj, 1, 3, s=bad)
+            assert info.value.exit_code == 4
+        assert s_shortest_path_length(s_adjacency(h, 2), 1, 2) is None
+        assert s_shortest_path_length(s_adjacency(h, 2), 1, 2, s=2) is None
+
+    def test_hypergraph_s_defaults_to_one(self):
+        h = hypergraph_from_edges(3, [(1, 2, 3), (1, 2)])
+        assert s_shortest_path_length(h, 1, 3) == s_shortest_path_length(h, 1, 3, s=1) == 1
+        with pytest.raises(InvalidSError):
+            s_shortest_path_length(h, 1, 3, s=0)
+
 
 class TestSBetweenness:
     def test_path_graph_hand_values(self):

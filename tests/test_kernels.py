@@ -30,7 +30,7 @@ from hgkit import (
     s_adjacency,
     s_betweenness,
 )
-from hgkit.centrality import _brandes
+from hgkit.centrality import _DENSE_RECIPROCAL, _brandes, _dense_masks
 from hgkit.errors import EmptyGraphError
 from hgkit.views import upper_rows
 
@@ -227,6 +227,144 @@ def test_brandes_on_dense_overlaps_with_many_geodesics():
         for s in (1, 2, 3):
             nbrs = s_adjacency(h, s)._nbrs
             assert _brandes(nbrs) == reference_brandes(nbrs)
+
+
+# --- Brandes' two forward passes ------------------------------------------------
+#
+# _brandes runs a bitset forward pass on dense components and the plain
+# queue loop on sparse ones.  Each family below pins one side of that
+# choice, and both must match the reference bit for bit.
+
+
+def _assert_brandes_matches_reference(nbrs: list[set[int]]) -> None:
+    want = reference_brandes(nbrs)
+    got = _brandes(nbrs)
+    assert list(got) == list(want)
+    assert all(got[v] == want[v] for v in want)
+
+
+def _dense_vertices(nbrs: list[set[int]]) -> set[int]:
+    bit, _, _ = _dense_masks([[]] + [list(x) for x in nbrs])
+    return {v for v in range(1, len(nbrs) + 1) if bit[v]}
+
+
+def _sigma_levels(nbrs: list[set[int]], src: int) -> list[set[int]]:
+    """The distinct shortest-path counts at each BFS level from src."""
+    sigma = {src: 1}
+    levels = [[src]]
+    while True:
+        nxt: dict[int, int] = {}
+        for x in levels[-1]:
+            for y in nbrs[x - 1]:
+                if y not in sigma:
+                    nxt[y] = nxt.get(y, 0) + sigma[x]
+        if not nxt:
+            return [{sigma[v] for v in level} for level in levels]
+        sigma.update(nxt)
+        levels.append(list(nxt))
+
+
+def _graph(n: int, edges: list[tuple[int, int]], rng: random.Random, s: int = 1) -> list[set[int]]:
+    """The s-adjacency of the edges under shuffled vertex ids, each edge repeated s times."""
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    h = hypergraph_from_edges(n, [(ids[u - 1], ids[v - 1]) for u, v in edges for _ in range(s)])
+    return s_adjacency(h, s)._nbrs
+
+
+def _connected_edges(rng: random.Random, vs: list[int], m: int) -> list[tuple[int, int]]:
+    """A random spanning tree of vs plus random further edges, m in all."""
+    edges = {tuple(sorted((v, rng.choice(vs[:i])))) for i, v in enumerate(vs) if i}
+    pairs = [p for p in _complete(sorted(vs)) if p not in edges]
+    return sorted(edges) + rng.sample(pairs, m - len(edges))
+
+
+def _bridged_near_cliques(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """Five blocks, each missing a fifth of its pairs, chained by one edge each."""
+    edges, blocks, n = [], [], 0
+    for _ in range(5):
+        size = rng.randint(6, 8)
+        block = list(range(n + 1, n + size + 1))
+        n += size
+        path = list(zip(block, block[1:]))
+        edges += path + [p for p in _complete(block) if p not in path and rng.random() < 0.8]
+        if blocks:
+            edges.append((rng.choice(blocks[-1]), rng.choice(block)))
+        blocks.append(block)
+    return n, edges
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_brandes_dense_pass_on_bridged_near_cliques(s):
+    rng = random.Random(15)
+    for _ in range(12):
+        n, edges = _bridged_near_cliques(rng)
+        nbrs = _graph(n, edges, rng, s)
+        assert _dense_vertices(nbrs) == set(range(1, n + 1))
+        levels = [_sigma_levels(nbrs, v) for v in range(1, n + 1)]
+        assert max(map(len, levels)) >= 4
+        # A frontier with several distinct counts, feeding a further level.
+        assert any(len(sigmas) >= 3 for lv in levels for sigmas in lv[1:-1])
+        _assert_brandes_matches_reference(nbrs)
+
+
+def test_brandes_chooses_the_pass_at_the_density_constant():
+    rng = random.Random(16)
+    for c in (25, 30, 41):
+        at = -(-c * (c - 1) // (2 * _DENSE_RECIPROCAL))
+        assert 2 * at * _DENSE_RECIPROCAL >= c * (c - 1) > 2 * (at - 1) * _DENSE_RECIPROCAL
+        for _ in range(3):
+            dense = _connected_edges(rng, list(range(1, c + 1)), at)
+            sparse = _connected_edges(rng, list(range(c + 1, 2 * c + 1)), at - 1)
+            for edges, want in ((dense, c), (sparse, 0), (dense + sparse, c)):
+                nbrs = _graph(2 * c, edges, rng)
+                assert len(_dense_vertices(nbrs)) == want
+                _assert_brandes_matches_reference(nbrs)
+
+
+def test_brandes_on_two_and_three_vertex_components():
+    rng = random.Random(17)
+    for _ in range(10):
+        edges, n = [], 0
+        for _ in range(rng.randint(1, 12)):
+            size = rng.choice((2, 3, 3))
+            block = list(range(n + 1, n + size + 1))
+            n += size
+            edges += _connected_edges(rng, block, rng.randint(size - 1, size * (size - 1) // 2))
+        nbrs = _graph(n + 2, edges, rng)
+        assert len(_dense_vertices(nbrs)) == n
+        _assert_brandes_matches_reference(nbrs)
+
+
+def test_brandes_on_a_sparse_giant_component_beside_dense_ones():
+    rng = random.Random(18)
+    for _ in range(3):
+        giant = _connected_edges(rng, list(range(1, 301)), 330)
+        cliques = _complete([301, 302, 303, 304, 305]) + _complete([306, 307, 308])
+        nbrs = _graph(310, giant + cliques, rng)
+        assert len(_dense_vertices(nbrs)) == 8
+        _assert_brandes_matches_reference(nbrs)
+
+
+def _scene_shaped_case(seed: int) -> Hypergraph:
+    """Scenes drawn from groups of 12 characters, a fifth with one guest."""
+    rng = random.Random(seed)
+    h = Hypergraph(120, 0)
+    for _ in range(200):
+        g = rng.randrange(10)
+        members = [g * 12 + j for j in rng.sample(range(1, 13), rng.randint(3, 8))]
+        if rng.random() < 0.2:
+            other = rng.choice([x for x in range(10) if x != g])
+            members.append(other * 12 + rng.randint(1, 12))
+        h.add_hyperedge(members)
+    return h
+
+
+def test_brandes_on_scene_shaped_hypergraphs_at_s2():
+    for seed in range(4):
+        nbrs = s_adjacency(_scene_shaped_case(seed), 2)._nbrs
+        assert len(_dense_vertices(nbrs)) >= 100
+        _assert_brandes_matches_reference(nbrs)
 
 
 def _overlap_cases(seed: int, count: int) -> list[Hypergraph]:
