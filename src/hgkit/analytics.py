@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .centrality import CentralityVector
@@ -178,7 +177,6 @@ def one_step_distribution(h: Hypergraph, v: int) -> dict[int, float]:
 # --- degrees ------------------------------------------------------------------
 
 
-@dataclass
 class DegreeSummary:
     """Degree sequence, total volume, and hyperedge size tallies.
 
@@ -186,9 +184,8 @@ class DegreeSummary:
     of that size; empty hyperedges are excluded.
     """
 
-    degrees: dict[int, int]
-    volume: int
-    size_counts: dict[int, int]
+    def __init__(self, degrees: dict[int, int], volume: int, size_counts: dict[int, int]) -> None:
+        self.degrees, self.volume, self.size_counts = degrees, volume, size_counts
 
     @property
     def usable_hyperedges(self) -> int:

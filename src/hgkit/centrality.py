@@ -8,7 +8,6 @@ hop lengths; geodesic counts are exact integers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Mapping
@@ -32,11 +31,11 @@ __all__ = [
 ]
 
 
-@dataclass
 class CentralityVector:
     """Per-vertex scores with a fixed ranking rule: score desc, id asc."""
 
-    scores: dict[int, float]
+    def __init__(self, scores: dict[int, float]) -> None:
+        self.scores = scores
 
     def __getitem__(self, v: int) -> float:
         return self.scores[v]
@@ -48,13 +47,11 @@ class CentralityVector:
         return self.ranked()[: max(k, 0)]
 
 
-@dataclass
 class SAdjacency:
     """Unweighted graph over the vertices of a hypergraph at threshold s."""
 
-    s: int
-    n: int
-    _nbrs: list[set[int]]
+    def __init__(self, s: int, n: int, _nbrs: list[set[int]]) -> None:
+        self.s, self.n, self._nbrs = s, n, _nbrs
 
     def neighbors(self, v: int) -> set[int]:
         check_id(v, self.n, UnknownVertexError, "vertex")

@@ -11,11 +11,13 @@ Every command that writes an output file also writes a sibling
 output digests; ``hgkit rerun`` replays a manifest and verifies the
 outputs come back byte-identical.
 
-``stats``, ``convert``, ``communities`` and ``betweenness`` load their
-input through ``_load_hypergraph``, which reads it once as bytes and
-takes the hypergraph from ``loadcache`` when an earlier command cached
-the same bytes (inputs of at least ``loadcache.MIN_BYTES``); otherwise
-it parses them and, once the command has succeeded, caches the result.
+``stats``, ``convert``, ``communities``, ``betweenness`` and
+``forecast`` load their input through ``_load_hypergraph``, which reads
+it once as bytes and takes the hypergraph from ``loadcache`` when an
+earlier command cached the same bytes (inputs of at least
+``loadcache.MIN_BYTES``); otherwise it parses them and, once the command
+has succeeded, caches the result.  A review CSV's entry also carries
+each item's star sum and count, which ``forecast`` rates items by.
 Outputs are the same either way.
 """
 
@@ -109,29 +111,56 @@ def _infer_format(path: str) -> str:
     return {".hgf": "hgf", ".json": "json", ".csv": "reviews-csv"}.get(suffix, "hgf")
 
 
-def _load_hypergraph(args: argparse.Namespace, fmt: str | None) -> Hypergraph:
-    """The hypergraph in ``args.input``, from the load cache when it holds these bytes."""
+def _load_hypergraph(
+    args: argparse.Namespace, fmt: str | None, star_filter: list[int] | None = None
+) -> tuple[Hypergraph, tuple[list[int], list[int]] | None]:
+    """What ``_parse_hypergraph`` makes of ``args.input``, from the load cache when it holds these bytes."""
     path = args.input
     data = Path(path).read_bytes()
     fmt = fmt or _infer_format(path)
-    return args.cache.load(data, fmt, lambda: _parse_hypergraph(_decode(data, path), fmt))
+    key = fmt if star_filter is None else f"{fmt} --stars {sorted(set(star_filter))}"
+    return args.cache.load(data, key, lambda: _parse_hypergraph(_decode(data, path), fmt, star_filter))
 
 
-def _parse_hypergraph(text: str, fmt: str) -> Hypergraph:
+def _parse_hypergraph(
+    text: str, fmt: str, star_filter: list[int] | None = None
+) -> tuple[Hypergraph, tuple[list[int], list[int]] | None]:
+    """The hypergraph in ``text`` and, for a review CSV, its star tallies.
+
+    The tallies are two lists, each item's star sum and review count at
+    position v-1 for vertex v, taken over every review: ``star_filter``
+    drops reviews from the hypergraph only.  Other formats, and a
+    blank review CSV, carry None.
+    """
     # An entirely empty file stands for the empty structure in any format.
     if not text.strip():
-        return Hypergraph(0, 0)
+        return Hypergraph(0, 0), None
     if fmt == "hgf":
-        return read_hgf(text)
+        return read_hgf(text), None
     if fmt == "json":
-        return read_json(text)
+        return read_json(text), None
     if fmt == "reviews-csv":
-        h, _, _ = build_from_reviews(review_rows(text))
-        return h
+        totals: dict[str, list[int]] = {}
+        h, item_labels, _ = build_from_reviews(_tally_stars(review_rows(text), totals), star_filter)
+        return h, ([totals[i][0] for i in item_labels], [totals[i][1] for i in item_labels])
     if fmt == "scenes-json":
         h, _ = build_from_scenes(read_scenes_json(text))
-        return h
+        return h, None
     raise FormatError(f"unknown input format {fmt!r}")
+
+
+def _tally_stars(
+    rows: Iterable[tuple[str, str, int]], totals: dict[str, list[int]]
+) -> Iterator[tuple[str, str, int]]:
+    """Pass ``rows`` through, adding each one's stars to ``totals[item]`` = [sum, count]."""
+    for row in rows:
+        tally = totals.get(row[1])
+        if tally is None:
+            totals[row[1]] = [row[2], 1]
+        else:
+            tally[0] += row[2]
+            tally[1] += 1
+        yield row
 
 
 def _load_partition(path: str) -> Partition:
@@ -196,7 +225,7 @@ def _histogram_line(counts: Counter[int]) -> str:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args, args.format)
+    h, _ = _load_hypergraph(args, args.format)
     components = connected_components(h)
     sizes = Counter(h.hyperedge_size(e) for e in h.hyperedges())
     degrees = Counter(h.degree(v) for v in h.vertices())
@@ -247,7 +276,7 @@ OUTPUT_FORMATS = tuple(_CONVERT_WRITERS)
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args, args.from_fmt)
+    h, _ = _load_hypergraph(args, args.from_fmt)
     _emit(args, _CONVERT_WRITERS[args.to_fmt](h), [args.input])
     return 0
 
@@ -256,7 +285,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_communities(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args, args.format)
+    h, _ = _load_hypergraph(args, args.format)
     cfg = LpConfig(max_iterations=args.max_iter, seed=args.seed)
     if args.algo == "hyper-lp":
         part, iterations = hypergraph_label_propagation(h, cfg)
@@ -307,7 +336,7 @@ def _score_rows(h: Hypergraph, ranked: list[tuple[int, float]], full: bool) -> I
 
 
 def cmd_betweenness(args: argparse.Namespace) -> int:
-    h = _load_hypergraph(args, args.format)
+    h, _ = _load_hypergraph(args, args.format)
     vector = s_betweenness(h, args.s)
     ranked = vector.top(args.top_k) if args.top_k is not None else vector.ranked()
     _emit(args, _csv_chunks(_score_rows(h, ranked, args.full_precision)), [args.input])
@@ -317,31 +346,17 @@ def cmd_betweenness(args: argparse.Namespace) -> int:
 # --- forecast --------------------------------------------------------------------
 
 
-def _tally_stars(
-    rows: Iterable[tuple[str, str, int]], totals: dict[str, list[int]]
-) -> Iterator[tuple[str, str, int]]:
-    """Pass ``rows`` through, adding each one's stars to ``totals[item]`` = [sum, count]."""
-    for row in rows:
-        tally = totals.get(row[1])
-        if tally is None:
-            totals[row[1]] = [row[2], 1]
-        else:
-            tally[0] += row[2]
-            tally[1] += 1
-        yield row
-
-
 def cmd_forecast(args: argparse.Namespace) -> int:
     # Ratings are in-sample item means over every review, unfiltered;
-    # the star filter shapes only the hypergraph.  Both come from one
-    # pass over the rows.
-    totals: dict[str, list[int]] = {}
-    rows = review_rows(_read_text(args.input))
-    h, item_labels, _ = build_from_reviews(_tally_stars(rows, totals), star_filter=args.stars)
-    ratings = {
-        v: totals[label][0] / totals[label][1]
-        for v, label in enumerate(item_labels, start=1)
-    }
+    # the star filter shapes only the hypergraph.
+    h, tallies = _load_hypergraph(args, "reviews-csv", args.stars)
+    if tallies is None:
+        # Only blank text loads without tallies, as the empty hypergraph;
+        # the row reader still refuses a line of blanks as the header.
+        next(review_rows(_read_text(args.input)), None)
+        tallies = [], []
+    sums, counts = tallies
+    ratings = {v: total / n for v, total, n in zip(h.vertices(), sums, counts)}
     hyper = forecast_hypergraph(h, ratings)
     graph = forecast_graph(TwoSectionView(h), ratings)
     if evaluation_size(hyper) == 0 and evaluation_size(graph) == 0:
@@ -351,7 +366,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     rows = (
         [str(v), label, _fmt(ratings[v], full)]
         + ["" if p is None else _fmt(p, full) for p in (hyper[v], graph[v])]
-        for v, label in enumerate(item_labels, start=1)
+        for v, label in zip(h.vertices(), h._vmeta)
     )
     _emit(args, _csv_chunks(chain([header], rows)), [args.input])
     print(

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, _count_elements
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -42,18 +41,21 @@ __all__ = [
 ]
 
 
-@dataclass
 class LpConfig:
-    max_iterations: int = 100
-    seed: int = 0
+    """Label propagation settings: a sweep cap of at least 1 and an int seed."""
 
-    def __post_init__(self) -> None:
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
-            raise ValueError(f"max_iterations must be an int, not {self.max_iterations!r}")
-        if self.max_iterations < 1:
+    def __init__(self, max_iterations: int = 100, seed: int = 0) -> None:
+        if isinstance(max_iterations, bool) or not isinstance(max_iterations, int):
+            raise ValueError(f"max_iterations must be an int, not {max_iterations!r}")
+        if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an int, not {self.seed!r}")
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed must be an int, not {seed!r}")
+        self.max_iterations = max_iterations
+        self.seed = seed
+
+    def __repr__(self) -> str:
+        return f"LpConfig(max_iterations={self.max_iterations!r}, seed={self.seed!r})"
 
 
 def _draw(tied: list[int], getrandbits: Callable[[int], int]) -> int:

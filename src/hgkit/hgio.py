@@ -8,7 +8,8 @@ Text format (HGF)
     hyperedge is an empty line.  Metadata is not part of this format.
     Readers tolerate extra blanks between tokens.  A header may declare
     at most ``MAX_HGF_VERTICES`` vertices, since a row is allocated for
-    each before any hyperedge line is read.
+    each before any hyperedge line is read; the writer refuses a larger
+    hypergraph, so every document it writes reads back.
 
 JSON format
     Object with ``format_version`` (1), ``n``, ``k``, ``v2he`` and
@@ -32,6 +33,7 @@ import csv
 import io
 import json
 import math
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
@@ -73,10 +75,18 @@ MAX_HGF_VERTICES = 2**21
 
 
 def hgf_chunks(h: Hypergraph) -> Iterator[str]:
-    """The HGF document as text chunks: the header, then one line per hyperedge."""
-    yield f"{h.nhv} {h.nhe}\n"
-    for members in h._he2v:
-        yield " ".join(f"{v}={members[v]!r}" for v in sorted(members)) + "\n"
+    """The HGF document as text chunks: the header, then one line per hyperedge.
+
+    A hypergraph of more than ``MAX_HGF_VERTICES`` vertices, whose
+    header ``read_hgf`` would refuse, raises ``MalformedHeaderError``
+    here, before any chunk is made.
+    """
+    if h.nhv > MAX_HGF_VERTICES:
+        raise MalformedHeaderError(f"{h.nhv} vertices are above the HGF limit of {MAX_HGF_VERTICES}")
+    return chain(
+        [f"{h.nhv} {h.nhe}\n"],
+        (" ".join(f"{v}={members[v]!r}" for v in sorted(members)) + "\n" for members in h._he2v),
+    )
 
 
 def write_hgf(h: Hypergraph) -> str:

@@ -3,10 +3,13 @@
 Each CLI command is a fresh process, so a batch of commands on one
 input would parse and build the same hypergraph once per command.  The
 CLI's loader keeps the built hypergraph's four incidence and metadata
-lists as a ``marshal`` entry instead, and the next command on the same
-bytes adopts them through ``Hypergraph._from_rows``.
+lists, plus one extra payload the parser derived from the same pass (a
+review CSV's per-item star sums and counts, else None), as a ``marshal``
+entry instead, and the next command on the same bytes adopts them
+through ``Hypergraph._from_rows``.
 
-An entry's name is the SHA-256 of the input's SHA-256, the input format,
+An entry's name is the SHA-256 of the input's SHA-256, the format key
+(the input format, with the star filter of a filtered review build),
 ``sys.implementation.cache_tag``, ``marshal.version`` and the name and
 bytes of every ``hgkit/*.py`` source, so other input bytes, another
 interpreter or edited code never read it.  An entry file is the SHA-256
@@ -33,7 +36,7 @@ import marshal
 import os
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from .hypercore import Hypergraph
 
@@ -57,23 +60,26 @@ class Session:
     """One command's use of the cache: lookups as it loads, writes once it has succeeded."""
 
     def __init__(self) -> None:
-        # (entry name, hypergraph) of each input this command parsed.
-        self._staged: list[tuple[str, Hypergraph]] = []
+        # (entry name, hypergraph, extra payload) of each input this command parsed.
+        self._staged: list[tuple[str, Hypergraph, Any]] = []
 
-    def load(self, data: bytes, fmt: str, parse: Callable[[], Hypergraph]) -> Hypergraph:
-        """The hypergraph of input ``data`` in format ``fmt``: from its entry, else ``parse()``.
+    def load(self, data: bytes, fmt: str, parse: Callable[[], tuple[Hypergraph, Any]]) -> tuple[Hypergraph, Any]:
+        """The hypergraph of input ``data`` under format key ``fmt`` and its extra payload.
 
-        A parsed input of at least ``MIN_BYTES`` is staged for ``commit``.
+        Both come from the entry of ``data`` and ``fmt``, else from
+        ``parse()``.  The payload must be None or made of the values
+        ``marshal`` writes.  A parsed input of at least ``MIN_BYTES`` is
+        staged for ``commit``.
         """
         if len(data) < MIN_BYTES or not _SUPPORTED:
             return parse()
         name = _entry_name(data, fmt)
         rows = _read_entry(name)
         if rows is not None:
-            return Hypergraph._from_rows(*rows)
-        h = parse()
-        self._staged.append((name, h))
-        return h
+            return Hypergraph._from_rows(*rows[:4]), rows[4]
+        h, extra = parse()
+        self._staged.append((name, h, extra))
+        return h, extra
 
     def commit(self) -> None:
         """Write the staged entries; call it only when the command has succeeded."""
@@ -82,8 +88,8 @@ class Session:
         if fd is None:
             return
         try:
-            for name, h in staged:
-                _write_entry(fd, name, h)
+            for name, h, extra in staged:
+                _write_entry(fd, name, h, extra)
             _evict(fd)
         finally:
             os.close(fd)
@@ -121,7 +127,7 @@ def _open_directory() -> int | None:
 
 
 def _read_entry(name: str) -> tuple | None:
-    """The four lists of a valid entry, touched as just used, or None."""
+    """The four lists and the extra payload of a valid entry, touched as just used, or None."""
     fd = _open_directory()
     if fd is None:
         return None
@@ -133,7 +139,7 @@ def _read_entry(name: str) -> tuple | None:
         if hashlib.sha256(payload).digest() != digest:
             return None
         rows = marshal.loads(payload)
-        if not (type(rows) is tuple and len(rows) == 4):
+        if not (type(rows) is tuple and len(rows) == 5):
             return None
         os.utime(name, dir_fd=fd)
     except (OSError, ValueError, EOFError):
@@ -143,9 +149,9 @@ def _read_entry(name: str) -> tuple | None:
     return rows
 
 
-def _write_entry(fd: int, name: str, h: Hypergraph) -> None:
+def _write_entry(fd: int, name: str, h: Hypergraph, extra: Any) -> None:
     try:
-        payload = marshal.dumps((h._v2he, h._he2v, h._vmeta, h._hemeta))
+        payload = marshal.dumps((h._v2he, h._he2v, h._vmeta, h._hemeta, extra))
     except ValueError:  # JSON metadata nested deeper than marshal writes
         return
     temp = f".{name}.{os.getpid()}.tmp"

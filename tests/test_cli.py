@@ -9,6 +9,7 @@ import random
 import shutil
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from hgkit import (
     write_hgf,
     write_json,
 )
-from hgkit import cli, loadcache
+from hgkit import cli, hgio, loadcache
 from hgkit.cli import _read_scores_csv, main
 
 from helpers import hypergraph_from_edges
@@ -151,6 +152,15 @@ class TestConvert:
         assert (h.nhv, h.nhe) == (3, 2)
         assert set(h.get_vertices(1)) == {1, 2}
         assert set(h.get_vertices(2)) == {2, 3}
+
+    def test_hgf_above_the_vertex_ceiling_exits_3_before_writing(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "g.json"
+        src.write_text(write_json(read_hgf(GOLDEN)))
+        dst = tmp_path / "g.hgf"
+        monkeypatch.setattr(hgio, "MAX_HGF_VERTICES", 2)
+        code, out, err = run(capsys, "convert", "--input", str(src), "--to", "hgf", "--output", str(dst))
+        assert (code, out) == (3, "") and "above the HGF limit of 2" in err
+        assert list(tmp_path.iterdir()) == [src]
 
 
 class TestCommunities:
@@ -297,6 +307,14 @@ class TestForecast:
         # the 1-star item drops out; b1 and b2 forecast each other
         assert "err-hypergraph: 2 (defined 2/2)" in out
         assert "err-graph: 2 (defined 2/2)" in out
+
+    def test_star_filter_keeps_ratings_over_every_review(self, tmp_path, capsys):
+        src = tmp_path / "reviews.csv"
+        src.write_text("user_id,item_id,stars\nu1,b1,5\nu1,b2,1\nu2,b2,3\nu2,b1,3\n")
+        dst = tmp_path / "forecast.csv"
+        assert run(capsys, "forecast", "--input", str(src), "--stars", "3", "5", "--output", str(dst))[0] == 0
+        # b2's 1-star review leaves the hypergraph but still counts in its rating.
+        assert [line.split(",")[:3] for line in dst.read_text().splitlines()[1:]] == [["1", "b1", "4"], ["2", "b2", "2"]]
 
     def test_no_usable_structure_exits_5(self, tmp_path, capsys):
         src = tmp_path / "reviews.csv"
@@ -857,7 +875,11 @@ class TestLoadCache:
         "convert": ["convert", "--from", "{fmt}", "--to", "json", "--output", "{out}.json"],
         "communities": ["communities", "--format", "{fmt}", "--max-iter", "5", "--output", "{out}.json"],
         "betweenness": ["betweenness", "--format", "{fmt}", "--s", "2", "--top-k", "10", "--output", "{out}.csv"],
+        # forecast reads every input as a review CSV.
+        "forecast": ["forecast", "--output", "{out}.csv"],
+        "forecast-stars": ["forecast", "--stars", "5", "4", "--output", "{out}.csv"],
     }
+    CASES = [(c, f) for c, f in product(COMMANDS, FORMATS) if f == "reviews-csv" or not c.startswith("forecast")]
 
     @staticmethod
     def reviews_text(seed: int = 7, rows: int = 4500) -> str:
@@ -906,13 +928,12 @@ class TestLoadCache:
     def forbid_parsing(monkeypatch) -> None:
         """Fail any load that parses instead of adopting a cache entry."""
 
-        def forbidden(text, fmt):
+        def forbidden(*args):
             raise AssertionError("parsed although the cache holds the input")
 
         monkeypatch.setattr(cli, "_parse_hypergraph", forbidden)
 
-    @pytest.mark.parametrize("fmt", FORMATS)
-    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize("command, fmt", CASES)
     def test_cold_warm_and_unusable_runs_agree(self, tmp_path, capsys, monkeypatch, fmt, command):
         src = self.write_input(tmp_path, fmt)
         argv, out = self.argv(command, src, fmt, tmp_path / "out")
@@ -957,6 +978,38 @@ class TestLoadCache:
         assert run(capsys, *argv)[0] == 0
         self.forbid_parsing(monkeypatch)
         assert run(capsys, "rerun", out + ".manifest.json")[:2] == (0, "")
+
+    def test_rerun_of_a_cold_forecast_manifest_passes_warm(self, tmp_path, capsys, monkeypatch):
+        src = self.write_input(tmp_path, "reviews-csv")
+        argv, out = self.argv("forecast", src, "reviews-csv", tmp_path / "forecast")
+        assert run(capsys, *argv)[0] == 0
+        self.forbid_parsing(monkeypatch)
+        # The replay prints forecast's report on stdout; stderr must stay empty.
+        code, _, err = run(capsys, "rerun", out + ".manifest.json")
+        assert (code, err) == (0, "")
+
+    def test_a_warm_reviews_pass_hits_on_every_command(self, tmp_path, capsys, monkeypatch):
+        src = self.write_input(tmp_path, "reviews-csv")
+        assert run(capsys, "stats", "--input", str(src))[0] == 0
+        found = []
+        read = loadcache._read_entry
+        monkeypatch.setattr(loadcache, "_read_entry", lambda name: found.append(read(name)) or found[-1])
+        for command in ("stats", "communities", "forecast", "betweenness", "convert"):
+            argv, _ = self.argv(command, src, "reviews-csv", tmp_path / command)
+            assert run(capsys, *argv)[0] == 0
+        assert [entry is not None for entry in found] == [True] * 5
+        assert len(self.entries()) == 1
+
+    def test_the_star_filter_is_part_of_the_key(self, tmp_path, capsys):
+        src = self.write_input(tmp_path, "reviews-csv")
+        outputs = []
+        for stars in ([], ["5", "4"], ["4", "5", "4"], ["3"]):
+            code, out, _ = run(capsys, "forecast", "--input", str(src), *(["--stars", *stars] if stars else []))
+            assert code == 0
+            outputs.append(out)
+        # No filter, {4, 5} in two spellings, and {3}: three builds, three entries.
+        assert outputs[1] == outputs[2] and len(set(outputs)) == 3
+        assert len(self.entries()) == 3
 
     def test_one_changed_byte_is_a_miss(self, tmp_path, capsys):
         src = self.write_input(tmp_path, "reviews-csv")
@@ -1016,6 +1069,10 @@ class TestLoadCache:
     def test_failing_commands_leave_no_entry(self, tmp_path, capsys, monkeypatch):
         bad = tmp_path / "bad.csv"
         bad.write_text(self.reviews_text() + "u1,b1,9\n")
+        # Every user reviews one item, so no forecast is defined (exit 5) after a clean parse.
+        lonely = tmp_path / "lonely.csv"
+        lonely.write_text("user_id,item_id,stars\n" + "".join(f"u{i},b{i},5\n" for i in range(4000)))
+        assert lonely.stat().st_size >= loadcache.MIN_BYTES
         scenes = self.write_input(tmp_path, "scenes-json")
         argv, out = self.argv("betweenness", scenes, "scenes-json", tmp_path / "scores")
         with monkeypatch.context() as patch:
@@ -1024,11 +1081,39 @@ class TestLoadCache:
         Path(out).write_text("changed\n")  # so that a replay exits 1
         for argv, code in (
             (["stats", "--input", str(bad)], 3),
+            (["forecast", "--input", str(bad)], 3),
+            (["forecast", "--input", str(lonely)], 5),
             (["betweenness", "--input", str(scenes), "--format", "scenes-json", "--s", "0"], 4),
             (["rerun", out + ".manifest.json"], 1),
         ):
             assert [run(capsys, *argv)[0] for _ in range(2)] == [code, code]
             assert self.entries() == []
+
+    BAD_HEADER = "user,item,stars\n"
+    FORECAST_FAILURES = {
+        "blank-small": (" \n\t\n", 3),
+        "blank-large": (" " * 40 * 1024, 3),
+        "empty": ("", 5),
+        "bad-stars-small": (REVIEWS + "u3,b1,9\n", 3),
+        "bad-stars-large": ("{reviews}u3,b1,9\n", 3),
+        "bad-header-small": (BAD_HEADER + "u1,b1,5\n", 3),
+        "bad-header-large": (BAD_HEADER + "{reviews}", 3),
+    }
+
+    @pytest.mark.parametrize("kind", list(FORECAST_FAILURES))
+    def test_forecast_fails_alike_cold_and_warm(self, tmp_path, capsys, kind):
+        text, code = self.FORECAST_FAILURES[kind]
+        src = tmp_path / "reviews.csv"
+        src.write_text(text.format(reviews=self.reviews_text().partition("\n")[2]))
+        assert (src.stat().st_size >= loadcache.MIN_BYTES) == kind.endswith("-large")
+        argv = ["forecast", "--input", str(src)]
+        cold = run(capsys, *argv)
+        assert (cold[0], cold[1]) == (code, "") and cold[2].startswith("error: ")
+        # Blank text is an empty hypergraph to stats, which caches it when large.
+        stats = run(capsys, "stats", "--input", str(src))[0]
+        assert len(self.entries()) == (stats == 0 and kind == "blank-large")
+        assert run(capsys, *argv) == cold
+        assert len(self.entries()) == (kind == "blank-large")
 
     def test_least_recently_used_entries_are_evicted(self, tmp_path, capsys):
         text = self.reviews_text()

@@ -39,6 +39,20 @@ def test_package_imports_with_the_standard_library_only():
     assert done.stdout == "ok\n"
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # Each costs every command's start-up several milliseconds.  -S keeps
+    # site hooks, which may import either module themselves, out.
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import hgkit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(PACKAGE_DIR.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
 def _through_index(node: ast.expr) -> bool:
     """Whether an attribute/subscript chain passes through one of the index attributes."""
     while isinstance(node, (ast.Attribute, ast.Subscript)):

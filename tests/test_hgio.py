@@ -36,8 +36,9 @@ from hgkit.errors import (
     UnknownVertexError,
 )
 
+from hgkit import hgio
 from hgkit.cli import main
-from hgkit.hgio import MAX_HGF_VERTICES
+from hgkit.hgio import MAX_HGF_VERTICES, hgf_chunks
 
 from helpers import (
     hypergraph_from_edges,
@@ -107,6 +108,25 @@ class TestHgf:
             tracemalloc.stop()
         assert info.value.exit_code == 3
         assert peak < 1 << 20
+
+    def test_writer_stops_at_the_reader_ceiling(self, monkeypatch):
+        # One row shared by every vertex: the writer reads only their count.
+        at, above = (
+            Hypergraph._from_rows([{}] * n, [], [None] * n, [])
+            for n in (MAX_HGF_VERTICES, MAX_HGF_VERTICES + 1)
+        )
+        assert write_hgf(at) == f"{MAX_HGF_VERTICES} 0\n"
+        for writer in (write_hgf, hgf_chunks):
+            with pytest.raises(MalformedHeaderError, match="above the HGF limit") as info:
+                writer(above)  # hgf_chunks raises on the call, not on the first chunk
+            assert info.value.exit_code == 3
+        # At a small ceiling, which read_hgf shares: the cap reads back, one above it is refused.
+        monkeypatch.setattr(hgio, "MAX_HGF_VERTICES", 3)
+        h = hypergraph_from_edges(3, [(1, 2), (2, 3)])
+        assert read_hgf(write_hgf(h)) == h
+        h.add_vertex([1])
+        with pytest.raises(MalformedHeaderError):
+            hgf_chunks(h)
 
     def test_line_count_mismatch(self):
         with pytest.raises(LineCountMismatchError):
