@@ -24,7 +24,6 @@ Outputs are the same either way.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
@@ -34,7 +33,6 @@ import sys
 from collections import Counter
 from itertools import chain
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator
 
 from . import __version__, loadcache
@@ -55,6 +53,8 @@ from .errors import (
 from .forecast import average_error, evaluation_size, forecast_graph, forecast_hypergraph
 from .hgio import (
     _check_encodable,
+    _csv_chunks,
+    _csv_rows,
     build_from_reviews,
     build_from_scenes,
     hgf_chunks,
@@ -75,35 +75,20 @@ def _fmt(x: float, full: bool) -> str:
     return repr(x) if full else f"{x:.6g}"
 
 
-def _csv_chunks(rows: Iterable[list[str]]) -> Iterator[str]:
-    """CSV records with ``\n`` line ends, one chunk per row; only cells that need it are quoted.
-
-    The writer ends each record with ``\r\n``, one ``write`` call per
-    record, so that a cell holding a bare ``\r`` is quoted too: before
-    Python 3.13 only characters of the line terminator force quotes.
-    Each record's ``\r\n`` is then cut back to ``\n``.
-    """
-    records: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
-    for row in rows:
-        writer.writerow(row)
-        yield records.pop()[:-2] + "\n"
-
-
-def _decode(data: bytes, path: str, newline: str | None = None) -> str:
-    """The bytes of input file ``path`` as text, decoded as ``open`` decodes UTF-8 with ``newline``.
+def _decode(data: bytes, path: str) -> str:
+    """The bytes of input file ``path`` as text, decoded as ``open`` decodes UTF-8.
 
     Bytes that are not UTF-8 raise ``FormatError``.
     """
     try:
-        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline).read()
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _read_text(path: str, newline: str | None = None) -> str:
-    """The text of a UTF-8 input file, read with ``open``'s ``newline`` rule."""
-    return _decode(Path(path).read_bytes(), path, newline)
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 input file, read as ``open`` reads it."""
+    return _decode(Path(path).read_bytes(), path)
 
 
 def _infer_format(path: str) -> str:
@@ -117,6 +102,8 @@ def _load_hypergraph(
     """What ``_parse_hypergraph`` makes of ``args.input``, from the load cache when it holds these bytes."""
     path = args.input
     data = Path(path).read_bytes()
+    # The manifest records these bytes, the ones the output is made from.
+    args.input_sha256 = hashlib.sha256(data).hexdigest()
     fmt = fmt or _infer_format(path)
     key = fmt if star_filter is None else f"{fmt} --stars {sorted(set(star_filter))}"
     return args.cache.load(data, key, lambda: _parse_hypergraph(_decode(data, path), fmt, star_filter))
@@ -174,13 +161,13 @@ def _sha256_file(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: dict[str, str]) -> None:
+def _write_manifest(args: argparse.Namespace, outputs: dict[str, str]) -> None:
     """Write ``<first output>.manifest.json``; ``outputs`` maps each output path to its digest."""
     primary = next(iter(outputs))
     parameters = {
         key: value
         for key, value in vars(args).items()
-        if key not in ("func", "argv_snapshot", "cache") and isinstance(value, (str, int, float, bool, list, type(None)))
+        if key not in ("func", "argv_snapshot", "cache", "input_sha256") and isinstance(value, (str, int, float, bool, list, type(None)))
     }
     doc = {
         "manifest_version": 1,
@@ -189,7 +176,7 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: dict[s
         "command": args.command,
         "argv": args.argv_snapshot,
         "parameters": parameters,
-        "inputs": [{"path": p, "sha256": _sha256_file(p)} for p in inputs],
+        "inputs": [{"path": args.input, "sha256": args.input_sha256}],
         "outputs": [{"path": p, "sha256": digest} for p, digest in outputs.items()],
     }
     Path(primary + ".manifest.json").write_text(
@@ -197,7 +184,7 @@ def _write_manifest(args: argparse.Namespace, inputs: list[str], outputs: dict[s
     )
 
 
-def _emit(args: argparse.Namespace, chunks: Iterable[str], inputs: list[str]) -> None:
+def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     """Send a document's text chunks to --output (with manifest) or stdout.
 
     Each chunk is written as it comes, so the document never exists as
@@ -211,7 +198,7 @@ def _emit(args: argparse.Namespace, chunks: Iterable[str], inputs: list[str]) ->
                 data = chunk.encode("utf-8")
                 digest.update(data)
                 out.write(data)
-        _write_manifest(args, inputs, {args.output: digest.hexdigest()})
+        _write_manifest(args, {args.output: digest.hexdigest()})
     else:
         for chunk in chunks:
             sys.stdout.write(chunk)
@@ -242,7 +229,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     report = "\n".join(line.rstrip() for line in lines) + "\n"
     sys.stdout.write(report)
     if args.output:
-        _emit(args, [report], [args.input])
+        _emit(args, [report])
     return 0
 
 
@@ -277,7 +264,7 @@ OUTPUT_FORMATS = tuple(_CONVERT_WRITERS)
 
 def cmd_convert(args: argparse.Namespace) -> int:
     h, _ = _load_hypergraph(args, args.from_fmt)
-    _emit(args, _CONVERT_WRITERS[args.to_fmt](h), [args.input])
+    _emit(args, _CONVERT_WRITERS[args.to_fmt](h))
     return 0
 
 
@@ -304,7 +291,7 @@ def cmd_communities(args: argparse.Namespace) -> int:
         if args.output and args.output.lower().endswith(".csv")
         else part.to_json_text()
     )
-    _emit(args, [text], [args.input])
+    _emit(args, [text])
     print(f"algorithm: {args.algo}")
     print(f"communities: {part.community_count}")
     print(f"iterations: {iterations}")
@@ -339,7 +326,7 @@ def cmd_betweenness(args: argparse.Namespace) -> int:
     h, _ = _load_hypergraph(args, args.format)
     vector = s_betweenness(h, args.s)
     ranked = vector.top(args.top_k) if args.top_k is not None else vector.ranked()
-    _emit(args, _csv_chunks(_score_rows(h, ranked, args.full_precision)), [args.input])
+    _emit(args, _csv_chunks(_score_rows(h, ranked, args.full_precision)))
     return 0
 
 
@@ -368,7 +355,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         + ["" if p is None else _fmt(p, full) for p in (hyper[v], graph[v])]
         for v, label in zip(h.vertices(), h._vmeta)
     )
-    _emit(args, _csv_chunks(chain([header], rows)), [args.input])
+    _emit(args, _csv_chunks(chain([header], rows)))
     print(
         f"err-hypergraph: {_fmt(average_error(hyper, ratings), full)}"
         f" (defined {evaluation_size(hyper)}/{h.nhv})"
@@ -386,26 +373,18 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 def _read_scores_csv(path: str) -> dict[int, float]:
     """Vertex -> score from a score CSV; scores must be finite, vertices distinct."""
     scores: dict[int, float] = {}
-    rows = csv.reader(io.StringIO(_read_text(path, newline=""), newline=""))
-    try:
-        if [c.strip() for c in next(rows, [])] != SCORES_HEADER:
-            raise FormatError(f"{path}: expected header vertex,label,score")
-        for row in rows:
-            if len(row) <= 1 and not "".join(row).strip():
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{path}: row {row!r} must have three fields")
-            try:
-                v, score = int(row[0]), float(row[2])
-            except ValueError:
-                raise FormatError(f"{path}: row {row!r} is not vertex,label,score") from None
-            if not math.isfinite(score):
-                raise FormatError(f"{path}: score {row[2]!r} of vertex {v} is not finite")
-            if v in scores:
-                raise FormatError(f"{path}: vertex {v} scored twice")
-            scores[v] = score
-    except csv.Error as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    for row in _csv_rows(_read_text(path), SCORES_HEADER, FormatError, f"{path}: score"):
+        if len(row) != 3:
+            raise FormatError(f"{path}: row {row!r} must have three fields")
+        try:
+            v, score = int(row[0]), float(row[2])
+        except ValueError:
+            raise FormatError(f"{path}: row {row!r} is not vertex,label,score") from None
+        if not math.isfinite(score):
+            raise FormatError(f"{path}: score {row[2]!r} of vertex {v} is not finite")
+        if v in scores:
+            raise FormatError(f"{path}: vertex {v} scored twice")
+        scores[v] = score
     return scores
 
 

@@ -22,6 +22,11 @@ Both writers come as generators of text chunks, one per incidence row
 (``hgf_chunks``, ``json_chunks``), so a caller can stream a document
 without holding it; ``write_hgf`` and ``write_json`` join the chunks.
 
+CSV tables
+    Every CSV table hgkit reads or writes (reviews, partitions, scores,
+    forecasts) is in one dialect, owned here: ``_csv_rows`` reads and
+    ``_csv_chunks`` writes it.
+
 Dataset builders turn review CSVs (``user_id,item_id,stars``) and
 scene JSON (array of ``{"id": ..., "members": [...]}``) into
 hypergraphs, keeping the external ids as labels and metadata.
@@ -34,6 +39,7 @@ import io
 import json
 import math
 from itertools import chain
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
@@ -275,43 +281,60 @@ def read_json(text: str) -> Hypergraph:
     return h
 
 
-# --- dataset rows ------------------------------------------------------------------
+# --- CSV tables and dataset rows -------------------------------------------------
+
+
+def _csv_rows(text: str, header: list[str], error: type[FormatError], what: str) -> Iterator[list[str]]:
+    """The rows after the header of a CSV table; a malformed table raises ``error``.
+
+    A leading byte order mark, as spreadsheet exports write it, is
+    skipped, and so is every empty line; an empty document has no rows.
+    The first row, its cells stripped, must be ``header``.
+    """
+    rows = filter(None, csv.reader(io.StringIO(text.removeprefix("\ufeff"))))
+    try:
+        first = next(rows, None)
+        if first is not None and [c.strip() for c in first] != header:
+            raise error(f"{what} CSV must start with header {','.join(header)}")
+        yield from rows
+    except csv.Error as exc:
+        raise error(f"{what} CSV unparseable: {exc}") from None
+
+
+def _csv_chunks(rows: Iterable[list[str]]) -> Iterator[str]:
+    """CSV records with ``\n`` line ends, one chunk per row; only cells that need it are quoted.
+
+    The writer ends each record with ``\r\n``, one ``write`` call per
+    record, so that a cell holding a bare ``\r`` is quoted too: before
+    Python 3.13 only characters of the line terminator force quotes.
+    Each record's ``\r\n`` is then cut back to ``\n``.
+    """
+    records: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
+    for row in rows:
+        writer.writerow(row)
+        yield records.pop()[:-2] + "\n"
 
 
 def review_rows(text: str) -> Iterator[tuple[str, str, int]]:
     """Validate a review CSV with header ``user_id,item_id,stars`` row by row.
 
     Yields ``(user_id, item_id, stars)`` lazily, so a malformed row
-    raises only when it is reached.  A leading byte order mark, as
-    spreadsheet exports write it, is skipped, and so are blank lines;
-    an empty document (or just the header) yields nothing.
+    raises only when it is reached.  A leading byte order mark and empty
+    lines are skipped; an empty document (or just the header) yields
+    nothing.
     """
-    rows = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-    try:
-        for header in rows:
-            if header:
-                break
-        else:
-            return
-        if [c.strip() for c in header] != ["user_id", "item_id", "stars"]:
-            raise MalformedRecordError(
-                "review CSV must start with header user_id,item_id,stars"
-            )
-        for row in rows:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise MalformedRecordError(f"review row {row!r} must have three fields")
-            user, item, stars_text = row
-            try:
-                stars = int(stars_text)
-            except ValueError:
-                raise MalformedRecordError(f"stars {stars_text!r} is not an integer") from None
-            if not 1 <= stars <= 5:
-                raise MalformedRecordError(f"stars must be in 1..5, got {stars}")
-            yield user, item, stars
-    except csv.Error as exc:
-        raise MalformedRecordError(f"review CSV unparseable: {exc}") from None
+    for row in _csv_rows(text, ["user_id", "item_id", "stars"], MalformedRecordError, "review"):
+        if len(row) != 3:
+            raise MalformedRecordError(f"review row {row!r} must have three fields")
+        user, item, stars_text = row
+        try:
+            stars = int(stars_text)
+        except ValueError:
+            raise MalformedRecordError(f"stars {stars_text!r} is not an integer") from None
+        if not 1 <= stars <= 5:
+            raise MalformedRecordError(f"stars must be in 1..5, got {stars}")
+        yield user, item, stars
 
 
 def read_reviews_csv(text: str) -> list[tuple[str, str, int]]:

@@ -8,12 +8,12 @@ Serialized forms:
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import JSON_DECODE_ERRORS, FormatError
+from .hgio import _csv_chunks, _csv_rows
 
 __all__ = ["Partition"]
 
@@ -104,23 +104,13 @@ class Partition:
         return cls(labels)
 
     def to_csv_text(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["vertex", "label"])
-        for v in sorted(self.labels):
-            writer.writerow([v, self.labels[v]])
-        return out.getvalue()
+        rows = ([str(v), str(self.labels[v])] for v in sorted(self.labels))
+        return "".join(_csv_chunks(chain([["vertex", "label"]], rows)))
 
     @classmethod
     def from_csv_text(cls, text: str) -> "Partition":
-        try:
-            rows = [row for row in csv.reader(io.StringIO(text)) if row]
-        except csv.Error as exc:
-            raise FormatError(f"partition CSV unparseable: {exc}") from None
-        if not rows or [c.strip() for c in rows[0]] != ["vertex", "label"]:
-            raise FormatError("partition CSV must start with header vertex,label")
         labels: dict[int, int] = {}
-        for row in rows[1:]:
+        for row in _csv_rows(text, ["vertex", "label"], FormatError, "partition"):
             if len(row) != 2:
                 raise FormatError(f"partition CSV row {row!r} must have two fields")
             try:

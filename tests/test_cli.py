@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import random
@@ -244,6 +245,16 @@ class TestNmi:
         assert code == 4
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("other, code", [({1: 1}, 4), ({}, 5)], ids=["against-one-vertex", "against-empty"])
+    def test_an_empty_csv_is_the_empty_partition(self, tmp_path, capsys, other, code):
+        # As for a partition JSON of {}: a domain mismatch (4) or nothing to compare (5).
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "empty.json").write_text("{}")
+        (tmp_path / "other.json").write_text(Partition(other).to_json_text())
+        for empty in ("empty.csv", "empty.json"):
+            got, out, err = run(capsys, "nmi", str(tmp_path / empty), str(tmp_path / "other.json"))
+            assert (got, out) == (code, "") and err.startswith("error:")
+
 
 class TestBetweenness:
     def test_ranked_csv(self, tmp_path, capsys):
@@ -435,6 +446,29 @@ class TestCorrelate:
         assert (code, out) == (3, "")
         assert err == f"error: {a}: vertex 2 scored twice\n"
 
+    def test_empty_lines_before_the_header_are_skipped(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("\n\nvertex,label,score\n1,,1\n\n2,,2\n3,,4\n\n")
+        self.write_scores(tmp_path / "b.csv", {1: 1.0, 2: 2.0, 3: 4.0})
+        assert run(capsys, "correlate", str(a), str(tmp_path / "b.csv")) == (0, "1\n", "")
+
+    def test_a_line_of_spaces_exits_3(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("vertex,label,score\n1,,1\n   \n2,,2\n")
+        self.write_scores(tmp_path / "b.csv", {1: 1.0, 2: 2.0})
+        code, out, err = run(capsys, "correlate", str(a), str(tmp_path / "b.csv"))
+        assert (code, out) == (3, "")
+        assert err == f"error: {a}: row ['   '] must have three fields\n"
+
+    @pytest.mark.parametrize("other, code", [({1: 1.0, 2: 2.0}, 4), ({}, 5)], ids=["against-two-vertices", "against-empty"])
+    def test_an_empty_file_is_the_empty_table(self, tmp_path, capsys, other, code):
+        # A domain mismatch (4) or too few vertices to correlate (5), as for a header-only file.
+        for empty in ("", "vertex,label,score\n"):
+            (tmp_path / "a.csv").write_text(empty)
+            self.write_scores(tmp_path / "b.csv", other)
+            got, out, err = run(capsys, "correlate", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"))
+            assert (got, out) == (code, "") and err.startswith("error:")
+
 
 class TestRerun:
     def test_verifies_byte_identity(self, tmp_path, capsys):
@@ -456,6 +490,27 @@ class TestRerun:
         code, _, err = run(capsys, "rerun", str(tmp_path / "scores.csv.manifest.json"))
         assert code == 1
         assert "digest changed" in err
+
+    def test_manifest_digests_the_input_bytes_the_output_came_from(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "path.hgf"
+        src.write_text(PATH5)
+        dst = tmp_path / "scores.csv"
+        score = cli.s_betweenness
+
+        def rewrite_input_then_score(h, s):
+            src.write_text(GOLDEN)
+            return score(h, s)
+
+        monkeypatch.setattr(cli, "s_betweenness", rewrite_input_then_score)
+        assert run(capsys, "betweenness", "--input", str(src), "--output", str(dst))[0] == 0
+        monkeypatch.undo()
+        manifest = tmp_path / "scores.csv.manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert doc["inputs"] == [{"path": str(src), "sha256": hashlib.sha256(PATH5.encode()).hexdigest()}]
+        # rerun blames the input that changed, not the output.
+        code, _, err = run(capsys, "rerun", str(manifest))
+        assert code == 1
+        assert err.startswith(f"error: {src} digest changed (")
 
     def test_replays_seeded_commands(self, tmp_path, capsys):
         src = tmp_path / "two.hgf"
@@ -704,7 +759,7 @@ class TestInvalidUtf8:
 
 
 class TestByteOrderMark:
-    """A review CSV may start with the UTF-8 byte order mark that spreadsheet exports write."""
+    """Every CSV table may start with the UTF-8 byte order mark that spreadsheet exports write."""
 
     @pytest.mark.parametrize("command", [["stats"], ["forecast", "--full-precision"]])
     def test_same_output_with_and_without_it(self, tmp_path, capsys, command):
@@ -714,6 +769,20 @@ class TestByteOrderMark:
         want = run(capsys, *command, "--input", str(plain))
         assert want[0] == 0
         assert run(capsys, *command, "--input", str(marked)) == want
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("nmi", Partition({1: 1, 2: 1, 3: 2}).to_csv_text()), ("correlate", "vertex,label,score\n1,,1\n2,,2\n3,,4\n")],
+        ids=["nmi", "correlate"],
+    )
+    def test_partition_and_score_tables_read_alike_with_it(self, tmp_path, capsys, command, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want = run(capsys, command, str(plain), str(plain))
+        assert want[0] == 0
+        assert run(capsys, command, str(marked), str(plain)) == want
+        assert run(capsys, command, str(plain), str(marked)) == want
 
 
 class TestLoneSurrogates:

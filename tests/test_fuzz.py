@@ -6,7 +6,9 @@ integers) and fed to every command through ``cli.main``.  Each run must
 end in a documented exit code with an ``error:`` line or usage text on
 stderr, never in an uncaught exception.  Every output that a successful
 run writes must be accepted by the package's own reader, and its
-manifest must replay.
+manifest must replay.  A spreadsheet save of each valid CSV table (a
+byte order mark and CRLF line ends) must change no exit code, stdout
+or output byte of any command.
 """
 
 from __future__ import annotations
@@ -61,17 +63,17 @@ READERS = {
 }
 
 
-def run(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stderr of one in-process run; argparse's exit counts as its code."""
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run; argparse's exit counts as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         try:
             rc = main(argv)
         except SystemExit as exc:
             rc = exc.code
         except Exception as exc:  # an uncaught exception is a traceback for a CLI user
             raise AssertionError(f"{argv}: uncaught {exc!r}") from exc
-    return rc, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 def base_documents(tmp_path: Path) -> dict[str, str]:
@@ -139,7 +141,7 @@ def commands(path: str, fmt: str | None, out: Path, valid: dict[str, str]) -> li
 
 
 def check_run(argv: list[str]) -> int:
-    rc, err = run(argv)
+    rc, _, err = run(argv)
     what = f"{argv} -> {rc}: {err!r}"
     assert "Traceback" not in err, what
     os_error = rc == 1 and err.startswith("error: [Errno")
@@ -160,16 +162,28 @@ def check_outputs(argv: list[str]) -> None:
         reader(path)
     manifest = str(path) + ".manifest.json"
     _read_manifest(manifest)
-    assert run(["rerun", manifest]) == (0, ""), argv
+    rc, _, err = run(["rerun", manifest])
+    assert (rc, err) == (0, ""), argv
+
+
+def valid_inputs(tmp_path: Path, docs: dict[str, str]) -> dict[str, str]:
+    """The paths of a valid partition JSON and score CSV, for commands that take two files."""
+    valid = {}
+    for name in ("partition-json", "scores"):
+        valid[name] = str(tmp_path / KINDS[name][0])
+        Path(valid[name]).write_text(docs[name], encoding="utf-8")
+    return valid
+
+
+def spreadsheet_save(text: str) -> bytes:
+    """``text`` as a spreadsheet saves it: a UTF-8 byte order mark, then CRLF line ends."""
+    return b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8")
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_mutated_inputs_end_in_a_documented_exit(tmp_path, kind):
     docs = base_documents(tmp_path)
-    valid = {}
-    for name in ("partition-json", "scores"):
-        valid[name] = str(tmp_path / KINDS[name][0])
-        Path(valid[name]).write_text(docs[name], encoding="utf-8")
+    valid = valid_inputs(tmp_path, docs)
     rng = random.Random(f"{SEED}:{kind}")
     name, fmt = KINDS[kind]
     inputs = [docs[kind].encode("utf-8")] + [mutate(docs[kind], rng) for _ in range(MUTANTS_PER_KIND)]
@@ -181,3 +195,21 @@ def test_mutated_inputs_end_in_a_documented_exit(tmp_path, kind):
         for argv in commands(str(path), fmt, case / "out", valid):
             if check_run(argv) == 0:
                 check_outputs(argv)
+
+
+@pytest.mark.parametrize("kind", ["reviews", "partition-csv", "scores"])
+def test_a_spreadsheet_save_changes_no_output(tmp_path, kind):
+    docs = base_documents(tmp_path)
+    valid = valid_inputs(tmp_path, docs)
+    name, fmt = KINDS[kind]
+    seen = []
+    for case, data in (("plain", docs[kind].encode("utf-8")), ("saved", spreadsheet_save(docs[kind]))):
+        out = tmp_path / case / "out"
+        out.mkdir(parents=True)
+        (tmp_path / case / name).write_bytes(data)
+        results = [run(argv)[:2] for argv in commands(str(tmp_path / case / name), fmt, out, valid)]
+        # Manifests record the input's path and digest, which differ by design.
+        written = {p.name: p.read_bytes() for p in out.iterdir() if not p.name.endswith(".manifest.json")}
+        seen.append((results, written))
+    assert any(rc == 0 for rc, _ in seen[0][0])
+    assert seen[1] == seen[0]

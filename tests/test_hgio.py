@@ -13,6 +13,7 @@ import pytest
 
 from hgkit import (
     Hypergraph,
+    Partition,
     build_from_reviews,
     build_from_scenes,
     largest_connected_component,
@@ -28,6 +29,7 @@ from hgkit import (
 from hgkit.errors import (
     BadWeightTokenError,
     DualInconsistencyError,
+    FormatError,
     IndexOutOfRangeError,
     LineCountMismatchError,
     MalformedHeaderError,
@@ -37,7 +39,7 @@ from hgkit.errors import (
 )
 
 from hgkit import hgio
-from hgkit.cli import main
+from hgkit.cli import _read_scores_csv, main
 from hgkit.hgio import MAX_HGF_VERTICES, hgf_chunks
 
 from helpers import (
@@ -328,6 +330,61 @@ class TestReviews:
         h, items, users = build_from_reviews([])
         assert (h.nhv, h.nhe) == (0, 0)
         assert items == [] and users == []
+
+
+def _read_scores_file(text: str, tmp_path) -> dict[int, float]:
+    path = tmp_path / "scores.csv"
+    path.write_bytes(text.encode("utf-8"))
+    return _read_scores_csv(str(path))
+
+
+# Table -> its header, two body rows, and its reader given the text and a scratch directory.
+CSV_TABLES = {
+    "reviews": ("user_id,item_id,stars", ("u1,b1,5", "u2,b2,4"), lambda text, _: read_reviews_csv(text)),
+    "partition": ("vertex,label", ("1,1", "2,2"), lambda text, _: Partition.from_csv_text(text)),
+    "scores": ("vertex,label,score", ("1,a,0.5", "2,b,1.5"), _read_scores_file),
+}
+ROWS, EMPTY = "the two rows", "no rows"
+# Case -> document, with {h} the header, {p} the header with padded cells and
+# {r}/{s} the rows, and its one outcome for every table: ROWS, EMPTY or a
+# piece of the error message.
+CSV_DIALECT = {
+    "plain": ("{h}\n{r}\n{s}\n", ROWS),
+    "byte-order-mark": ("\ufeff{h}\n{r}\n{s}\n", ROWS),
+    "empty-lines-before-the-header": ("\n\n{h}\n{r}\n{s}\n", ROWS),
+    "empty-lines-between-rows": ("{h}\n\n{r}\n\n\n{s}\n", ROWS),
+    "empty-lines-at-the-end": ("{h}\n{r}\n{s}\n\n\n", ROWS),
+    "crlf": ("{h}\r\n{r}\r\n{s}\r\n", ROWS),
+    "padded-header-cells": ("{p}\n{r}\n{s}\n", ROWS),
+    "empty-document": ("", EMPTY),
+    "byte-order-mark-only": ("\ufeff", EMPTY),
+    "empty-lines-only": ("\n\r\n\n", EMPTY),
+    "header-only": ("{h}\n", EMPTY),
+    "spaces-line-between-rows": ("{h}\n{r}\n   \n{s}\n", "['   '] must have"),
+    "spaces-line-before-the-header": ("   \n{h}\n{r}\n", "CSV must start with header"),
+    "field-over-the-limit": ("{h}\n{r}\n" + "x" * 131_073 + ",\n", "CSV unparseable: field larger than field limit (131072)"),
+}
+
+
+class TestCsvDialect:
+    """Reviews, partitions and scores share one CSV reader, so one document reads alike in each."""
+
+    @pytest.mark.parametrize("table", list(CSV_TABLES))
+    @pytest.mark.parametrize("case", list(CSV_DIALECT))
+    def test_one_outcome_for_every_table(self, tmp_path, table, case):
+        header, (r, s), read = CSV_TABLES[table]
+        padded = " " + header.replace(",", " , ") + "\t"
+        template, outcome = CSV_DIALECT[case]
+        text = template.format(h=header, p=padded, r=r, s=s)
+        if outcome == ROWS:
+            want = read(f"{header}\n{r}\n{s}\n", tmp_path)
+            assert len(want) == 2
+            assert read(text, tmp_path) == want
+        elif outcome == EMPTY:
+            assert len(read(text, tmp_path)) == 0
+        else:
+            with pytest.raises(FormatError, match=re.escape(outcome)):
+                read(text, tmp_path)
 
 
 def _seeded_scenes_json(rng: random.Random) -> str:
