@@ -35,7 +35,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from . import __version__, loadcache
+from . import __version__, hgio, loadcache
 from .analytics import (
     connected_components,
     graph_modularity,
@@ -116,20 +116,20 @@ def _parse_hypergraph(
 
     The tallies are two lists, each item's star sum and review count at
     position v-1 for vertex v, taken over every review: ``star_filter``
-    drops reviews from the hypergraph only.  Other formats, and a
-    blank review CSV, carry None.
+    drops reviews from the hypergraph only.  Other formats carry None.
     """
-    # An entirely empty file stands for the empty structure in any format.
+    # A review CSV is a table, whose reader refuses a line of blanks.
+    if fmt == "reviews-csv":
+        totals: dict[str, list[int]] = {}
+        h, item_labels, _ = build_from_reviews(_tally_stars(review_rows(text), totals), star_filter)
+        return h, ([totals[i][0] for i in item_labels], [totals[i][1] for i in item_labels])
+    # An entirely blank file stands for the empty structure in any other format.
     if not text.strip():
         return Hypergraph(0, 0), None
     if fmt == "hgf":
         return read_hgf(text), None
     if fmt == "json":
         return read_json(text), None
-    if fmt == "reviews-csv":
-        totals: dict[str, list[int]] = {}
-        h, item_labels, _ = build_from_reviews(_tally_stars(review_rows(text), totals), star_filter)
-        return h, ([totals[i][0] for i in item_labels], [totals[i][1] for i in item_labels])
     if fmt == "scenes-json":
         h, _ = build_from_scenes(read_scenes_json(text))
         return h, None
@@ -336,13 +336,7 @@ def cmd_betweenness(args: argparse.Namespace) -> int:
 def cmd_forecast(args: argparse.Namespace) -> int:
     # Ratings are in-sample item means over every review, unfiltered;
     # the star filter shapes only the hypergraph.
-    h, tallies = _load_hypergraph(args, "reviews-csv", args.stars)
-    if tallies is None:
-        # Only blank text loads without tallies, as the empty hypergraph;
-        # the row reader still refuses a line of blanks as the header.
-        next(review_rows(_read_text(args.input)), None)
-        tallies = [], []
-    sums, counts = tallies
+    h, (sums, counts) = _load_hypergraph(args, "reviews-csv", args.stars)
     ratings = {v: total / n for v, total, n in zip(h.vertices(), sums, counts)}
     hyper = forecast_hypergraph(h, ratings)
     graph = forecast_graph(TwoSectionView(h), ratings)
@@ -376,10 +370,8 @@ def _read_scores_csv(path: str) -> dict[int, float]:
     for row in _csv_rows(_read_text(path), SCORES_HEADER, FormatError, f"{path}: score"):
         if len(row) != 3:
             raise FormatError(f"{path}: row {row!r} must have three fields")
-        try:
-            v, score = int(row[0]), float(row[2])
-        except ValueError:
-            raise FormatError(f"{path}: row {row!r} is not vertex,label,score") from None
+        v = hgio._number(row[0], int, FormatError, f"{path}: vertex")
+        score = hgio._number(row[2], float, FormatError, f"{path}: score")
         if not math.isfinite(score):
             raise FormatError(f"{path}: score {row[2]!r} of vertex {v} is not finite")
         if v in scores:
@@ -493,12 +485,12 @@ def cmd_rerun(args: argparse.Namespace) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer no smaller than ``low``."""
+def _integer(low: int | None = None) -> Callable[[str], int]:
+    """An argparse type: an integer in hgio's number grammar, no smaller than ``low`` if given."""
 
     def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+        value = hgio._number(text, int, ValueError, "option")
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
@@ -537,8 +529,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=INPUT_FORMATS)
     p.add_argument("--algo", choices=("hyper-lp", "graph-lp"), default="hyper-lp")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=_int_at_least(1), default=100)
+    p.add_argument("--seed", type=_integer(), default=0)
+    p.add_argument("--max-iter", type=_integer(1), default=100)
     p.add_argument("--output")
     p.set_defaults(func=cmd_communities)
 
@@ -550,14 +542,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("betweenness", parents=[common], help="s-betweenness ranking as CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=INPUT_FORMATS)
-    p.add_argument("--s", type=int, default=1)
-    p.add_argument("--top-k", type=_int_at_least(0))
+    p.add_argument("--s", type=_integer(), default=1)
+    p.add_argument("--top-k", type=_integer(0))
     p.add_argument("--output")
     p.set_defaults(func=cmd_betweenness)
 
     p = sub.add_parser("forecast", parents=[common], help="rating forecasts from a review CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--stars", type=int, nargs="+", choices=range(1, 6))
+    p.add_argument("--stars", type=_integer(), nargs="+", choices=range(1, 6))
     p.add_argument("--output")
     p.set_defaults(func=cmd_forecast)
 

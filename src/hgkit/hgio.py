@@ -6,10 +6,11 @@ Text format (HGF)
     order.  Weights are written in shortest round-trip float form (so
     they always carry a decimal point or an exponent).  An empty
     hyperedge is an empty line.  Metadata is not part of this format.
-    Readers tolerate extra blanks between tokens.  A header may declare
-    at most ``MAX_HGF_VERTICES`` vertices, since a row is allocated for
-    each before any hyperedge line is read; the writer refuses a larger
-    hypergraph, so every document it writes reads back.
+    Readers tolerate extra blanks between the tokens of an ASCII
+    document.  A header may declare at most ``MAX_HGF_VERTICES``
+    vertices, since a row is allocated for each before any hyperedge
+    line is read; the writer refuses a larger hypergraph, so every
+    document it writes reads back.
 
 JSON format
     Object with ``format_version`` (1), ``n``, ``k``, ``v2he`` and
@@ -26,6 +27,9 @@ CSV tables
     Every CSV table hgkit reads or writes (reviews, partitions, scores,
     forecasts) is in one dialect, owned here: ``_csv_rows`` reads and
     ``_csv_chunks`` writes it.
+
+Every number hgkit reads from text, CLI options included, is in one
+grammar, owned here: ``_number`` reads it.
 
 Dataset builders turn review CSVs (``user_id,item_id,stars``) and
 scene JSON (array of ``{"id": ..., "members": [...]}``) into
@@ -77,6 +81,19 @@ FORMAT_VERSION = 1
 MAX_HGF_VERTICES = 2**21
 
 
+def _number(text: str, kind: type[int] | type[float], error: type[Exception], what: str) -> Any:
+    """``text`` read as ``kind``, ``int`` or ``float``, if ASCII without ``_``; else ``error``.
+
+    Underscores and digits or blanks of other scripts, which ``kind`` reads, are refused.
+    """
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise error(f"{what} {text!r} is not {'an integer' if kind is int else 'a float'}")
+
+
 # --- HGF text format -----------------------------------------------------------
 
 
@@ -104,14 +121,13 @@ def read_hgf(text: str) -> Hypergraph:
     if not lines:
         raise MalformedHeaderError("missing header line")
     header = lines[0].split()
-    if len(header) != 2:
+    if len(header) != 2 or not lines[0].isascii():
         raise MalformedHeaderError(f"header must be two integers, got {lines[0]!r}")
-    try:
-        n, k = int(header[0]), int(header[1])
-    except ValueError:
-        raise MalformedHeaderError(
-            f"header must be two integers, got {lines[0]!r}"
-        ) from None
+    # The writer writes ASCII only; other text could hide a Unicode blank or line break.
+    if not text.isascii():
+        raise BadWeightTokenError("hyperedge lines must be ASCII text")
+    n = _number(header[0], int, MalformedHeaderError, "vertex count")
+    k = _number(header[1], int, MalformedHeaderError, "hyperedge count")
     if n < 0 or k < 0:
         raise MalformedHeaderError("vertex and hyperedge counts must be non-negative")
     if n > MAX_HGF_VERTICES:
@@ -130,14 +146,8 @@ def read_hgf(text: str) -> Hypergraph:
                 raise BadWeightTokenError(
                     f"token {token!r} is not of the form vertex=weight"
                 )
-            try:
-                v = int(left)
-            except ValueError:
-                raise BadWeightTokenError(f"vertex id {left!r} is not an integer") from None
-            try:
-                w = float(right)
-            except ValueError:
-                raise BadWeightTokenError(f"weight {right!r} is not a float") from None
+            v = _number(left, int, BadWeightTokenError, "vertex id")
+            w = _number(right, float, BadWeightTokenError, "weight")
             if not math.isfinite(w):
                 raise BadWeightTokenError(f"weight {right!r} is not finite")
             if not 1 <= v <= n:
@@ -210,10 +220,7 @@ def _parse_weight_object(obj: object, limit: int, what: str) -> dict[int, float]
         raise SchemaViolationError(f"{what} entries must be objects")
     out: dict[int, float] = {}
     for key, value in obj.items():
-        try:
-            ident = int(key)
-        except (TypeError, ValueError):
-            raise SchemaViolationError(f"{what} key {key!r} is not an integer") from None
+        ident = _number(key, int, SchemaViolationError, f"{what} key")
         if not 1 <= ident <= limit:
             raise SchemaViolationError(f"{what} id {ident} outside 1..{limit}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -225,6 +232,8 @@ def _parse_weight_object(obj: object, limit: int, what: str) -> dict[int, float]
         if not math.isfinite(w):
             raise SchemaViolationError(f"{what} weight {value!r} is not finite")
         out[ident] = w
+    if len(out) != len(obj):
+        raise SchemaViolationError(f"two {what} keys of one row name the same id")
     return out
 
 
@@ -328,10 +337,7 @@ def review_rows(text: str) -> Iterator[tuple[str, str, int]]:
         if len(row) != 3:
             raise MalformedRecordError(f"review row {row!r} must have three fields")
         user, item, stars_text = row
-        try:
-            stars = int(stars_text)
-        except ValueError:
-            raise MalformedRecordError(f"stars {stars_text!r} is not an integer") from None
+        stars = _number(stars_text, int, MalformedRecordError, "stars")
         if not 1 <= stars <= 5:
             raise MalformedRecordError(f"stars must be in 1..5, got {stars}")
         yield user, item, stars

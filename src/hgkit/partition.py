@@ -13,7 +13,7 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import JSON_DECODE_ERRORS, FormatError
-from .hgio import _csv_chunks, _csv_rows
+from .hgio import _csv_chunks, _csv_rows, _number
 
 __all__ = ["Partition"]
 
@@ -87,14 +87,13 @@ class Partition:
             raise FormatError(f"partition JSON unparseable: {exc}") from None
         if not isinstance(obj, dict):
             raise FormatError("partition JSON must be an object of label -> [vertex]")
+        blocks = {_number(key, int, FormatError, "partition label"): members for key, members in obj.items()}
+        if len(blocks) != len(obj):
+            raise FormatError("two partition JSON keys name the same label")
         labels: dict[int, int] = {}
-        for key, members in obj.items():
-            try:
-                lab = int(key)
-            except ValueError:
-                raise FormatError(f"partition label {key!r} is not an integer") from None
+        for lab, members in blocks.items():
             if not isinstance(members, list):
-                raise FormatError(f"community {key!r} must be a list of vertex ids")
+                raise FormatError(f"community {lab} must be a list of vertex ids")
             for v in members:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise FormatError(f"vertex id {v!r} is not an integer")
@@ -113,10 +112,8 @@ class Partition:
         for row in _csv_rows(text, ["vertex", "label"], FormatError, "partition"):
             if len(row) != 2:
                 raise FormatError(f"partition CSV row {row!r} must have two fields")
-            try:
-                v, lab = int(row[0]), int(row[1])
-            except ValueError:
-                raise FormatError(f"partition CSV row {row!r} is not integer,integer") from None
+            v = _number(row[0], int, FormatError, "partition vertex")
+            lab = _number(row[1], int, FormatError, "partition label")
             if v in labels:
                 raise FormatError(f"vertex {v} labeled twice")
             labels[v] = lab

@@ -920,6 +920,99 @@ class TestParserLimits:
         assert err.count("\n") == 1
 
 
+class TestNumberGrammar:
+    """Documents and integer options spell numbers alike: ASCII without underscores."""
+
+    JSON_KEY = '{"format_version": 1, "n": 1, "k": 1, "v2he": [{"0_1": 1.0}], "he2v": [{"1": 1.0}]}'
+    # Case -> file name, text, the command before the file, and its error line.
+    DOCUMENTS = {
+        "hgf-count": ("g.hgf", "1_0 1\n1=1.0\n", ["stats", "--input"], "vertex count '1_0' is not an integer"),
+        "hgf-vertex": ("g.hgf", "4 1\n４=1.0\n", ["stats", "--input"], "hyperedge lines must be ASCII text"),
+        "hgf-weight": ("g.hgf", "1 1\n1=1_0.5\n", ["stats", "--input"], "weight '1_0.5' is not a float"),
+        "json-key": ("g.json", JSON_KEY, ["stats", "--input"], "v2he key '0_1' is not an integer"),
+        "stars-underscore": ("r.csv", REVIEWS + "u3,b1,0_5\n", ["forecast", "--input"], "stars '0_5' is not an integer"),
+        "stars-fullwidth": ("r.csv", REVIEWS + "u3,b1,４\n", ["stats", "--input"], "stars '４' is not an integer"),
+        "partition-csv-vertex": ("p.csv", "vertex,label\n1_0,1\n", ["nmi", "good.json"], "partition vertex '1_0' is not an integer"),
+        "partition-json-label": ("p.json", '{"1_0": [1]}', ["nmi", "good.json"], "partition label '1_0' is not an integer"),
+        "score-vertex": ("s.csv", "vertex,label,score\n1_0,,1\n", ["correlate", "good.csv"], "s.csv: vertex '1_0' is not an integer"),
+        "score": ("s.csv", "vertex,label,score\n1,,1_0.5\n", ["correlate", "good.csv"], "s.csv: score '1_0.5' is not a float"),
+    }
+
+    @pytest.mark.parametrize("kind", list(DOCUMENTS))
+    def test_a_respelled_number_in_a_document_exits_3(self, tmp_path, capsys, monkeypatch, kind):
+        name, text, argv, message = self.DOCUMENTS[kind]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "good.json").write_text(Partition({10: 1}).to_json_text())
+        (tmp_path / "good.csv").write_text("vertex,label,score\n10,,0.5\n")
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert run(capsys, *argv, name) == (3, "", f"error: {message}\n")
+
+    # Case -> command, its input, and the option respelled.
+    OPTIONS = {
+        "s-underscore": ("betweenness", "g.hgf", "--s", "0_1"),
+        "s-no-break-space": ("betweenness", "g.hgf", "--s", "\xa02"),
+        "seed-arabic-indic": ("communities", "g.hgf", "--seed", "٣"),
+        "max-iter-underscore": ("communities", "g.hgf", "--max-iter", "1_0"),
+        "top-k-fullwidth": ("betweenness", "g.hgf", "--top-k", "２"),
+        "stars-fullwidth": ("forecast", "r.csv", "--stars", "５"),
+    }
+
+    @pytest.mark.parametrize("kind", list(OPTIONS))
+    def test_a_respelled_integer_option_is_a_usage_error(self, tmp_path, capsys, monkeypatch, kind):
+        command, name, option, value = self.OPTIONS[kind]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.hgf").write_text(PATH5)
+        (tmp_path / "r.csv").write_text(REVIEWS)
+        with pytest.raises(SystemExit) as info:
+            main([command, "--input", name, option, value, "--output", "out"])
+        assert info.value.code == 2
+        assert f"argument {option}: invalid int value: {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, name, plain, padded",
+        [
+            ("betweenness", "g.hgf", ["--s", "2", "--top-k", "1"], ["--s", " +2 ", "--top-k", "01"]),
+            ("communities", "g.hgf", ["--seed", "7", "--max-iter", "3"], ["--seed", "+7", "--max-iter", "\t3"]),
+            ("forecast", "r.csv", ["--stars", "3", "5"], ["--stars", "03", " 5"]),
+        ],
+        ids=["betweenness", "communities", "forecast"],
+    )
+    def test_padded_and_signed_options_read_as_plain_ones(self, tmp_path, capsys, monkeypatch, command, name, plain, padded):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.hgf").write_text(PATH5)
+        (tmp_path / "r.csv").write_text(REVIEWS)
+        want = run(capsys, command, "--input", name, *plain)
+        assert want[0] == 0
+        assert run(capsys, command, "--input", name, *padded) == want
+
+    def test_s_zero_still_reaches_the_kernel(self, tmp_path, capsys):
+        src = tmp_path / "g.hgf"
+        src.write_text(PATH5)
+        code, out, err = run(capsys, "betweenness", "--input", str(src), "--s", "0")
+        assert (code, out) == (4, "") and err.startswith("error: ")
+
+
+class TestBlankReviewCsv:
+    """A review CSV is a table: a line of blanks is refused, an empty file is the empty table."""
+
+    @pytest.mark.parametrize("command", [["stats"], ["convert", "--to", "hgf"], ["communities"], ["betweenness"], ["forecast"]])
+    def test_every_loading_command_refuses_a_line_of_blanks(self, tmp_path, capsys, command):
+        src = tmp_path / "r.csv"
+        src.write_text(" \n\t\n")
+        got = run(capsys, command[0], "--input", str(src), *command[1:])
+        assert got == (3, "", "error: review CSV must start with header user_id,item_id,stars\n")
+
+    def test_forecast_reads_its_input_once(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "r.csv"
+        src.write_text(" \n")
+        reads: list[Path] = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+        assert run(capsys, "forecast", "--input", str(src))[0] == 3
+        assert reads.count(src) == 1
+
+
 def test_importing_the_cli_loads_neither_statistics_nor_tempfile():
     # -S keeps site hooks, which may import either module themselves, out
     # of the interpreter; the package directory goes on the path by hand.
@@ -1178,11 +1271,12 @@ class TestLoadCache:
         argv = ["forecast", "--input", str(src)]
         cold = run(capsys, *argv)
         assert (cold[0], cold[1]) == (code, "") and cold[2].startswith("error: ")
-        # Blank text is an empty hypergraph to stats, which caches it when large.
-        stats = run(capsys, "stats", "--input", str(src))[0]
-        assert len(self.entries()) == (stats == 0 and kind == "blank-large")
+        # stats reads a review CSV as forecast does: it refuses all but the
+        # empty file, which is the empty table and too small to cache.
+        assert run(capsys, "stats", "--input", str(src))[0] == (0 if kind == "empty" else 3)
+        assert self.entries() == []
         assert run(capsys, *argv) == cold
-        assert len(self.entries()) == (kind == "blank-large")
+        assert self.entries() == []
 
     def test_least_recently_used_entries_are_evicted(self, tmp_path, capsys):
         text = self.reviews_text()

@@ -1,5 +1,6 @@
 """Whole-package guards: the package runs on the standard library alone,
-and only ``hypercore`` writes the dual index."""
+only ``hypercore`` writes the dual index, and only ``hgio`` reads numbers
+from text."""
 
 from __future__ import annotations
 
@@ -16,6 +17,10 @@ PACKAGE_DIR = Path(hgkit.__file__).resolve().parent
 
 # The four slots of ``Hypergraph`` that only hypercore.py may write.
 INDEX_ATTRS = frozenset({"_v2he", "_he2v", "_vmeta", "_hemeta"})
+# The builtins that would read a number from text past hgio's grammar, and
+# the calls that may still be handed them.
+NUMBER_TYPES = frozenset({"int", "float"})
+NUMBER_TYPE_USERS = frozenset({"isinstance", "_number"})
 MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "pop", "popitem", "remove", "clear",
     "update", "setdefault", "sort", "reverse", "__setitem__", "__delitem__",
@@ -119,3 +124,55 @@ def test_guard_lets_reads_and_local_rows_pass(source):
 )
 def test_only_hypercore_writes_the_dual_index(path):
     assert index_writes(path.read_text(encoding="utf-8")) == []
+
+
+def number_parses(source: str) -> list[int]:
+    """Line numbers of calls to ``int`` or ``float``, or of calls handed one, as ``type=int`` is."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        handed = [*node.args, *(k.value for k in node.keywords)]
+        if callee in NUMBER_TYPES or (
+            callee not in NUMBER_TYPE_USERS
+            and any(isinstance(a, ast.Name) and a.id in NUMBER_TYPES for a in handed)
+        ):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "v = int(text)",
+        "w = float(row[2])",
+        "v, w = int(a), b",
+        "f(int(x))",
+        "w = builtins.float(x)",
+        "p.add_argument('--s', type=int)",
+        "cells = list(map(float, row))",
+    ],
+)
+def test_number_guard_sees_each_parse(source):
+    assert number_parses(source) == [1]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "ok = isinstance(v, int)",
+        "ok = isinstance(v, (int, float))",
+        "v = hgio._number(text, int, FormatError, 'vertex')",
+        "w = _number(text, float, FormatError, 'weight')",
+        "labels: dict[int, int] = {}",
+        "def f(x: int) -> float: pass",
+    ],
+)
+def test_number_guard_lets_type_checks_and_the_grammar_pass(source):
+    assert number_parses(source) == []
+
+
+@pytest.mark.parametrize("name", ["cli.py", "partition.py"])
+def test_only_hgio_reads_numbers_from_text(name):
+    assert number_parses((PACKAGE_DIR / name).read_text(encoding="utf-8")) == []

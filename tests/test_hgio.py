@@ -93,7 +93,7 @@ class TestHgf:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "3\n", "a b\n", "3 2 1\n", "-1 0\n"],
+        ["", "3\n", "a b\n", "3 2 1\n", "-1 0\n", "1_0 1\n1=1.0\n", "\xa01 0\n"],
     )
     def test_malformed_header(self, text):
         with pytest.raises(MalformedHeaderError):
@@ -137,7 +137,7 @@ class TestHgf:
             read_hgf("2 1\n1=1.0\n2=1.0\n")
 
     @pytest.mark.parametrize(
-        "token", ["1", "=1.0", "1=", "x=1.0", "1=fast", "1=nan", "1=inf", "1=1.0 1=2.0"]
+        "token", ["1", "=1.0", "1=", "x=1.0", "1=fast", "1=nan", "1=inf", "1=1.0 1=2.0", "２=1.0", "1=1_0.5", "1=1.0\xa02=1.0"]
     )
     def test_bad_weight_token(self, token):
         with pytest.raises(BadWeightTokenError):
@@ -194,6 +194,9 @@ class TestJson:
             lambda d: d["v2he"][0].update({"1": True}),
             lambda d: d["v2he"][0].update({"1": 10**309}),
             lambda d: d["he2v"][0].update({"1": -(10**309)}),
+            lambda d: d["v2he"].__setitem__(0, {"0_1": 1.0}),
+            lambda d: d["v2he"][0].update({"01": 1.0}),
+            lambda d: d["v2he"][0].update({" 1": 2.0}),
         ],
     )
     def test_schema_violations(self, mangle):
@@ -385,6 +388,89 @@ class TestCsvDialect:
         else:
             with pytest.raises(FormatError, match=re.escape(outcome)):
                 read(text, tmp_path)
+
+
+def _hgf_hyperedge_count(x: str, _) -> int:
+    # Python's int reads every spelling here, so the body has the lines a lax reader would expect.
+    return read_hgf(f"0 {x}\n" + "\n" * int(x)).nhe
+
+
+def _json_key(x: str, _) -> int:
+    # As above: he2v holds the cell where a lax reader would look for it.
+    he2v: list[dict[str, float]] = [{} for _ in range(10)]
+    he2v[int(x) - 1] = {"1": 1.0}
+    doc = {"format_version": 1, "n": 1, "k": 10, "v2he": [{x: 1.0}], "he2v": he2v}
+    [e] = read_json(json.dumps(doc)).get_hyperedges(1)
+    return e
+
+
+def _only(items) -> object:
+    [item] = items
+    return item
+
+
+# Spellings of a number every field refuses: an underscore, fullwidth and
+# Arabic-Indic digits, and a digit padded with a no-break space.
+NUMBER_REFUSED = {"underscore": "1_0", "fullwidth": "４", "arabic-indic": "٣", "no-break-space": "\xa05"}
+# Spelling -> its value in every integer field, and in every float field.
+INT_SPELLINGS = {" 5 ": 5, "+4": 4, "05": 5}
+FLOAT_SPELLINGS = {" 5 ": 5.0, "+4": 4.0, "05": 5.0, "1e0": 1.0, ".5": 0.5, "-2.5E-1": -0.25}
+# A blank ends an HGF token, so HGF ids and weights come unpadded.
+TOKEN_INT = {x: v for x, v in INT_SPELLINGS.items() if x == x.strip()}
+TOKEN_FLOAT = {x: v for x, v in FLOAT_SPELLINGS.items() if x == x.strip()}
+# Numeric field -> its error, the spellings it reads, and the value read
+# from a document that spells the number x.
+NUMBER_FIELDS = {
+    "hgf-vertex-count": (MalformedHeaderError, INT_SPELLINGS, lambda x, _: read_hgf(f"{x} 0\n").nhv),
+    "hgf-hyperedge-count": (MalformedHeaderError, INT_SPELLINGS, _hgf_hyperedge_count),
+    "hgf-vertex-id": (BadWeightTokenError, TOKEN_INT, lambda x, _: _only(read_hgf(f"9 1\n{x}=1.0\n").get_vertices(1))),
+    "hgf-weight": (BadWeightTokenError, TOKEN_FLOAT, lambda x, _: read_hgf(f"1 1\n1={x}\n").get_weight(1, 1)),
+    "json-key": (SchemaViolationError, INT_SPELLINGS, _json_key),
+    "review-stars": (MalformedRecordError, INT_SPELLINGS, lambda x, _: read_reviews_csv(f"user_id,item_id,stars\nu,b,{x}\n")[0][2]),
+    "partition-json-label": (FormatError, INT_SPELLINGS, lambda x, _: Partition.from_json_text(json.dumps({x: [1]})).labels[1]),
+    "partition-csv-vertex": (FormatError, INT_SPELLINGS, lambda x, _: _only(Partition.from_csv_text(f"vertex,label\n{x},1\n").labels)),
+    "partition-csv-label": (FormatError, INT_SPELLINGS, lambda x, _: Partition.from_csv_text(f"vertex,label\n1,{x}\n").labels[1]),
+    "score-vertex": (FormatError, INT_SPELLINGS, lambda x, tmp: _only(_read_scores_file(f"vertex,label,score\n{x},a,1\n", tmp))),
+    "score": (FormatError, FLOAT_SPELLINGS, lambda x, tmp: _read_scores_file(f"vertex,label,score\n1,a,{x}\n", tmp)[1]),
+}
+
+
+class TestNumberGrammar:
+    """Every number in a document is read by one grammar, so a spelling reads alike in each field."""
+
+    @pytest.mark.parametrize("spelling", list(NUMBER_REFUSED.values()), ids=list(NUMBER_REFUSED))
+    @pytest.mark.parametrize("field", list(NUMBER_FIELDS))
+    def test_every_field_refuses_the_respelling(self, tmp_path, field, spelling):
+        error, _, read = NUMBER_FIELDS[field]
+        with pytest.raises(FormatError) as info:
+            read(spelling, tmp_path)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("field", list(NUMBER_FIELDS))
+    def test_every_field_reads_the_plain_spellings(self, tmp_path, field):
+        _, spellings, read = NUMBER_FIELDS[field]
+        got = {x: read(x, tmp_path) for x in spellings}
+        assert got == spellings
+        assert [type(v) for v in got.values()] == [type(v) for v in spellings.values()]
+
+    @pytest.mark.parametrize("text", ["5", " 5", "5\t", "\n+5\r\n", "-5", "0005", "5" * 50])
+    def test_an_integer_is_what_int_reads_of_ascii_without_underscores(self, text):
+        assert hgio._number(text, int, FormatError, "n") == int(text)
+
+    @pytest.mark.parametrize("text", ["", " ", "+", "5.0", "1e3", "0x10", "5_0", "٥", "５", "\xa05", "5\u2003", "\x1c5"])
+    def test_anything_else_is_refused_with_the_given_error(self, text):
+        with pytest.raises(MalformedRecordError, match=re.escape(f"stars {text!r} is not an integer")):
+            hgio._number(text, int, MalformedRecordError, "stars")
+
+    @pytest.mark.parametrize("text", ["1", "-1.5", " .5 ", "1e0", "1E+3", "inf", "-Infinity", "nan"])
+    def test_a_float_is_what_float_reads_of_ascii_without_underscores(self, text):
+        got = hgio._number(text, float, FormatError, "x")
+        assert got == float(text) or (got != got and text == "nan")
+
+    @pytest.mark.parametrize("text", ["", ".", "1__0", "1_0.5", "1e1_0", "１.5", "0x1p3", "1,5", "1.5\xa0"])
+    def test_a_float_refuses_the_same_spellings(self, text):
+        with pytest.raises(FormatError, match=re.escape(f"score {text!r} is not a float")):
+            hgio._number(text, float, FormatError, "score")
 
 
 def _seeded_scenes_json(rng: random.Random) -> str:

@@ -65,6 +65,11 @@ class TestJsonCodec:
         with pytest.raises(FormatError):
             Partition.from_json_text('{"a": [1]}')
 
+    @pytest.mark.parametrize("text", ['{"1": [1], "01": [2]}', '{"1": [1], " 1": [2]}', '{"2": [], "+2": []}'])
+    def test_rejects_two_keys_for_one_label(self, text):
+        with pytest.raises(FormatError, match="two partition JSON keys name the same label"):
+            Partition.from_json_text(text)
+
     def test_rejects_invalid_json(self):
         with pytest.raises(FormatError):
             Partition.from_json_text("{nope")
