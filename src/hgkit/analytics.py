@@ -93,18 +93,14 @@ def induced_subhypergraph(
     vmap: IdRemap = {old: new for new, old in enumerate(kept, start=1)}
     emap: IdRemap = {}
     vmeta = [h._vmeta[v - 1] for v in kept]
-    v2he: list[dict[int, float]] = [{} for _ in kept]
     he2v: list[dict[int, float]] = []
     for old_e, column in enumerate(h._he2v, start=1):
         members = {vmap[v]: w for v, w in column.items() if v in vmap}
-        if not members:
-            continue
-        he2v.append(members)
-        new_e = emap[old_e] = len(he2v)
-        for v, w in members.items():
-            v2he[v - 1][new_e] = w
+        if members:
+            he2v.append(members)
+            emap[old_e] = len(he2v)
     hemeta = [h._hemeta[old_e - 1] for old_e in emap]
-    return Hypergraph._from_rows(v2he, he2v, vmeta, hemeta), vmap, emap
+    return Hypergraph._from_columns(he2v, len(kept), vmeta, hemeta), vmap, emap
 
 
 def largest_connected_component(h: Hypergraph) -> tuple[Hypergraph, IdRemap]:

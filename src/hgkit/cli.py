@@ -395,8 +395,9 @@ def _read_manifest(path: str) -> dict[str, Any]:
         doc = json.loads(_read_text(path))
     except JSON_DECODE_ERRORS as exc:
         raise FormatError(f"{path}: not a JSON manifest ({exc})") from None
-    if not isinstance(doc, dict) or doc.get("manifest_version") != 1:
-        raise FormatError(f"{path}: manifest_version must be 1")
+    version = doc.get("manifest_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != 1:
+        raise FormatError(f"{path}: manifest_version must be the integer 1")
     argv = doc.get("argv")
     if not isinstance(argv, list) or not argv or not all(isinstance(a, str) for a in argv):
         raise FormatError(f"{path}: argv must be a non-empty list of strings")

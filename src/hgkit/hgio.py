@@ -6,11 +6,12 @@ Text format (HGF)
     order.  Weights are written in shortest round-trip float form (so
     they always carry a decimal point or an exponent).  An empty
     hyperedge is an empty line.  Metadata is not part of this format.
-    Readers tolerate extra blanks between the tokens of an ASCII
-    document.  A header may declare at most ``MAX_HGF_VERTICES``
-    vertices, since a row is allocated for each before any hyperedge
-    line is read; the writer refuses a larger hypergraph, so every
-    document it writes reads back.
+    Lines end at ``\n``, ``\r\n`` or ``\r``; readers tolerate extra
+    spaces and tabs between the tokens of an ASCII document.  The vertex
+    rows, one per declared vertex, are allocated once every hyperedge
+    line is read, so a header may declare at most ``MAX_HGF_VERTICES``
+    vertices; the writer refuses a larger hypergraph, so every document
+    it writes reads back.
 
 JSON format
     Object with ``format_version`` (1), ``n``, ``k``, ``v2he`` and
@@ -33,7 +34,9 @@ grammar, owned here: ``_number`` reads it.
 
 Dataset builders turn review CSVs (``user_id,item_id,stars``) and
 scene JSON (array of ``{"id": ..., "members": [...]}``) into
-hypergraphs, keeping the external ids as labels and metadata.
+hypergraphs, keeping the external ids as labels and metadata.  They and
+``read_hgf`` hand only the hyperedge index to ``Hypergraph._from_columns``;
+``read_json`` adopts both through ``_from_rows`` and checks that they agree.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ __all__ = [
 FORMAT_VERSION = 1
 # 2**21 admits the paper's Yelp scale (about 1.6 million users) even with users as vertices.
 MAX_HGF_VERTICES = 2**21
+# ASCII controls that str.splitlines or str.split take for a line break or a blank.
+_FOREIGN_SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _number(text: str, kind: type[int] | type[float], error: type[Exception], what: str) -> Any:
@@ -117,15 +122,19 @@ def write_hgf(h: Hypergraph) -> str:
 
 
 def read_hgf(text: str) -> Hypergraph:
-    lines = text.splitlines()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # the end of the last line, or of an empty document
     if not lines:
         raise MalformedHeaderError("missing header line")
     header = lines[0].split()
-    if len(header) != 2 or not lines[0].isascii():
+    if len(header) != 2 or not lines[0].isascii() or any(c in lines[0] for c in _FOREIGN_SEPARATORS):
         raise MalformedHeaderError(f"header must be two integers, got {lines[0]!r}")
     # The writer writes ASCII only; other text could hide a Unicode blank or line break.
     if not text.isascii():
         raise BadWeightTokenError("hyperedge lines must be ASCII text")
+    if any(c in text for c in _FOREIGN_SEPARATORS):
+        raise BadWeightTokenError("only spaces and tabs may separate the tokens of a hyperedge line")
     n = _number(header[0], int, MalformedHeaderError, "vertex count")
     k = _number(header[1], int, MalformedHeaderError, "hyperedge count")
     if n < 0 or k < 0:
@@ -137,7 +146,6 @@ def read_hgf(text: str) -> Hypergraph:
         raise LineCountMismatchError(
             f"expected {k} hyperedge lines, found {len(body)}"
         )
-    v2he: list[dict[int, float]] = [{} for _ in range(n)]
     he2v: list[dict[int, float]] = [{} for _ in range(k)]
     for e, (line, col) in enumerate(zip(body, he2v), start=1):
         for token in line.split():
@@ -157,8 +165,7 @@ def read_hgf(text: str) -> Hypergraph:
             if v in col:
                 raise BadWeightTokenError(f"vertex {v} appears twice on hyperedge line {e}")
             col[v] = w
-            v2he[v - 1][e] = w
-    return Hypergraph._from_rows(v2he, he2v, [None] * n, [None] * k)
+    return Hypergraph._from_columns(he2v, n, [None] * n, [None] * k)
 
 
 # --- JSON format -----------------------------------------------------------------
@@ -257,9 +264,9 @@ def read_json(text: str) -> Hypergraph:
         raise SchemaViolationError(f"document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaViolationError("document must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
+    if type(doc.get("format_version")) is not int or doc["format_version"] != FORMAT_VERSION:
         raise SchemaViolationError(
-            f"format_version must be {FORMAT_VERSION}, got {doc.get('format_version')!r}"
+            f"format_version must be the integer {FORMAT_VERSION}, got {doc.get('format_version')!r}"
         )
     n, k = doc.get("n"), doc.get("k")
     for name, value in (("n", n), ("k", k)):
@@ -395,33 +402,30 @@ def build_from_reviews(
     ``review_rows`` yields them, consumed in one pass.
     With a star filter, only reviews whose star value is in the filter
     survive; users and items left without any surviving review get no
-    id.  Ids are assigned in first-seen order, and each incidence dict
-    iterates in first-seen order too.  Duplicate (user, item) pairs
-    collapse to a single membership of weight 1.  Returns the
+    id.  Ids are assigned in first-seen order, and so are each user's
+    items; each item's users iterate in ascending id.  Duplicate (user,
+    item) pairs collapse to a single membership of weight 1.  Returns the
     hypergraph plus item and user label tables (position i-1 labels id
     i); labels are also stored as metadata.
     """
     allowed = None if star_filter is None else set(star_filter)
     item_ids: dict[str, int] = {}
     user_ids: dict[str, int] = {}
-    v2he: list[dict[int, float]] = []
     he2v: list[dict[int, float]] = []
     for user, item, stars in rows:
         if allowed is not None and stars not in allowed:
             continue
         v = item_ids.get(item)
         if v is None:
-            v2he.append({})
-            v = item_ids[item] = len(v2he)
+            v = item_ids[item] = len(item_ids) + 1
         e = user_ids.get(user)
         if e is None:
             he2v.append({})
             e = user_ids[user] = len(he2v)
-        v2he[v - 1][e] = 1.0
         he2v[e - 1][v] = 1.0
     item_labels = list(item_ids)
     user_labels = list(user_ids)
-    h = Hypergraph._from_rows(v2he, he2v, list(item_labels), list(user_labels))
+    h = Hypergraph._from_columns(he2v, len(item_labels), list(item_labels), list(user_labels))
     return h, item_labels, user_labels
 
 
@@ -438,20 +442,16 @@ def build_from_scenes(
     i); character labels and scene ids are also stored as metadata.
     """
     char_ids: dict[str, int] = {}
-    v2he: list[dict[int, float]] = []
     he2v: list[dict[int, float]] = []
     scene_ids: list[str] = []
     for scene_id, members in rows:
-        e = len(he2v) + 1
         col: dict[int, float] = {}
         for name in members:
             v = char_ids.get(name)
             if v is None:
-                v2he.append({})
-                v = char_ids[name] = len(v2he)
+                v = char_ids[name] = len(char_ids) + 1
             col[v] = 1.0
-            v2he[v - 1][e] = 1.0
         he2v.append(col)
         scene_ids.append(scene_id)
     labels = list(char_ids)
-    return Hypergraph._from_rows(v2he, he2v, list(labels), scene_ids), labels
+    return Hypergraph._from_columns(he2v, len(labels), list(labels), scene_ids), labels

@@ -6,10 +6,12 @@ cell (v, e) means v is a member of e with that weight.  Present cells
 are stored twice, in a per-vertex and a per-hyperedge hash map, so
 incidence queries cost O(1) from either side regardless of n and k.
 This module is the only writer of the indexes and their metadata lists;
-other modules only read them.  The mutators update both indexes together.
-Readers that build a whole hypergraph at once pass their finished lists
-to ``Hypergraph._from_rows``, which adopts them without copying or
-checking: its callers check ids, weights and that the two sides agree.
+other modules only read them.  The mutators mirror each cell they write;
+``_transpose`` is the one bulk mirror.  Readers and builders fill only the
+hyperedge index and hand it to ``Hypergraph._from_columns``, which derives
+the vertex index, each row in ascending hyperedge id.  ``_from_rows``
+adopts both sides, for the callers that hold both (``copy``, the load
+cache, ``read_json``).  Neither checks ids or weights: their callers do.
 
 Member ids are plain ``int`` ids in range; bools, floats and strings
 are rejected, not coerced.  ``add_vertex`` and ``add_hyperedge`` check
@@ -43,7 +45,6 @@ IdRemap = dict[int, int]
 WeightMap = dict[int, float]
 
 DEFAULT_WEIGHT = 1.0
-_ABSENT = object()  # the default of a lookup that must not match any weight
 
 
 def check_id(i: Any, n: int, error: type[Exception], noun: str) -> None:
@@ -92,6 +93,15 @@ def _as_weight_map(memberships: Any, n: int, error: type[Exception], noun: str) 
     return members
 
 
+def _transpose(rows: list[WeightMap], width: int) -> list[WeightMap]:
+    """``width`` maps holding each cell (i, j) of ``rows``, whose ids lie in 1..width, as (j, i)."""
+    out: list[WeightMap] = [{} for _ in range(width)]
+    for i, row in enumerate(rows, start=1):
+        for j, w in row.items():
+            out[j - 1][i] = w
+    return out
+
+
 def _append(own: list[WeightMap], other: list[WeightMap], meta: list, members: WeightMap, value: Any) -> int:
     """Append checked ``members`` as the next id of ``own`` and mirror them into ``other``."""
     i = len(own) + 1
@@ -136,8 +146,8 @@ class Hypergraph:
     __slots__ = ("_v2he", "_he2v", "_vmeta", "_hemeta")
 
     def __init__(self, n: int = 0, k: int = 0) -> None:
-        if n < 0 or k < 0:
-            raise ValueError("vertex and hyperedge counts must be non-negative")
+        if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in (n, k)):
+            raise ValueError(f"vertex and hyperedge counts must be non-negative ints, got {n!r} and {k!r}")
         self._v2he: list[WeightMap] = [{} for _ in range(n)]
         self._he2v: list[WeightMap] = [{} for _ in range(k)]
         self._vmeta: list[Any] = [None] * n
@@ -160,11 +170,12 @@ class Hypergraph:
                     f"incidence rows must share one length, saw {len(row)} and {k}"
                 )
         v2he = [{e: check_weight(c) for e, c in enumerate(row, start=1) if c is not None} for row in rows]
-        he2v: list[WeightMap] = [{} for _ in range(k)]
-        for v, row in enumerate(v2he, start=1):
-            for e, w in row.items():
-                he2v[e - 1][v] = w
-        return cls._from_rows(v2he, he2v, [None] * len(rows), [None] * k)
+        return cls._from_rows(v2he, _transpose(v2he, k), [None] * len(rows), [None] * k)
+
+    @classmethod
+    def _from_columns(cls, he2v: list[WeightMap], n: int, vmeta: list, hemeta: list) -> "Hypergraph":
+        """Adopt the hyperedge index, whose member ids the caller checked against 1..n, and derive the vertex index."""
+        return cls._from_rows(_transpose(he2v, n), he2v, vmeta, hemeta)
 
     @classmethod
     def _from_rows(cls, v2he: list[WeightMap], he2v: list[WeightMap], vmeta: list, hemeta: list) -> "Hypergraph":
@@ -334,24 +345,12 @@ class Hypergraph:
             check_id(e, len(self._he2v), UnknownHyperedgeError, "hyperedge")
 
     def check_dual_consistency(self) -> bool:
-        """Verify the two indexes describe the same cell set.
-
-        Every cell of the vertex index must name a hyperedge in range
-        and be found, with the same weight, in the hyperedge index.
-        Those lookups send distinct cells to distinct cells, so when the
-        two indexes also hold the same number of cells, no cell of the
-        hyperedge index is left unmatched: one pass proves both
-        directions.
+        """Verify the two indexes describe the same cell set: the vertex index is the transpose.
 
         The mutators keep this true by construction; ``read_json`` runs
         it on every document it reads.
         """
-        columns = self._he2v
-        k = len(columns)
-        for v, row in enumerate(self._v2he, start=1):
-            if row and not (1 <= min(row) and max(row) <= k):
-                return False
-            for e, w in row.items():
-                if columns[e - 1].get(v, _ABSENT) != w:
-                    return False
-        return sum(map(len, self._v2he)) == sum(map(len, columns))
+        n = len(self._v2he)
+        if not all(1 <= min(col) and max(col) <= n for col in self._he2v if col):
+            return False
+        return _transpose(self._he2v, n) == self._v2he

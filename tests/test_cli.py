@@ -604,8 +604,13 @@ class TestRerun:
             '{"manifest_version": 1, "argv": "stats --input g.hgf", "outputs": []}',
             '{"manifest_version": 1, "argv": ["stats", "--input", "g.hgf"], "outputs": [{"path": "x"}]}',
             '[1, 2]',
+            '{"manifest_version": true, "argv": ["stats", "--input", "g.hgf"], "inputs": [], "outputs": []}',
+            '{"manifest_version": 1.0, "argv": ["stats", "--input", "g.hgf"], "inputs": [], "outputs": []}',
         ],
-        ids=["invalid-json", "missing-argv", "wrong-version", "argv-not-a-list", "output-without-digest", "not-an-object"],
+        ids=[
+            "invalid-json", "missing-argv", "wrong-version", "argv-not-a-list", "output-without-digest", "not-an-object",
+            "version-true", "version-float",
+        ],
     )
     def test_malformed_manifest_exits_3(self, tmp_path, capsys, text):
         manifest = tmp_path / "m.manifest.json"

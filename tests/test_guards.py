@@ -1,6 +1,7 @@
 """Whole-package guards: the package runs on the standard library alone,
-only ``hypercore`` writes the dual index, and only ``hgio`` reads numbers
-from text."""
+only ``hypercore`` writes the dual index, only the callers that hold both
+of its sides adopt them through ``Hypergraph._from_rows``, and only
+``hgio`` reads numbers from text."""
 
 from __future__ import annotations
 
@@ -17,6 +18,11 @@ PACKAGE_DIR = Path(hgkit.__file__).resolve().parent
 
 # The four slots of ``Hypergraph`` that only hypercore.py may write.
 INDEX_ATTRS = frozenset({"_v2he", "_he2v", "_vmeta", "_hemeta"})
+# The modules, and the functions of other modules, that hold both sides of
+# the index and may adopt them through ``_from_rows``.  Every other builder
+# hands over its hyperedges to ``_from_columns``.
+ROWS_ADOPTING_MODULES = frozenset({"hypercore.py", "loadcache.py"})
+ROWS_ADOPTING_FUNCTIONS = {"hgio.py": {"read_json"}}
 # The builtins that would read a number from text past hgio's grammar, and
 # the calls that may still be handed them.
 NUMBER_TYPES = frozenset({"int", "float"})
@@ -124,6 +130,68 @@ def test_guard_lets_reads_and_local_rows_pass(source):
 )
 def test_only_hypercore_writes_the_dual_index(path):
     assert index_writes(path.read_text(encoding="utf-8")) == []
+
+
+def rows_adoptions(source: str) -> list[tuple[str, int]]:
+    """(function, line) of each reference to ``_from_rows``, ``<module>`` outside any function.
+
+    A call, a bound reference and the name spelt for ``getattr`` all count.
+    """
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (
+                (isinstance(child, ast.Attribute) and child.attr == "_from_rows")
+                or (isinstance(child, ast.Name) and child.id == "_from_rows")
+                or (isinstance(child, ast.Constant) and child.value == "_from_rows")
+            ):
+                found.append((scope, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("h = Hypergraph._from_rows(a, b, c, d)", ("<module>", 1)),
+        ("def build():\n    return Hypergraph._from_rows(a, b, c, d)", ("build", 2)),
+        ("class C:\n    def copy(self):\n        return type(self)._from_rows(*rows)", ("copy", 3)),
+        ("def f():\n    def g():\n        Hypergraph._from_rows(a, b, c, d)", ("g", 3)),
+        ("def f():\n    make = Hypergraph._from_rows\n    return make(a, b, c, d)", ("f", 2)),
+        ("make = getattr(Hypergraph, '_from_rows')", ("<module>", 1)),
+        ("async def load():\n    return _from_rows(a, b, c, d)", ("load", 2)),
+    ],
+)
+def test_rows_guard_sees_each_adoption(source, where):
+    assert rows_adoptions(source) == [where]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "h = Hypergraph._from_columns(he2v, n, vmeta, hemeta)",
+        "h = Hypergraph.from_incidence(rows)",
+        "def _from_rows(cls, v2he, he2v, vmeta, hemeta): pass",
+        '"""Built through ``Hypergraph._from_rows``."""',
+        "rows = h._v2he",
+    ],
+)
+def test_rows_guard_lets_other_builders_pass(source):
+    assert rows_adoptions(source) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name not in ROWS_ADOPTING_MODULES),
+    ids=lambda p: p.name,
+)
+def test_only_holders_of_both_sides_adopt_rows(path):
+    allowed = ROWS_ADOPTING_FUNCTIONS.get(path.name, set())
+    adoptions = rows_adoptions(path.read_text(encoding="utf-8"))
+    assert [(f, line) for f, line in adoptions if f not in allowed] == []
 
 
 def number_parses(source: str) -> list[int]:

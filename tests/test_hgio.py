@@ -86,6 +86,12 @@ class TestHgf:
         h = read_hgf("3 2\n1=1.0   2=1.0\n\t2=1.5  3=1.0 \n")
         assert h == golden_hypergraph()
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lines_end_at_lf_crlf_or_cr(self, end):
+        for text in (GOLDEN, GOLDEN.removesuffix("\n"), "2 2\n\n1=1.0\n"):
+            assert read_hgf(text.replace("\n", end)) == read_hgf(text)
+        assert read_hgf(GOLDEN.replace("\n", end)) == golden_hypergraph()
+
     def test_weights_carry_decimal_point(self):
         h = Hypergraph(1, 1)
         h.set_weight(1, 1, 2)
@@ -93,7 +99,10 @@ class TestHgf:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "3\n", "a b\n", "3 2 1\n", "-1 0\n", "1_0 1\n1=1.0\n", "\xa01 0\n"],
+        [
+            "", "3\n", "a b\n", "3 2 1\n", "-1 0\n", "1_0 1\n1=1.0\n", "\xa01 0\n",
+            "2\x1f0\n", "2 0\x0c\n", "\x0b2 0\n", "2\x1c1\n1=1.0\n",
+        ],
     )
     def test_malformed_header(self, text):
         with pytest.raises(MalformedHeaderError):
@@ -137,7 +146,11 @@ class TestHgf:
             read_hgf("2 1\n1=1.0\n2=1.0\n")
 
     @pytest.mark.parametrize(
-        "token", ["1", "=1.0", "1=", "x=1.0", "1=fast", "1=nan", "1=inf", "1=1.0 1=2.0", "２=1.0", "1=1_0.5", "1=1.0\xa02=1.0"]
+        "token",
+        [
+            "1", "=1.0", "1=", "x=1.0", "1=fast", "1=nan", "1=inf", "1=1.0 1=2.0", "２=1.0", "1=1_0.5", "1=1.0\xa02=1.0",
+            "1=1.0\x0c2=1.0", "1=1.0\x1f2=1.0", "1=1.0\x0b2=1.0", "\x0b1=1.0", "1=1.0\x1e",
+        ],
     )
     def test_bad_weight_token(self, token):
         with pytest.raises(BadWeightTokenError):
@@ -197,6 +210,8 @@ class TestJson:
             lambda d: d["v2he"].__setitem__(0, {"0_1": 1.0}),
             lambda d: d["v2he"][0].update({"01": 1.0}),
             lambda d: d["v2he"][0].update({" 1": 2.0}),
+            lambda d: d.update(format_version=True),
+            lambda d: d.update(format_version=1.0),
         ],
     )
     def test_schema_violations(self, mangle):
@@ -309,7 +324,8 @@ class TestReviews:
         h, items, users = build_from_reviews(review_rows(text))
         assert (items, users) == (["b3", "b1", "b2"], ["u1", "u2"])
         assert [list(row) for row in h._he2v] == [[1, 2, 3], [2, 1]]
-        assert [list(row) for row in h._v2he] == [[1, 2], [2, 1], [1]]
+        # Each vertex row is derived from the hyperedge index, in ascending hyperedge id.
+        assert [list(row) for row in h._v2he] == [[1, 2], [1, 2], [1]]
 
     def test_build_star_filter(self):
         rows = [("u1", "b1", 5), ("u1", "b2", 5), ("u2", "b2", 3)]

@@ -38,9 +38,14 @@ class TestConstruction:
         assert h.get_hyperedges(1) == {}
         assert h.get_vertices(2) == {}
 
-    def test_negative_counts_rejected(self):
+    @pytest.mark.parametrize(
+        "n, k",
+        [(-1, 0), (0, -1), (True, 0), (0, False), (2.5, 0), ("3", 0), (0, None)],
+        ids=["negative-n", "negative-k", "bool-n", "bool-k", "float-n", "str-n", "none-k"],
+    )
+    def test_negative_counts_rejected(self, n, k):
         with pytest.raises(ValueError):
-            Hypergraph(-1, 0)
+            Hypergraph(n, k)
 
     def test_from_incidence(self):
         h = Hypergraph.from_incidence([[2.5, None], [1.0, 1.0], [None, 1.0]])
