@@ -66,7 +66,7 @@ from .hgio import (
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import BipartiteView, Graph, TwoSectionView, materialize, upper_rows
+from .views import Graph, TwoSectionView, materialize, upper_rows
 
 INPUT_FORMATS = ("hgf", "json", "reviews-csv", "scenes-json")
 
@@ -236,28 +236,44 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # --- convert ----------------------------------------------------------------
 
 
-def _dot_chunks(name: str, g: Graph) -> Iterator[str]:
-    """A graph in DOT: every node, then each edge (u, v) with u < v in ascending order.
-
-    One chunk per node line and one per u with higher neighbours.  Both
-    views weigh edges by integer counts, so each weight prints as ``str``.
-    """
+def _dot_chunks(name: str, n_nodes: int, edge_chunks: Iterable[str]) -> Iterator[str]:
+    """A graph in DOT: every node, one chunk per line, then the edge chunks."""
     yield f"graph {name} {{\n"
-    for v in range(1, g.n_nodes + 1):
+    for v in range(1, n_nodes + 1):
         yield f"  {v};\n"
+    yield from edge_chunks
+    yield "}\n"
+
+
+def _upper_edge_chunks(g: Graph) -> Iterator[str]:
+    """Each edge (u, v) with u < v in ascending order, one chunk per u with higher neighbours.
+
+    The two-section view weighs edges by integer counts, so each weight prints as ``str``.
+    """
     for u, row, higher in upper_rows(g):
         if higher:
             higher.sort()
             yield "".join([f"  {u} -- {v} [weight={row[v]}];\n" for v in higher])
-    yield "}\n"
+
+
+def _bipartite_edge_chunks(h: Hypergraph) -> Iterator[str]:
+    """The bipartite view's edges in ascending order, read off the vertex index.
+
+    Every edge joins a vertex u to a hyperedge node n + e above it, with
+    weight 1; one chunk per vertex in a hyperedge.
+    """
+    n = h.nhv
+    for u, row in enumerate(h._v2he, start=1):
+        if row:
+            yield "".join([f"  {u} -- {n + e} [weight=1];\n" for e in sorted(row)])
 
 
 # Output format -> generator of the document's text chunks.
 _CONVERT_WRITERS = {
     "hgf": hgf_chunks,
     "json": json_chunks,
-    "dot-bipartite": lambda h: _dot_chunks("bipartite", BipartiteView(h)),
-    "dot-twosection": lambda h: _dot_chunks("twosection", TwoSectionView(h)),
+    "dot-bipartite": lambda h: _dot_chunks("bipartite", h.nhv + h.nhe, _bipartite_edge_chunks(h)),
+    "dot-twosection": lambda h: _dot_chunks("twosection", h.nhv, _upper_edge_chunks(TwoSectionView(h))),
 }
 OUTPUT_FORMATS = tuple(_CONVERT_WRITERS)
 

@@ -30,7 +30,9 @@ CSV tables
     ``_csv_chunks`` writes it.
 
 Every number hgkit reads from text, CLI options included, is in one
-grammar, owned here: ``_number`` reads it.
+grammar, owned here: ``_number`` reads it.  ``review_rows`` looks the five
+canonical star cells ``"1"``..``"5"`` up in a table built by calling
+``_number``, and hands every other spelling to ``_number`` itself.
 
 Dataset builders turn review CSVs (``user_id,item_id,stars``) and
 scene JSON (array of ``{"id": ..., "members": [...]}``) into
@@ -332,6 +334,10 @@ def _csv_chunks(rows: Iterable[list[str]]) -> Iterator[str]:
         yield records.pop()[:-2] + "\n"
 
 
+# The canonical star cells, each read by ``_number``, so the number grammar keeps one source.
+_STARS = {cell: _number(cell, int, MalformedRecordError, "stars") for cell in "12345"}
+
+
 def review_rows(text: str) -> Iterator[tuple[str, str, int]]:
     """Validate a review CSV with header ``user_id,item_id,stars`` row by row.
 
@@ -341,12 +347,15 @@ def review_rows(text: str) -> Iterator[tuple[str, str, int]]:
     nothing.
     """
     for row in _csv_rows(text, ["user_id", "item_id", "stars"], MalformedRecordError, "review"):
-        if len(row) != 3:
-            raise MalformedRecordError(f"review row {row!r} must have three fields")
-        user, item, stars_text = row
-        stars = _number(stars_text, int, MalformedRecordError, "stars")
-        if not 1 <= stars <= 5:
-            raise MalformedRecordError(f"stars must be in 1..5, got {stars}")
+        try:
+            user, item, stars_text = row
+        except ValueError:
+            raise MalformedRecordError(f"review row {row!r} must have three fields") from None
+        stars = _STARS.get(stars_text)
+        if stars is None:
+            stars = _number(stars_text, int, MalformedRecordError, "stars")
+            if not 1 <= stars <= 5:
+                raise MalformedRecordError(f"stars must be in 1..5, got {stars}")
         yield user, item, stars
 
 
@@ -410,21 +419,20 @@ def build_from_reviews(
     """
     allowed = None if star_filter is None else set(star_filter)
     item_ids: dict[str, int] = {}
-    user_ids: dict[str, int] = {}
-    he2v: list[dict[int, float]] = []
+    user_rows: dict[str, dict[int, float]] = {}
     for user, item, stars in rows:
         if allowed is not None and stars not in allowed:
             continue
         v = item_ids.get(item)
         if v is None:
             v = item_ids[item] = len(item_ids) + 1
-        e = user_ids.get(user)
-        if e is None:
-            he2v.append({})
-            e = user_ids[user] = len(he2v)
-        he2v[e - 1][v] = 1.0
+        row = user_rows.get(user)
+        if row is None:
+            row = user_rows[user] = {}
+        row[v] = 1.0
     item_labels = list(item_ids)
-    user_labels = list(user_ids)
+    user_labels = list(user_rows)
+    he2v = list(user_rows.values())
     h = Hypergraph._from_columns(he2v, len(item_labels), list(item_labels), list(user_labels))
     return h, item_labels, user_labels
 

@@ -94,11 +94,15 @@ def _as_weight_map(memberships: Any, n: int, error: type[Exception], noun: str) 
 
 
 def _transpose(rows: list[WeightMap], width: int) -> list[WeightMap]:
-    """``width`` maps holding each cell (i, j) of ``rows``, whose ids lie in 1..width, as (j, i)."""
-    out: list[WeightMap] = [{} for _ in range(width)]
+    """``width`` maps holding each cell (i, j) of ``rows``, whose ids lie in 1..width, as (j, i).
+
+    The maps are filled through a spare slot 0, dropped at the end, so that id j is its own index.
+    """
+    out: list[WeightMap] = [{} for _ in range(width + 1)]
     for i, row in enumerate(rows, start=1):
         for j, w in row.items():
-            out[j - 1][i] = w
+            out[j][i] = w
+    del out[0]
     return out
 
 
@@ -345,12 +349,25 @@ class Hypergraph:
             check_id(e, len(self._he2v), UnknownHyperedgeError, "hyperedge")
 
     def check_dual_consistency(self) -> bool:
-        """Verify the two indexes describe the same cell set: the vertex index is the transpose.
+        """Verify the two indexes describe the same cell set, without building a copy of either.
 
-        The mutators keep this true by construction; ``read_json`` runs
-        it on every document it reads.
+        Every hyperedge cell must lie in 1..n and appear in the vertex
+        index with the same weight, and both indexes must hold the same
+        number of cells.  Distinct hyperedge cells find distinct vertex
+        cells, so equal counts leave the vertex index no other cell, and
+        none with a hyperedge id outside 1..k.  The mutators keep this
+        true by construction; ``read_json`` runs it on every document it
+        reads.
         """
-        n = len(self._v2he)
-        if not all(1 <= min(col) and max(col) <= n for col in self._he2v if col):
-            return False
-        return _transpose(self._he2v, n) == self._v2he
+        v2he = self._v2he
+        n = len(v2he)
+        cells = 0
+        for e, col in enumerate(self._he2v, start=1):
+            if col:
+                if not (1 <= min(col) and max(col) <= n):
+                    return False
+                cells += len(col)
+                for v, w in col.items():
+                    if v2he[v - 1].get(e) != w:
+                        return False
+        return cells == self.incidence_count

@@ -422,6 +422,9 @@ def _reference_read_reviews_csv(text: str) -> list[_ReferenceReview]:
         if len(row) != 3:
             raise MalformedRecordError(f"review row {row!r} must have three fields")
         try:
+            # The number grammar: what int() reads of ASCII text without underscores.
+            if not row[2].isascii() or "_" in row[2]:
+                raise ValueError
             stars = int(row[2])
         except ValueError:
             raise MalformedRecordError(f"stars {row[2]!r} is not an integer") from None

@@ -1,14 +1,16 @@
 """Whole-package guards: the package runs on the standard library alone,
 only ``hypercore`` writes the dual index, only the callers that hold both
-of its sides adopt them through ``Hypergraph._from_rows``, and only
-``hgio`` reads numbers from text."""
+of its sides adopt them through ``Hypergraph._from_rows``, only ``hgio``
+reads numbers from text, and the builtin ``sum`` adds only integers."""
 
 from __future__ import annotations
 
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -27,6 +29,17 @@ ROWS_ADOPTING_FUNCTIONS = {"hgio.py": {"read_json"}}
 # the calls that may still be handed them.
 NUMBER_TYPES = frozenset({"int", "float"})
 NUMBER_TYPE_USERS = frozenset({"isinstance", "_number"})
+# Each builtin ``sum`` in the package, by module and function; every one adds
+# integers.  From Python 3.12 ``sum`` adds floats with compensation, so a float
+# sum would give other bits on other interpreters: floats go through ``fsum``.
+INTEGER_SUMS = {
+    ("analytics.py", "usable_hyperedges"): 1,
+    ("analytics.py", "degree_summary"): 1,
+    ("centrality.py", "_dense_masks"): 2,
+    ("centrality.py", "_brandes"): 1,
+    ("forecast.py", "evaluation_size"): 1,
+    ("hypercore.py", "incidence_count"): 1,
+}
 MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "pop", "popitem", "remove", "clear",
     "update", "setdefault", "sort", "reverse", "__setitem__", "__delitem__",
@@ -132,25 +145,30 @@ def test_only_hypercore_writes_the_dual_index(path):
     assert index_writes(path.read_text(encoding="utf-8")) == []
 
 
-def rows_adoptions(source: str) -> list[tuple[str, int]]:
-    """(function, line) of each reference to ``_from_rows``, ``<module>`` outside any function.
-
-    A call, a bound reference and the name spelt for ``getattr`` all count.
-    """
+def scoped_hits(source: str, hit: Callable[[ast.AST], bool]) -> list[tuple[str, int]]:
+    """(function, line) of each node that ``hit`` accepts, ``<module>`` outside any function."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if (
-                (isinstance(child, ast.Attribute) and child.attr == "_from_rows")
-                or (isinstance(child, ast.Name) and child.id == "_from_rows")
-                or (isinstance(child, ast.Constant) and child.value == "_from_rows")
-            ):
+            if hit(child):
                 found.append((scope, child.lineno))
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def rows_adoptions(source: str) -> list[tuple[str, int]]:
+    """(function, line) of each reference to ``_from_rows``.
+
+    A call, a bound reference and the name spelt for ``getattr`` all count.
+    """
+    return scoped_hits(source, lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr == "_from_rows")
+        or (isinstance(node, ast.Name) and node.id == "_from_rows")
+        or (isinstance(node, ast.Constant) and node.value == "_from_rows")
+    ))
 
 
 @pytest.mark.parametrize(
@@ -244,3 +262,51 @@ def test_number_guard_lets_type_checks_and_the_grammar_pass(source):
 @pytest.mark.parametrize("name", ["cli.py", "partition.py"])
 def test_only_hgio_reads_numbers_from_text(name):
     assert number_parses((PACKAGE_DIR / name).read_text(encoding="utf-8")) == []
+
+
+def sum_uses(source: str) -> list[tuple[str, int]]:
+    """(function, line) of each reference to the builtin ``sum``: a call, a bound name or ``builtins.sum``."""
+    return scoped_hits(source, lambda node: (
+        (isinstance(node, ast.Name) and node.id == "sum")
+        or (
+            isinstance(node, ast.Attribute) and node.attr == "sum"
+            and isinstance(node.value, ast.Name) and node.value.id == "builtins"
+        )
+    ))
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("total = sum(weights)", ("<module>", 1)),
+        ("def f(xs):\n    return sum(x * 0.5 for x in xs)", ("f", 2)),
+        ("class C:\n    def m(self, rows):\n        return list(map(sum, rows))", ("m", 3)),
+        ("def f(xs):\n    add = sum\n    return add(xs)", ("f", 2)),
+        ("total = builtins.sum(weights)", ("<module>", 1)),
+    ],
+)
+def test_sum_guard_sees_each_use(source, where):
+    assert sum_uses(source) == [where]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "total = fsum(weights)",
+        "total = math.fsum(weights)",
+        "total = table.sum()",
+        '"""The sum of the weights."""',
+        "summed = total + 1",
+    ],
+)
+def test_sum_guard_lets_fsum_and_other_names_pass(source):
+    assert sum_uses(source) == []
+
+
+def test_every_builtin_sum_is_a_listed_integer_sum():
+    found = Counter(
+        (path.name, scope)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for scope, _ in sum_uses(path.read_text(encoding="utf-8"))
+    )
+    assert dict(found) == INTEGER_SUMS

@@ -241,8 +241,11 @@ class TestJson:
             read_json(jsonlib.dumps(doc))
 
 
-def _seeded_reviews_csv(rng: random.Random) -> str:
-    """A review CSV with repeated (user, item) pairs, blank lines, padded stars and quoted ids."""
+def _seeded_reviews_csv(rng: random.Random, spellings: tuple[str, ...] = ("{}", " {}", "{} ")) -> str:
+    """A review CSV with repeated (user, item) pairs, blank lines, quoted ids and stars in ``spellings``.
+
+    Each spelling is a format string for a star value 1..5; the default pads some of them.
+    """
     users = [f"u{i}" for i in range(rng.randint(1, 25))] + ["Doe, Jane"]
     items = [f"b{i}" for i in range(rng.randint(1, 40))] + ['say "hi"', "Book, The"]
     out = io.StringIO()
@@ -256,7 +259,7 @@ def _seeded_reviews_csv(rng: random.Random) -> str:
         else:
             user, item = rng.choice(users), rng.choice(items)
             seen.append((user, item))
-        stars = rng.choice((f"{rng.randint(1, 5)}", f" {rng.randint(1, 5)}", f"{rng.randint(1, 5)} "))
+        stars = rng.choice(spellings).format(rng.randint(1, 5))
         writer.writerow([user, item, stars])
         if rng.random() < 0.1:
             out.write("\n")
@@ -288,6 +291,11 @@ class TestReviews:
             "user_id,item_id,stars\nu0,b0,4\n\nu1,b1,x\n",
             "user_id,item_id,stars\nu1,b1,6\n",
             "user_id,item_id,stars\nu1,b1,0\n",
+            "user_id,item_id,stars\nu1\n",
+            "user_id,item_id,stars\nu1,b1,5.0\n",
+            "user_id,item_id,stars\nu0,b0,4\nu1,b1,\n",
+            "user_id,item_id,stars\nu1,b1,\u0663\n",
+            "user_id,item_id,stars\nu1,b1,1_0\n",
         ],
     )
     def test_csv_malformed(self, text, tmp_path, capsys):
@@ -308,6 +316,8 @@ class TestReviews:
     @pytest.mark.parametrize("seed", range(30))
     def test_streamed_build_matches_reference(self, seed):
         texts = [_seeded_reviews_csv(random.Random(seed))]
+        # Canonical star cells read through a table, other spellings through the number grammar.
+        texts.append(_seeded_reviews_csv(random.Random(seed), ("{}", "{}", " {}", "+{}", "0{}")))
         if seed == 0:
             texts += ["", "user_id,item_id,stars\n", "\n\n user_id , item_id,stars\r\n\n"]
         for text in texts:
@@ -316,8 +326,18 @@ class TestReviews:
             assert all(type(row) is tuple and type(row[2]) is int for row in rows)
             for star_filter in (None, {5}, {1, 2}):
                 want = reference_build_from_reviews(text, star_filter)
-                assert build_from_reviews(review_rows(text), star_filter) == want
+                h, items, users = build_from_reviews(review_rows(text), star_filter)
+                assert (h, items, users) == want
                 assert build_from_reviews(read_reviews_csv(text), star_filter) == want
+                # Rows iterate as documented: a user's items in first-seen order, an item's users ascending.
+                first: dict[tuple[str, str], int] = {}
+                for i, (user, item, stars) in enumerate(rows):
+                    if star_filter is None or stars in star_filter:
+                        first.setdefault((user, item), i)
+                for e, row in enumerate(h._he2v):
+                    seen = [first[users[e], items[v - 1]] for v in row]
+                    assert seen == sorted(seen)
+                assert all(list(row) == sorted(row) for row in h._v2he)
 
     def test_incidences_iterate_in_first_seen_order(self):
         text = "user_id,item_id,stars\nu1,b3,5\nu2,b1,4\nu1,b1,3\nu1,b2,2\nu2,b3,1\nu1,b3,1\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import random
 import time
+import tracemalloc
 
 import pytest
 from helpers import (
@@ -375,6 +376,27 @@ def test_one_pass_dual_consistency_matches_two_direction_reference():
         expected = kind == "none"
         assert h.check_dual_consistency() is reference_check_dual_consistency(h) is expected, kind
     assert len(seen - {"none"}) == 6
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dual_consistency_check_allocates_no_copy_of_an_index():
+    rng = random.Random(20261020)
+    n = 20_000
+    h = Hypergraph(n, 0)
+    for _ in range(5_000):
+        h.add_hyperedge(rng.sample(range(1, n + 1), rng.randint(2, 12)))
+    index = _traced_peak(lambda: [dict(row) for row in h._v2he])
+    peak = _traced_peak(h.check_dual_consistency)
+    assert h.check_dual_consistency()
+    assert peak < index / 100, (peak, index)
 
 
 def test_dual_consistency_after_every_operation():
