@@ -44,7 +44,6 @@ from .analytics import (
 from .centrality import pearson, s_betweenness
 from .community import LpConfig, graph_label_propagation, hypergraph_label_propagation, nmi
 from .errors import (
-    JSON_DECODE_ERRORS,
     DegenerateInputError,
     EmptyEvaluationSetError,
     FormatError,
@@ -407,12 +406,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 def _read_manifest(path: str) -> dict[str, Any]:
     """Load a run manifest, rejecting any document ``rerun`` cannot replay."""
-    try:
-        doc = json.loads(_read_text(path))
-    except JSON_DECODE_ERRORS as exc:
-        raise FormatError(f"{path}: not a JSON manifest ({exc})") from None
-    version = doc.get("manifest_version") if isinstance(doc, dict) else None
-    if type(version) is not int or version != 1:
+    doc = hgio._json(_read_text(path), dict, FormatError, f"{path}: manifest")
+    if type(doc.get("manifest_version")) is not int or doc["manifest_version"] != 1:
         raise FormatError(f"{path}: manifest_version must be the integer 1")
     argv = doc.get("argv")
     if not isinstance(argv, list) or not argv or not all(isinstance(a, str) for a in argv):

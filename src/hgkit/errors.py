@@ -23,13 +23,6 @@ class FormatError(HgkitError):
     exit_code = 3
 
 
-# What ``json.loads`` raises for a document it cannot decode:
-# ``JSONDecodeError`` and, for an integer literal of more than 4,300
-# digits, a plain ``ValueError``; ``RecursionError`` for arrays or
-# objects nested deeper than the interpreter's recursion limit.
-JSON_DECODE_ERRORS = (ValueError, RecursionError)
-
-
 class MalformedHeaderError(FormatError):
     """HGF header is not two non-negative integers."""
 

@@ -29,6 +29,9 @@ CSV tables
     forecasts) is in one dialect, owned here: ``_csv_rows`` reads and
     ``_csv_chunks`` writes it.
 
+JSON documents
+    Every JSON document hgkit reads is decoded here, by ``_json``.
+
 Every number hgkit reads from text, CLI options included, is in one
 grammar, owned here: ``_number`` reads it.  ``review_rows`` looks the five
 canonical star cells ``"1"``..``"5"`` up in a table built by calling
@@ -47,12 +50,12 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from itertools import chain
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator
 
 from .errors import (
-    JSON_DECODE_ERRORS,
     BadWeightTokenError,
     DualInconsistencyError,
     FormatError,
@@ -224,6 +227,29 @@ def write_json(h: Hypergraph) -> str:
     return "".join(json_chunks(h))
 
 
+def _unique_names(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """The members of one JSON object as a plain ``dict``; a repeated name raises ``ValueError``."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"object name {Counter(name for name, _ in pairs).most_common(1)[0][0]!r} repeats")
+    return obj
+
+
+def _json(text: str, top: type[dict] | type[list], error: type[FormatError], what: str) -> Any:
+    """``text`` as one JSON value of kind ``top``, ``dict`` or ``list``; else ``error``.
+
+    ``json`` raises ``ValueError`` (for an integer of over 4,300 digits too) or ``RecursionError``.
+    A repeated object name, left open by RFC 8259, is refused; objects stay plain ``dict``s for ``marshal``.
+    """
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_names)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, top):
+        raise error(f"{what} must be a JSON {'object' if top is dict else 'array'}")
+    return doc
+
+
 def _parse_weight_object(obj: object, limit: int, what: str) -> dict[int, float]:
     if not isinstance(obj, dict):
         raise SchemaViolationError(f"{what} entries must be objects")
@@ -260,12 +286,7 @@ def _check_encodable(strings: Iterable[str], error: type[FormatError], what: str
 
 
 def read_json(text: str) -> Hypergraph:
-    try:
-        doc = json.loads(text)
-    except JSON_DECODE_ERRORS as exc:
-        raise SchemaViolationError(f"document is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise SchemaViolationError("document must be a JSON object")
+    doc = _json(text, dict, SchemaViolationError, "document")
     if type(doc.get("format_version")) is not int or doc["format_version"] != FORMAT_VERSION:
         raise SchemaViolationError(
             f"format_version must be the integer {FORMAT_VERSION}, got {doc.get('format_version')!r}"
@@ -372,12 +393,7 @@ def scene_rows(text: str) -> Iterator[tuple[str, list[str]]]:
     list is empty are skipped.  An id or member holding a lone surrogate
     escape is rejected.
     """
-    try:
-        doc = json.loads(text)
-    except JSON_DECODE_ERRORS as exc:
-        raise MalformedRecordError(f"scene document is not valid JSON: {exc}") from None
-    if not isinstance(doc, list):
-        raise MalformedRecordError("scene document must be a JSON array")
+    doc = _json(text, list, MalformedRecordError, "scene document")
     escaped = "\\u" in text
     for entry in doc:
         if not isinstance(entry, dict) or "id" not in entry or "members" not in entry:

@@ -12,8 +12,8 @@ import json
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .errors import JSON_DECODE_ERRORS, FormatError
-from .hgio import _csv_chunks, _csv_rows, _number
+from .errors import FormatError
+from .hgio import _csv_chunks, _csv_rows, _json, _number
 
 __all__ = ["Partition"]
 
@@ -81,12 +81,7 @@ class Partition:
 
     @classmethod
     def from_json_text(cls, text: str) -> "Partition":
-        try:
-            obj = json.loads(text)
-        except JSON_DECODE_ERRORS as exc:
-            raise FormatError(f"partition JSON unparseable: {exc}") from None
-        if not isinstance(obj, dict):
-            raise FormatError("partition JSON must be an object of label -> [vertex]")
+        obj = _json(text, dict, FormatError, "partition document")
         blocks = {_number(key, int, FormatError, "partition label"): members for key, members in obj.items()}
         if len(blocks) != len(obj):
             raise FormatError("two partition JSON keys name the same label")

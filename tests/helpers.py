@@ -1,5 +1,9 @@
 """Shared fixtures generators and independent reference implementations.
 
+``seeded_reviews_csv`` and ``seeded_scenes_json`` make small seeded review
+and scene documents, with the quoting, padding and repeats that real
+exports hold.
+
 The reference implementations here deliberately avoid the package's
 code paths: betweenness is recomputed from scratch (both a separate
 textbook implementation and an exact path enumerator), and both
@@ -82,6 +86,47 @@ def random_hypergraph(
         for v in rng.sample(range(1, n + 1), size):
             h.set_weight(v, e, rng.choice((0.5, 1.0, 2.0, 3.25)) if weighted else 1.0)
     return h
+
+
+def seeded_reviews_csv(rng: random.Random, spellings: tuple[str, ...] = ("{}", " {}", "{} ")) -> str:
+    """A review CSV with repeated (user, item) pairs, blank lines, quoted ids and stars in ``spellings``.
+
+    Each spelling is a format string for a star value 1..5; the default pads some of them.
+    """
+    users = [f"u{i}" for i in range(rng.randint(1, 25))] + ["Doe, Jane"]
+    items = [f"b{i}" for i in range(rng.randint(1, 40))] + ['say "hi"', "Book, The"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=rng.choice(("\n", "\r\n")))
+    out.write("\n" * rng.randint(0, 2))
+    writer.writerow(["user_id", "item_id", "stars"])
+    seen: list[tuple[str, str]] = []
+    for _ in range(rng.randint(0, 120)):
+        if seen and rng.random() < 0.2:
+            user, item = rng.choice(seen)
+        else:
+            user, item = rng.choice(users), rng.choice(items)
+            seen.append((user, item))
+        stars = rng.choice(spellings).format(rng.randint(1, 5))
+        writer.writerow([user, item, stars])
+        if rng.random() < 0.1:
+            out.write("\n")
+    return out.getvalue()
+
+
+def seeded_scenes_json(rng: random.Random) -> str:
+    """A scene document with repeated and shared members, empty scenes and non-string ids."""
+    names = [f"c{i}" for i in range(rng.randint(1, 30))] + ["Snow, Jon", 'the "Hound"']
+    scenes = []
+    for i in range(rng.randint(0, 60)):
+        scene_id = rng.choice((f"s{i}", i, None, 7, f"s{i % 5}"))
+        if rng.random() < 0.15:
+            members = []
+        else:
+            members = rng.sample(names, rng.randint(1, min(len(names), 8)))
+            members += rng.choices(members, k=rng.randint(0, 3))
+            rng.shuffle(members)
+        scenes.append({"id": scene_id, "members": members})
+    return json.dumps(scenes)
 
 
 def random_json_meta(rng: random.Random):
@@ -480,9 +525,19 @@ class _ReferenceScene:
         self.members = deduped
 
 
+def _reference_object(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """One object of a scene document; a name given twice is refused, not read as its last value."""
+    obj: dict[str, object] = {}
+    for name, value in pairs:
+        if name in obj:
+            raise MalformedRecordError(f"scene document is not valid JSON: object name {name!r} repeats")
+        obj[name] = value
+    return obj
+
+
 def _reference_read_scenes_json(text: str) -> list[_ReferenceScene]:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_reference_object)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"scene document is not valid JSON: {exc}") from None
     if not isinstance(doc, list):

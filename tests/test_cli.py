@@ -28,7 +28,7 @@ from hgkit import (
 from hgkit import cli, hgio, loadcache
 from hgkit.cli import _read_scores_csv, main
 
-from helpers import hypergraph_from_edges
+from helpers import hypergraph_from_edges, seeded_reviews_csv, seeded_scenes_json
 
 GOLDEN = "3 2\n1=1.0 2=1.0\n2=1.5 3=1.0\n"
 PATH5 = "5 4\n1=1.0 2=1.0\n2=1.0 3=1.0\n3=1.0 4=1.0\n4=1.0 5=1.0\n"
@@ -606,10 +606,11 @@ class TestRerun:
             '[1, 2]',
             '{"manifest_version": true, "argv": ["stats", "--input", "g.hgf"], "inputs": [], "outputs": []}',
             '{"manifest_version": 1.0, "argv": ["stats", "--input", "g.hgf"], "inputs": [], "outputs": []}',
+            '{"manifest_version": 1, "argv": ["rerun"], "argv": ["stats", "--input", "g.hgf"], "inputs": [], "outputs": []}',
         ],
         ids=[
             "invalid-json", "missing-argv", "wrong-version", "argv-not-a-list", "output-without-digest", "not-an-object",
-            "version-true", "version-float",
+            "version-true", "version-float", "duplicate-argv",
         ],
     )
     def test_malformed_manifest_exits_3(self, tmp_path, capsys, text):
@@ -861,7 +862,7 @@ class TestParserLimits:
             "p.json",
             f'{{"1": [{LONG_INT}]}}',
             ["nmi", "good.json"],
-            "error: partition JSON unparseable: Exceeds the limit (4300 digits)",
+            "error: partition document is not valid JSON: Exceeds the limit (4300 digits)",
         ),
         "json-deep": (
             "g.json",
@@ -879,13 +880,13 @@ class TestParserLimits:
             "p.json",
             f'{{"1": {DEEP}}}',
             ["nmi", "good.json"],
-            f"error: partition JSON unparseable: {TOO_DEEP}",
+            f"error: partition document is not valid JSON: {TOO_DEEP}",
         ),
         "manifest-deep": (
             "m.manifest.json",
             DEEP,
             ["rerun"],
-            f"error: m.manifest.json: not a JSON manifest ({TOO_DEEP}",
+            f"error: m.manifest.json: manifest is not valid JSON: {TOO_DEEP}",
         ),
         "json-huge-weight": (
             "g.json",
@@ -1310,3 +1311,54 @@ class TestLoadCache:
         for _ in range(2):
             assert run(capsys, "stats", "--input", str(src))[0] == 0
         assert self.entries() == []
+
+
+class TestHashSeeds:
+    """Seeded commands write the same bytes under any string hash seed.
+
+    Each hash seed runs every command as its own process, in its own
+    directory with its own load cache, on the same two input files.
+    """
+
+    HASH_SEEDS = ("0", "12345")
+    # Command -> its arguments, reading ``{scenes}`` or ``{reviews}``.
+    COMMANDS = {
+        "graph-lp": ["communities", "--input", "{scenes}", "--format", "scenes-json", "--algo", "graph-lp",
+                     "--full-precision", "--output", "out/graph-lp.json"],
+        "hyper-lp": ["communities", "--input", "{reviews}", "--full-precision", "--output", "out/hyper-lp.json"],
+        "betweenness": ["betweenness", "--input", "{scenes}", "--format", "scenes-json", "--s", "2",
+                        "--full-precision", "--output", "out/scores.csv"],
+        "forecast": ["forecast", "--input", "{reviews}", "--stars", "4", "5", "--full-precision",
+                     "--output", "out/forecast.csv"],
+        "convert": ["convert", "--input", "{scenes}", "--from", "scenes-json", "--to", "json", "--output", "out/scenes.json"],
+    }
+
+    def outcome(self, tmp_path: Path, hash_seed: str, inputs: dict[str, str]) -> dict[str, bytes]:
+        """Each command's stdout, and each file it wrote, by name."""
+        here = tmp_path / f"hash-{hash_seed}"
+        (here / "out").mkdir(parents=True)
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "XDG_CACHE_HOME": str(here / "cache"),
+            "PYTHONPATH": str(Path(hgkit.__file__).resolve().parent.parent),
+        }
+        got = {}
+        for name, argv in self.COMMANDS.items():
+            argv = [a.format(**inputs) for a in argv]
+            done = subprocess.run([sys.executable, "-m", "hgkit.cli", *argv], cwd=here, env=env, capture_output=True, timeout=60)
+            assert (done.returncode, done.stderr) == (0, b""), (name, hash_seed, done.stderr)
+            got[f"stdout of {name}"] = done.stdout
+        for path in sorted((here / "out").iterdir()):
+            got[path.name] = path.read_bytes()
+        return got
+
+    def test_outputs_and_manifests_do_not_depend_on_the_hash_seed(self, tmp_path):
+        inputs = {"scenes": tmp_path / "scenes.json", "reviews": tmp_path / "reviews.csv"}
+        inputs["scenes"].write_text(seeded_scenes_json(random.Random(3)), encoding="utf-8")
+        inputs["reviews"].write_text(seeded_reviews_csv(random.Random(3)), encoding="utf-8")
+        first, second = (self.outcome(tmp_path, seed, {k: str(v) for k, v in inputs.items()}) for seed in self.HASH_SEEDS)
+        # Ten output files, five of them manifests; their digests and argv name no hash-seed directory.
+        assert len(first) == 15 and first.keys() == second.keys()
+        differ = next((name for name in first if first[name] != second[name]), None)
+        assert differ is None, f"{differ} differs between hash seeds {self.HASH_SEEDS}"

@@ -1,7 +1,8 @@
 """Whole-package guards: the package runs on the standard library alone,
 only ``hypercore`` writes the dual index, only the callers that hold both
 of its sides adopt them through ``Hypergraph._from_rows``, only ``hgio``
-reads numbers from text, and the builtin ``sum`` adds only integers."""
+reads numbers from text, only ``hgio._json`` decodes JSON, and the builtin
+``sum`` adds only integers."""
 
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ ROWS_ADOPTING_FUNCTIONS = {"hgio.py": {"read_json"}}
 # the calls that may still be handed them.
 NUMBER_TYPES = frozenset({"int", "float"})
 NUMBER_TYPE_USERS = frozenset({"isinstance", "_number"})
+# The ``json`` names that decode a document; only ``hgio._json`` may use them.
+JSON_DECODERS = frozenset({"loads", "load", "JSONDecoder"})
 # Each builtin ``sum`` in the package, by module and function; every one adds
 # integers.  From Python 3.12 ``sum`` adds floats with compensation, so a float
 # sum would give other bits on other interpreters: floats go through ``fsum``.
@@ -262,6 +265,65 @@ def test_number_guard_lets_type_checks_and_the_grammar_pass(source):
 @pytest.mark.parametrize("name", ["cli.py", "partition.py"])
 def test_only_hgio_reads_numbers_from_text(name):
     assert number_parses((PACKAGE_DIR / name).read_text(encoding="utf-8")) == []
+
+
+def json_decodes(source: str) -> list[tuple[str, int]]:
+    """(function, line) of each ``json`` decoder named through the module, or imported from it."""
+    modules = {"json"} | {
+        alias.asname for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "json" and alias.asname
+    }
+    return scoped_hits(source, lambda node: (
+        (
+            isinstance(node, ast.Attribute) and node.attr in JSON_DECODERS
+            and isinstance(node.value, ast.Name) and node.value.id in modules
+        )
+        or (
+            isinstance(node, ast.ImportFrom) and node.module == "json"
+            and any(alias.name in JSON_DECODERS for alias in node.names)
+        )
+    ))
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("doc = json.loads(text)", ("<module>", 1)),
+        ("def f(fh):\n    return json.load(fh)", ("f", 2)),
+        ("decoder = json.JSONDecoder(object_pairs_hook=dict)", ("<module>", 1)),
+        ("def f(text):\n    parse = json.loads\n    return parse(text)", ("f", 2)),
+        ("import json as jsonlib\ndoc = jsonlib.loads(text)", ("<module>", 2)),
+        ("from json import loads", ("<module>", 1)),
+        ("from json import dumps, load as read", ("<module>", 1)),
+        ("def f():\n    from json import JSONDecoder", ("f", 2)),
+    ],
+)
+def test_json_guard_sees_each_decode(source, where):
+    assert json_decodes(source) == [where]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "text = json.dumps(doc, indent=2)",
+        "from json import dumps",
+        "encoder = json.JSONEncoder(indent=2)",
+        "doc = hgio._json(text, dict, FormatError, 'manifest')",
+        "rows = table.loads(text)",
+        '"""Decoded by ``json.loads``."""',
+    ],
+)
+def test_json_guard_lets_encoders_and_the_reader_pass(source):
+    assert json_decodes(source) == []
+
+
+def test_only_hgio_json_decodes_json():
+    found = [
+        (path.name, scope)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for scope, _ in json_decodes(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("hgio.py", "_json")]
 
 
 def sum_uses(source: str) -> list[tuple[str, int]]:

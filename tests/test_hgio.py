@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
 import re
@@ -48,6 +46,8 @@ from helpers import (
     random_json_meta,
     reference_build_from_reviews,
     reference_build_from_scenes,
+    seeded_reviews_csv,
+    seeded_scenes_json,
 )
 
 GOLDEN = "3 2\n1=1.0 2=1.0\n2=1.5 3=1.0\n"
@@ -212,15 +212,22 @@ class TestJson:
             lambda d: d["v2he"][0].update({" 1": 2.0}),
             lambda d: d.update(format_version=True),
             lambda d: d.update(format_version=1.0),
+            # ``json.dumps`` writes no repeated name, so these two return the document's text.
+            lambda d: json.dumps(d).replace('"v2he": [{"1": 1.0}', '"v2he": [{"1": 1.0, "1": 2.0}', 1),
+            lambda d: json.dumps(d).replace('"n": 3', '"n": 3, "n": 3', 1),
         ],
     )
-    def test_schema_violations(self, mangle):
-        import json as jsonlib
-
-        doc = jsonlib.loads(write_json(golden_hypergraph()))
-        mangle(doc)
+    def test_schema_violations(self, mangle, tmp_path, capsys):
+        doc = json.loads(write_json(golden_hypergraph()))
+        text = mangle(doc)
+        if not isinstance(text, str):
+            text = json.dumps(doc)
         with pytest.raises(SchemaViolationError):
-            read_json(jsonlib.dumps(doc))
+            read_json(text)
+        src = tmp_path / "g.json"
+        src.write_text(text)
+        assert main(["stats", "--input", str(src)]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_not_json_at_all(self):
         with pytest.raises(SchemaViolationError):
@@ -239,31 +246,6 @@ class TestJson:
         doc["v2he"][0]["1"] = 9.0  # weight disagrees
         with pytest.raises(DualInconsistencyError):
             read_json(jsonlib.dumps(doc))
-
-
-def _seeded_reviews_csv(rng: random.Random, spellings: tuple[str, ...] = ("{}", " {}", "{} ")) -> str:
-    """A review CSV with repeated (user, item) pairs, blank lines, quoted ids and stars in ``spellings``.
-
-    Each spelling is a format string for a star value 1..5; the default pads some of them.
-    """
-    users = [f"u{i}" for i in range(rng.randint(1, 25))] + ["Doe, Jane"]
-    items = [f"b{i}" for i in range(rng.randint(1, 40))] + ['say "hi"', "Book, The"]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator=rng.choice(("\n", "\r\n")))
-    out.write("\n" * rng.randint(0, 2))
-    writer.writerow(["user_id", "item_id", "stars"])
-    seen: list[tuple[str, str]] = []
-    for _ in range(rng.randint(0, 120)):
-        if seen and rng.random() < 0.2:
-            user, item = rng.choice(seen)
-        else:
-            user, item = rng.choice(users), rng.choice(items)
-            seen.append((user, item))
-        stars = rng.choice(spellings).format(rng.randint(1, 5))
-        writer.writerow([user, item, stars])
-        if rng.random() < 0.1:
-            out.write("\n")
-    return out.getvalue()
 
 
 class TestReviews:
@@ -315,9 +297,9 @@ class TestReviews:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_streamed_build_matches_reference(self, seed):
-        texts = [_seeded_reviews_csv(random.Random(seed))]
+        texts = [seeded_reviews_csv(random.Random(seed))]
         # Canonical star cells read through a table, other spellings through the number grammar.
-        texts.append(_seeded_reviews_csv(random.Random(seed), ("{}", "{}", " {}", "+{}", "0{}")))
+        texts.append(seeded_reviews_csv(random.Random(seed), ("{}", "{}", " {}", "+{}", "0{}")))
         if seed == 0:
             texts += ["", "user_id,item_id,stars\n", "\n\n user_id , item_id,stars\r\n\n"]
         for text in texts:
@@ -509,22 +491,6 @@ class TestNumberGrammar:
             hgio._number(text, float, FormatError, "score")
 
 
-def _seeded_scenes_json(rng: random.Random) -> str:
-    """A scene document with repeated and shared members, empty scenes and non-string ids."""
-    names = [f"c{i}" for i in range(rng.randint(1, 30))] + ["Snow, Jon", 'the "Hound"']
-    scenes = []
-    for i in range(rng.randint(0, 60)):
-        scene_id = rng.choice((f"s{i}", i, None, 7, f"s{i % 5}"))
-        if rng.random() < 0.15:
-            members = []
-        else:
-            members = rng.sample(names, rng.randint(1, min(len(names), 8)))
-            members += rng.choices(members, k=rng.randint(0, 3))
-            rng.shuffle(members)
-        scenes.append({"id": scene_id, "members": members})
-    return json.dumps(scenes)
-
-
 SCENE_MALFORMED = {
     "invalid-json": '[{"id": "s1", "members": ["a"]',
     "not-an-array": '{"id": "s1", "members": ["a"]}',
@@ -533,6 +499,7 @@ SCENE_MALFORMED = {
     "entry-without-members": '[{"id": "s1", "members": []}, {"id": "s2"}]',
     "member-not-a-string": '[{"id": "s1", "members": ["a"]}, {"id": 7, "members": ["b", 2]}]',
     "members-not-a-list": '[{"id": null, "members": "ab"}]',
+    "members-twice": '[{"id": "s1", "members": ["a"], "members": ["b"]}]',
 }
 
 
@@ -566,7 +533,7 @@ class TestScenes:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_streamed_build_matches_reference(self, seed):
-        texts = [_seeded_scenes_json(random.Random(seed))]
+        texts = [seeded_scenes_json(random.Random(seed))]
         if seed == 0:
             texts += ["[]", '[{"id": "s", "members": []}]', '[{"id": 1, "members": ["a", "a"]}]']
         for text in texts:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from hgkit import Partition
+from hgkit.cli import main
 from hgkit.errors import FormatError
 
 
@@ -65,10 +68,22 @@ class TestJsonCodec:
         with pytest.raises(FormatError):
             Partition.from_json_text('{"a": [1]}')
 
-    @pytest.mark.parametrize("text", ['{"1": [1], "01": [2]}', '{"1": [1], " 1": [2]}', '{"2": [], "+2": []}'])
-    def test_rejects_two_keys_for_one_label(self, text):
-        with pytest.raises(FormatError, match="two partition JSON keys name the same label"):
+    # Two keys for one label -> the error; a repeated name would otherwise read as its last list.
+    TWO_KEYS = {
+        '{"1": [1], "01": [2]}': "two partition JSON keys name the same label",
+        '{"1": [1], " 1": [2]}': "two partition JSON keys name the same label",
+        '{"2": [], "+2": []}': "two partition JSON keys name the same label",
+        '{"1": [1, 2], "1": [3]}': "partition document is not valid JSON: object name '1' repeats",
+    }
+
+    @pytest.mark.parametrize("text", list(TWO_KEYS))
+    def test_rejects_two_keys_for_one_label(self, text, tmp_path, capsys):
+        with pytest.raises(FormatError, match=re.escape(self.TWO_KEYS[text])):
             Partition.from_json_text(text)
+        (tmp_path / "p.json").write_text(text)
+        (tmp_path / "good.json").write_text(Partition({1: 1, 2: 1, 3: 2}).to_json_text())
+        assert main(["nmi", str(tmp_path / "p.json"), str(tmp_path / "good.json")]) == 3
+        assert capsys.readouterr().err == f"error: {self.TWO_KEYS[text]}\n"
 
     def test_rejects_invalid_json(self):
         with pytest.raises(FormatError):
