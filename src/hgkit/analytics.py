@@ -86,10 +86,11 @@ def induced_subhypergraph(
     hypergraph with vertex and hyperedge remaps {old: new}.  Every kept
     id must be an int in 1..n, else ``UnknownVertexError``.
     """
-    distinct = dict.fromkeys(keep)
-    for v in distinct:
+    # The raw ids, not the deduplicated ones: [1, True] must fail too.
+    keep = list(keep)
+    for v in keep:
         check_id(v, h.nhv, UnknownVertexError, "vertex")
-    kept = sorted(distinct)
+    kept = sorted(set(keep))
     vmap: IdRemap = {old: new for new, old in enumerate(kept, start=1)}
     emap: IdRemap = {}
     vmeta = [h._vmeta[v - 1] for v in kept]
@@ -147,6 +148,7 @@ def random_walk_step(
     e = (heselect or _uniform_hyperedge)(h, v, rng)
     members = h.get_vertices(e)
     u = (vselect or _uniform_member)(h, v, e, rng)
+    check_id(u, h.nhv, ValueError, "selected vertex")
     if u not in members:
         raise ValueError(f"selector returned {u}, not a member of hyperedge {e}")
     return u

@@ -18,7 +18,7 @@ from .errors import (
     UnknownVertexError,
     ZeroVarianceError,
 )
-from .hypercore import Hypergraph, check_id
+from .hypercore import Hypergraph, check_id, check_int
 from .views import co_member_counts
 
 __all__ = [
@@ -68,11 +68,6 @@ class SAdjacency:
         return out
 
 
-def _check_s(s: object) -> None:
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise InvalidSError(f"s must be a positive integer, got {s!r}")
-
-
 def s_adjacency(h: Hypergraph, s: int = 1) -> SAdjacency:
     """Build the s-adjacency graph by counting co-memberships per vertex.
 
@@ -91,7 +86,7 @@ def s_adjacency(h: Hypergraph, s: int = 1) -> SAdjacency:
     built from a list, which inserts one element at a time; building it
     from the tally dict would presize its table and reorder it.
     """
-    _check_s(s)
+    check_int(s, 1, None, InvalidSError, "s")
     members: list[list[int] | None] = [sorted(col) for col in h._he2v]
     nbrs: list[set[int]] = []
     for u, row in enumerate(h._v2he, start=1):
@@ -127,7 +122,7 @@ def s_shortest_path_length(
     else:
         adj = g
         if s is not None:
-            _check_s(s)
+            check_int(s, 1, None, InvalidSError, "s")
             if s != adj.s:
                 raise InvalidSError(f"s={s} does not match the adjacency's s={adj.s}")
     check_id(u, adj.n, UnknownVertexError, "vertex")

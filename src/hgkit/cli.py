@@ -35,7 +35,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from . import __version__, hgio, loadcache
+from . import __version__, hgio, hypercore, loadcache
 from .analytics import (
     connected_components,
     graph_modularity,
@@ -407,8 +407,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def _read_manifest(path: str) -> dict[str, Any]:
     """Load a run manifest, rejecting any document ``rerun`` cannot replay."""
     doc = hgio._json(_read_text(path), dict, FormatError, f"{path}: manifest")
-    if type(doc.get("manifest_version")) is not int or doc["manifest_version"] != 1:
-        raise FormatError(f"{path}: manifest_version must be the integer 1")
+    hypercore.check_int(doc.get("manifest_version"), 1, 1, FormatError, f"{path}: manifest_version")
     argv = doc.get("argv")
     if not isinstance(argv, list) or not argv or not all(isinstance(a, str) for a in argv):
         raise FormatError(f"{path}: argv must be a non-empty list of strings")
@@ -502,9 +501,7 @@ def _integer(low: int | None = None) -> Callable[[str], int]:
 
     def parse(text: str) -> int:
         value = hgio._number(text, int, ValueError, "option")
-        if low is not None and value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
+        return hypercore.check_int(value, low, None, argparse.ArgumentTypeError, "value")
 
     # argparse names the type in its "invalid int value" message.
     parse.__name__ = "int"

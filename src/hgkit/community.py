@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainMismatchError, EmptyDomainError
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, check_int
 from .partition import Partition
 from .views import Graph, neighbor_rows
 
@@ -45,14 +45,8 @@ class LpConfig:
     """Label propagation settings: a sweep cap of at least 1 and an int seed."""
 
     def __init__(self, max_iterations: int = 100, seed: int = 0) -> None:
-        if isinstance(max_iterations, bool) or not isinstance(max_iterations, int):
-            raise ValueError(f"max_iterations must be an int, not {max_iterations!r}")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError(f"seed must be an int, not {seed!r}")
-        self.max_iterations = max_iterations
-        self.seed = seed
+        self.max_iterations = check_int(max_iterations, 1, None, ValueError, "max_iterations")
+        self.seed = check_int(seed, None, None, ValueError, "seed")
 
     def __repr__(self) -> str:
         return f"LpConfig(max_iterations={self.max_iterations!r}, seed={self.seed!r})"

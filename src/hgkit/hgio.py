@@ -65,7 +65,7 @@ from .errors import (
     MalformedRecordError,
     SchemaViolationError,
 )
-from .hypercore import Hypergraph
+from .hypercore import Hypergraph, check_int, check_weight
 
 __all__ = [
     "FORMAT_VERSION",
@@ -142,10 +142,8 @@ def read_hgf(text: str) -> Hypergraph:
         raise BadWeightTokenError("only spaces and tabs may separate the tokens of a hyperedge line")
     n = _number(header[0], int, MalformedHeaderError, "vertex count")
     k = _number(header[1], int, MalformedHeaderError, "hyperedge count")
-    if n < 0 or k < 0:
-        raise MalformedHeaderError("vertex and hyperedge counts must be non-negative")
-    if n > MAX_HGF_VERTICES:
-        raise MalformedHeaderError(f"header declares {n} vertices, above the limit of {MAX_HGF_VERTICES}")
+    check_int(n, 0, MAX_HGF_VERTICES, MalformedHeaderError, "vertex count")
+    check_int(k, 0, None, MalformedHeaderError, "hyperedge count")
     body = lines[1:]
     if len(body) != k:
         raise LineCountMismatchError(
@@ -254,19 +252,11 @@ def _parse_weight_object(obj: object, limit: int, what: str) -> dict[int, float]
     if not isinstance(obj, dict):
         raise SchemaViolationError(f"{what} entries must be objects")
     out: dict[int, float] = {}
+    key_name, id_name, weight_name = f"{what} key", f"{what} id", f"{what} weight"
     for key, value in obj.items():
-        ident = _number(key, int, SchemaViolationError, f"{what} key")
-        if not 1 <= ident <= limit:
-            raise SchemaViolationError(f"{what} id {ident} outside 1..{limit}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaViolationError(f"{what} weight {value!r} is not a number")
-        try:
-            w = float(value)
-        except OverflowError:  # an integer beyond the float range
-            w = math.inf
-        if not math.isfinite(w):
-            raise SchemaViolationError(f"{what} weight {value!r} is not finite")
-        out[ident] = w
+        ident = _number(key, int, SchemaViolationError, key_name)
+        check_int(ident, 1, limit, SchemaViolationError, id_name)
+        out[ident] = check_weight(value, SchemaViolationError, weight_name)
     if len(out) != len(obj):
         raise SchemaViolationError(f"two {what} keys of one row name the same id")
     return out
@@ -287,14 +277,9 @@ def _check_encodable(strings: Iterable[str], error: type[FormatError], what: str
 
 def read_json(text: str) -> Hypergraph:
     doc = _json(text, dict, SchemaViolationError, "document")
-    if type(doc.get("format_version")) is not int or doc["format_version"] != FORMAT_VERSION:
-        raise SchemaViolationError(
-            f"format_version must be the integer {FORMAT_VERSION}, got {doc.get('format_version')!r}"
-        )
-    n, k = doc.get("n"), doc.get("k")
-    for name, value in (("n", n), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise SchemaViolationError(f"{name} must be a non-negative integer")
+    check_int(doc.get("format_version"), FORMAT_VERSION, FORMAT_VERSION, SchemaViolationError, "format_version")
+    n = check_int(doc.get("n"), 0, None, SchemaViolationError, "n")
+    k = check_int(doc.get("k"), 0, None, SchemaViolationError, "k")
     v2he, he2v = doc.get("v2he"), doc.get("he2v")
     if not isinstance(v2he, list) or len(v2he) != n:
         raise SchemaViolationError("v2he must be an array of length n")

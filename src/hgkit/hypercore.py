@@ -13,10 +13,12 @@ the vertex index, each row in ascending hyperedge id.  ``_from_rows``
 adopts both sides, for the callers that hold both (``copy``, the load
 cache, ``read_json``).  Neither checks ids or weights: their callers do.
 
-Member ids are plain ``int`` ids in range; bools, floats and strings
-are rejected, not coerced.  ``add_vertex`` and ``add_hyperedge`` check
-all the ids of one call together, in C, and walk them one by one only
-to name the first bad one.
+This module owns the one check of the integers (``check_int``) and
+weights (``check_weight``) that arrive as Python values: caller
+arguments, decoded JSON and parsed options.  Bools, and for integers
+floats and strings, are rejected, not coerced.  ``add_vertex`` and
+``add_hyperedge`` check all the ids of one call together, in C, and walk
+them one by one only to name the first bad one.
 
 Ids stay contiguous across removals: the highest-numbered vertex (or
 hyperedge) moves into the freed slot, and the move is reported to the
@@ -39,7 +41,7 @@ from .errors import (
     UnknownVertexError,
 )
 
-__all__ = ["Hypergraph", "IdRemap", "DEFAULT_WEIGHT", "check_id", "check_weight"]
+__all__ = ["Hypergraph", "IdRemap", "DEFAULT_WEIGHT", "check_int", "check_id", "check_weight"]
 
 IdRemap = dict[int, int]
 WeightMap = dict[int, float]
@@ -47,23 +49,39 @@ WeightMap = dict[int, float]
 DEFAULT_WEIGHT = 1.0
 
 
+def check_int(value: Any, low: int | None, high: int | None, error: type[Exception], what: str) -> int:
+    """``value`` if it is an ``int``, not a ``bool``, in ``low..high`` (None leaves an end open); else ``error``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if (low is None or low <= value) and (high is None or value <= high):
+            return value
+    if low is None:
+        kind = "an integer" if high is None else f"an integer of at most {high}"
+    elif high is None:
+        kind = f"an integer of at least {low}"
+    else:
+        kind = f"the integer {low}" if low == high else f"an integer in {low}..{high}"
+    raise error(f"{what} must be {kind}, got {value!r}")
+
+
 def check_id(i: Any, n: int, error: type[Exception], noun: str) -> None:
     """Raise ``error`` unless ``i`` is an int id in 1..n (bools are not ids)."""
-    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
-        raise error(f"no {noun} {i!r} (have 1..{n})")
+    check_int(i, 1, n, error, noun)
 
 
-def check_weight(value: Any) -> float:
-    """A finite int or float weight as a float; bools, strings and other types are rejected."""
+def check_weight(value: Any, error: type[Exception] | None = None, what: str = "weight") -> float:
+    """A finite int or float weight as a float; bools, strings and other types are rejected.
+
+    A bad weight raises ``error``, by default ``NonNumericWeightError`` or ``NonFiniteWeightError``, naming ``what``.
+    """
     if type(value) is not float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise NonNumericWeightError(f"weight must be an int or float, got {value!r}")
+            raise (error or NonNumericWeightError)(f"{what} must be an int or float, got {value!r}")
         try:
             value = float(value)
         except OverflowError:
-            raise NonFiniteWeightError("weight must be finite, got an int beyond the float range") from None
+            raise (error or NonFiniteWeightError)(f"{what} must be finite, got an int beyond the float range") from None
     if not math.isfinite(value):
-        raise NonFiniteWeightError(f"weight must be finite, got {value!r}")
+        raise (error or NonFiniteWeightError)(f"{what} must be finite, got {value!r}")
     return value
 
 
@@ -150,8 +168,8 @@ class Hypergraph:
     __slots__ = ("_v2he", "_he2v", "_vmeta", "_hemeta")
 
     def __init__(self, n: int = 0, k: int = 0) -> None:
-        if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in (n, k)):
-            raise ValueError(f"vertex and hyperedge counts must be non-negative ints, got {n!r} and {k!r}")
+        check_int(n, 0, None, ValueError, "vertex count")
+        check_int(k, 0, None, ValueError, "hyperedge count")
         self._v2he: list[WeightMap] = [{} for _ in range(n)]
         self._he2v: list[WeightMap] = [{} for _ in range(k)]
         self._vmeta: list[Any] = [None] * n

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping
 
 from .errors import FormatError
 from .hgio import _csv_chunks, _csv_rows, _json, _number
+from .hypercore import check_int
 
 __all__ = ["Partition"]
 
@@ -90,8 +91,7 @@ class Partition:
             if not isinstance(members, list):
                 raise FormatError(f"community {lab} must be a list of vertex ids")
             for v in members:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise FormatError(f"vertex id {v!r} is not an integer")
+                check_int(v, None, None, FormatError, "vertex id")
                 if v in labels:
                     raise FormatError(f"vertex {v} labeled twice")
                 labels[v] = lab

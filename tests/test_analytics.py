@@ -166,6 +166,15 @@ class TestRandomWalk:
                 h, 1, random.Random(0), heselect=lambda hg, v, r: 1, vselect=lambda hg, v, e, r: 3
             )
 
+    # True and 1.0 equal member 1 of hyperedge 1, but neither is a vertex id.
+    @pytest.mark.parametrize("chosen", [True, 1.0])
+    def test_selector_must_return_a_vertex_id(self, chosen):
+        h = self.walk_instance()
+        with pytest.raises(ValueError):
+            random_walk_step(
+                h, 1, random.Random(0), heselect=lambda hg, v, r: 1, vselect=lambda hg, v, e, r: chosen
+            )
+
     def test_empirical_distribution_tracks_kernel(self):
         h = self.walk_instance()
         rng = random.Random(0)

@@ -101,7 +101,7 @@ class TestShortestPaths:
         adj = s_adjacency(h, 1)
         assert s_shortest_path_length(adj, 1, 3) == 2
         assert s_shortest_path_length(adj, 1, 3, s=1) == 2
-        for bad in (5, 2, 0, True, "1"):
+        for bad in (5, 2, 0, True, 1.0, "1"):
             with pytest.raises(InvalidSError) as info:
                 s_shortest_path_length(adj, 1, 3, s=bad)
             assert info.value.exit_code == 4

@@ -705,7 +705,7 @@ class TestErrorsAndUsage:
         with pytest.raises(SystemExit) as info:
             main([argv[0], "--input", str(src), *argv[1:], "--output", str(dst)])
         assert info.value.code == 2
-        assert f"argument {argv[1]}: must be at least" in capsys.readouterr().err
+        assert f"argument {argv[1]}: value must be an integer of at least" in capsys.readouterr().err
         assert not dst.exists()
 
     def test_smallest_counts_are_accepted(self, tmp_path, capsys):
@@ -892,7 +892,7 @@ class TestParserLimits:
             "g.json",
             f'{{"format_version": 1, "n": 1, "k": 1, "v2he": [{{"1": {HUGE_WEIGHT}}}], "he2v": [{{"1": 1.0}}]}}',
             ["stats", "--input"],
-            f"error: v2he weight {HUGE_WEIGHT} is not finite\n",
+            "error: v2he weight must be finite, got an int beyond the float range\n",
         ),
         "reviews-long-field": (
             "r.csv",

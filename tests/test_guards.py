@@ -1,8 +1,9 @@
 """Whole-package guards: the package runs on the standard library alone,
 only ``hypercore`` writes the dual index, only the callers that hold both
 of its sides adopt them through ``Hypergraph._from_rows``, only ``hgio``
-reads numbers from text, only ``hgio._json`` decodes JSON, and the builtin
-``sum`` adds only integers."""
+reads numbers from text, only ``hgio._json`` decodes JSON, only ``hypercore``
+tests whether a value is an integer, and the builtin ``sum`` adds only
+integers."""
 
 from __future__ import annotations
 
@@ -32,6 +33,10 @@ NUMBER_TYPES = frozenset({"int", "float"})
 NUMBER_TYPE_USERS = frozenset({"isinstance", "_number"})
 # The ``json`` names that decode a document; only ``hgio._json`` may use them.
 JSON_DECODERS = frozenset({"loads", "load", "JSONDecoder"})
+# The types that a hand-written integer test names; ``hypercore.check_int`` is
+# the one place that may name them.
+INTEGER_TYPES = frozenset({"int", "bool"})
+TYPE_COMPARISONS = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)
 # Each builtin ``sum`` in the package, by module and function; every one adds
 # integers.  From Python 3.12 ``sum`` adds floats with compensation, so a float
 # sum would give other bits on other interpreters: floats go through ``fsum``.
@@ -324,6 +329,78 @@ def test_only_hgio_json_decodes_json():
         for scope, _ in json_decodes(path.read_text(encoding="utf-8"))
     ]
     assert found == [("hgio.py", "_json")]
+
+
+def _is_type_call(node: ast.expr) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "type"
+
+
+def integer_checks(source: str) -> list[tuple[str, int]]:
+    """(function, line) of each hand-written integer test.
+
+    ``isinstance(x, int)``, ``isinstance(x, bool)``, and ``type(x)``
+    compared with ``int`` by ``is``, ``is not``, ``==`` or ``!=`` count; a
+    type tuple, as in a filter on several kinds of value, does not.
+    """
+    def hit(node: ast.AST) -> bool:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            return len(node.args) == 2 and isinstance(node.args[1], ast.Name) and node.args[1].id in INTEGER_TYPES
+        if isinstance(node, ast.Compare) and all(isinstance(op, TYPE_COMPARISONS) for op in node.ops):
+            operands = [node.left, *node.comparators]
+            names = {o.id for o in operands if isinstance(o, ast.Name)}
+            return "int" in names and any(map(_is_type_call, operands))
+        return False
+
+    return scoped_hits(source, hit)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("ok = isinstance(v, int)", [("<module>", 1)]),
+        ("if isinstance(v, bool):\n    pass", [("<module>", 1)]),
+        (
+            "def _check_s(s):\n"
+            "    if not isinstance(s, int) or isinstance(s, bool) or s < 1:\n"
+            "        raise ValueError(s)",
+            [("_check_s", 2), ("_check_s", 2)],
+        ),
+        ("def f(v):\n    return type(v) is int", [("f", 2)]),
+        ("if type(doc.get('n')) is not int:\n    pass", [("<module>", 1)]),
+        ("ok = int is type(v)", [("<module>", 1)]),
+        ("ok = type(v) == int", [("<module>", 1)]),
+        ("class C:\n    def m(self, v):\n        return [x for x in v if isinstance(x, int)]", [("m", 3)]),
+    ],
+)
+def test_integer_guard_sees_each_check(source, found):
+    assert integer_checks(source) == found
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "ok = isinstance(value, (str, int, float, bool, list, type(None)))",
+        "ok = isinstance(g, Hypergraph)",
+        "ok = type(rows) is tuple",
+        "ok = type(w) is float",
+        "v = check_int(v, 1, n, FormatError, 'vertex')",
+        "v = hypercore.check_int(v, None, None, ValueError, 'seed')",
+        "def f(x: int) -> bool: pass",
+        "labels: dict[int, int] = {}",
+        '"""Not ``isinstance(v, int)``."""',
+    ],
+)
+def test_integer_guard_lets_type_tuples_and_the_one_check_pass(source):
+    assert integer_checks(source) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "hypercore.py"),
+    ids=lambda p: p.name,
+)
+def test_only_hypercore_checks_integers(path):
+    assert integer_checks(path.read_text(encoding="utf-8")) == []
 
 
 def sum_uses(source: str) -> list[tuple[str, int]]:

@@ -112,7 +112,8 @@ class TestHgf:
         assert MAX_HGF_VERTICES >= 1_600_000  # the paper's Yelp scale
         tracemalloc.start()
         try:
-            with pytest.raises(MalformedHeaderError, match="above the limit") as info:
+            message = rf"^vertex count must be an integer in 0\.\.{MAX_HGF_VERTICES}, got {MAX_HGF_VERTICES + 1}$"
+            with pytest.raises(MalformedHeaderError, match=message) as info:
                 read_hgf(f"{MAX_HGF_VERTICES + 1} 0\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -606,7 +607,8 @@ class TestLargestComponent:
         assert vmap == {1: 1, 3: 2}
         assert emap == {1: 1}
 
-    @pytest.mark.parametrize("keep", [[0, 1], [4], [True], [1, "2"]])
+    # An id equal to a good one, in either order, must fail: the ids are checked before they are deduplicated.
+    @pytest.mark.parametrize("keep", [[0, 1], [4], [True], [1, "2"], [1, True], [True, 1], [1, 1.0], [1.0, 1]])
     def test_induced_subhypergraph_rejects_ids_outside_1_to_n(self, keep):
         from hgkit.analytics import induced_subhypergraph
 

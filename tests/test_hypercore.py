@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import enum
+import json
+import math
 import random
 import time
 import tracemalloc
+from pathlib import Path
+from typing import Callable
 
 import pytest
 from helpers import (
@@ -15,16 +19,25 @@ from helpers import (
     reference_check_dual_consistency,
 )
 
-from hgkit import Hypergraph
+from hgkit import Hypergraph, Partition
+from hgkit.analytics import induced_subhypergraph, random_walk_step
+from hgkit.centrality import s_adjacency
+from hgkit.cli import main
+from hgkit.community import LpConfig
 from hgkit.errors import (
     ContractError,
+    FormatError,
     HgkitError,
+    InvalidSError,
+    MalformedHeaderError,
     NonFiniteWeightError,
     NonNumericWeightError,
     NonRectangularError,
+    SchemaViolationError,
     UnknownHyperedgeError,
     UnknownVertexError,
 )
+from hgkit.hgio import MAX_HGF_VERTICES, read_hgf, read_json, write_json
 
 
 class TestConstruction:
@@ -228,9 +241,9 @@ class TestMemberIds:
     def test_bool_float_and_str_member_ids_rejected(self):
         h = Hypergraph(3, 1)
         before = h.copy()
-        with pytest.raises(UnknownVertexError, match=r"^no vertex True \(have 1\.\.3\)$"):
+        with pytest.raises(UnknownVertexError, match=r"^vertex must be an integer in 1\.\.3, got True$"):
             h.add_hyperedge([True, 2.9, "3"])
-        with pytest.raises(UnknownHyperedgeError, match=r"^no hyperedge True \(have 1\.\.1\)$"):
+        with pytest.raises(UnknownHyperedgeError, match=r"^hyperedge must be the integer 1, got True$"):
             h.add_vertex({True: 1})
         for bad in ([2.9], ("3",), {1.0: 1.0}, [1, True], [2, 2.0], (i for i in (1, "1"))):
             with pytest.raises(UnknownVertexError):
@@ -536,3 +549,151 @@ def test_seeded_mutation_stream_matches_dense_model():
                 h.set_hyperedge_meta(e, None)
                 model.hemeta[e - 1] = None
             _assert_matches_model(h, model)
+
+
+
+# --- the one value check ------------------------------------------------------------
+
+
+def _json_doc(weight: object = 1.0, **fields: object) -> str:
+    """A 3-vertex, 2-hyperedge JSON document whose cell (3, 1) weighs ``weight``, with ``fields`` replaced."""
+    h = Hypergraph(3, 2)
+    h.add_hyperedge([1, 2])
+    doc = json.loads(write_json(h))
+    doc["v2he"][2]["1"] = doc["he2v"][0]["3"] = weight
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+def _manifest(version: object) -> str:
+    return json.dumps({"manifest_version": version, "argv": ["stats", "--input", "g.hgf"], "inputs": [], "outputs": []})
+
+
+def _document(name: str, make: Callable[[object], str], *argv: str) -> Callable[[object], list[str]]:
+    """A CLI form: write ``make(x)`` to ``name`` and hand that file to ``argv``."""
+
+    def prepare(x: object) -> list[str]:
+        Path(name).write_text(make(x))
+        return [*argv, name]
+
+    return prepare
+
+
+def _option(command: str, option: str) -> Callable[[object], list[str]]:
+    """A CLI form: the value, spelt as JSON, as ``option`` of ``command`` on a one-vertex HGF input."""
+
+    def prepare(x: object) -> list[str]:
+        Path("g.hgf").write_text("1 1\n1=1.0\n")
+        return [command, "--input", "g.hgf", option, json.dumps(x)]
+
+    return prepare
+
+
+def _bad_integers(low: int | None, high: int | None) -> list[object]:
+    """The bad values of an integer in ``low..high``: four of other types, and one past each closed end."""
+    return [True, 1.0, "1", None, *([] if low is None else [low - 1]), *([] if high is None else [high + 1])]
+
+
+# The bad values of a weight: two of other types, and the three floats that are not finite.
+BAD_WEIGHTS = [True, "1", -math.inf, math.inf, math.nan]
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+class TestOneValueCheck:
+    """Every entry point that takes an integer or a weight as a Python value refuses one table of bad values.
+
+    Each refusal raises the entry point's documented error and leaves the
+    hypergraph as it was; where the value also reaches the CLI, the
+    command ends in its documented exit code and writes nothing to stdout.
+    """
+
+    # Entry point -> (call handing the value x to it, given a fresh 3-vertex,
+    # 2-hyperedge hypergraph h holding cell (1, 1), or None for the CLI alone;
+    # the low and high ends of the range, None where open; the error; the CLI
+    # form and its exit code, or None).
+    INTEGERS = {
+        "Hypergraph-n": (lambda h, x: Hypergraph(x, 0), 0, None, ValueError, None),
+        "Hypergraph-k": (lambda h, x: Hypergraph(0, x), 0, None, ValueError, None),
+        "add_hyperedge": (lambda h, x: h.add_hyperedge([1, x]), 1, 3, UnknownVertexError, None),
+        "add_vertex": (lambda h, x: h.add_vertex({x: 1.0}), 1, 2, UnknownHyperedgeError, None),
+        "remove_vertex": (lambda h, x: h.remove_vertex(x), 1, 3, UnknownVertexError, None),
+        "remove_hyperedge": (lambda h, x: h.remove_hyperedge(x), 1, 2, UnknownHyperedgeError, None),
+        "set_weight": (lambda h, x: h.set_weight(1, x, 2.0), 1, 2, UnknownHyperedgeError, None),
+        "set_vertex_meta": (lambda h, x: h.set_vertex_meta(x, "m"), 1, 3, UnknownVertexError, None),
+        "induced_subhypergraph": (lambda h, x: induced_subhypergraph(h, [1, x]), 1, 3, UnknownVertexError, None),
+        "random_walk_step": (
+            lambda h, x: random_walk_step(h, 1, random.Random(0), vselect=lambda *_: x), 1, 3, ValueError, None,
+        ),
+        "s_adjacency": (lambda h, x: s_adjacency(h, x), 1, None, InvalidSError, None),
+        "LpConfig-max_iterations": (lambda h, x: LpConfig(max_iterations=x), 1, None, ValueError, None),
+        "LpConfig-seed": (lambda h, x: LpConfig(seed=x), None, None, ValueError, None),
+        "hgf-vertex-count": (
+            lambda h, x: read_hgf(f"{json.dumps(x)} 0\n"), 0, MAX_HGF_VERTICES, MalformedHeaderError,
+            (_document("g.hgf", lambda x: f"{json.dumps(x)} 0\n", "stats", "--input"), 3),
+        ),
+        "hgf-hyperedge-count": (
+            lambda h, x: read_hgf(f"0 {json.dumps(x)}\n"), 0, None, MalformedHeaderError,
+            (_document("g.hgf", lambda x: f"0 {json.dumps(x)}\n", "stats", "--input"), 3),
+        ),
+        "json-format_version": (
+            lambda h, x: read_json(_json_doc(format_version=x)), 1, 1, SchemaViolationError,
+            (_document("g.json", lambda x: _json_doc(format_version=x), "stats", "--input"), 3),
+        ),
+        "json-n": (
+            lambda h, x: read_json(_json_doc(n=x)), 0, None, SchemaViolationError,
+            (_document("g.json", lambda x: _json_doc(n=x), "stats", "--input"), 3),
+        ),
+        "json-k": (
+            lambda h, x: read_json(_json_doc(k=x)), 0, None, SchemaViolationError,
+            (_document("g.json", lambda x: _json_doc(k=x), "stats", "--input"), 3),
+        ),
+        "partition-member": (
+            lambda h, x: Partition.from_json_text(json.dumps({"1": [x]})), None, None, FormatError,
+            (_document("p.json", lambda x: json.dumps({"1": [x]}), "nmi", "p.json"), 3),
+        ),
+        "manifest_version": (None, 1, 1, None, (_document("m.manifest.json", _manifest, "rerun"), 3)),
+        "--max-iter": (None, 1, None, None, (_option("communities", "--max-iter"), 2)),
+        "--top-k": (None, 0, None, None, (_option("betweenness", "--top-k"), 2)),
+    }
+    # The same for weights, whose range is the finite floats.  A library call
+    # raises NonNumericWeightError or NonFiniteWeightError (error None).
+    WEIGHTS = {
+        "set_weight": (lambda h, x: h.set_weight(1, 1, x), None, None),
+        "add_vertex": (lambda h, x: h.add_vertex({1: x}), None, None),
+        "add_hyperedge": (lambda h, x: h.add_hyperedge({1: x}), None, None),
+        "from_incidence": (lambda h, x: Hypergraph.from_incidence([[x]]), None, None),
+        "json-weight": (
+            lambda h, x: read_json(_json_doc(weight=x)), SchemaViolationError,
+            (_document("g.json", lambda x: _json_doc(weight=x), "stats", "--input"), 3),
+        ),
+    }
+    CASES = [
+        *(("int", name, x) for name, (_, low, high, _, _) in INTEGERS.items() for x in _bad_integers(low, high)),
+        *(("weight", name, x) for name in WEIGHTS for x in BAD_WEIGHTS),
+    ]
+
+    @pytest.mark.parametrize("kind, name, x", CASES, ids=[f"{k}-{n}-{x!r}" for k, n, x in CASES])
+    def test_bad_value_is_refused(self, kind, name, x, tmp_path, monkeypatch, capsys):
+        if kind == "int":
+            call, _, _, error, cli = self.INTEGERS[name]
+        else:
+            call, error, cli = self.WEIGHTS[name]
+            error = error or (NonFiniteWeightError if isinstance(x, float) else NonNumericWeightError)
+        h = Hypergraph(3, 2)
+        h.set_weight(1, 1, 1.0)
+        before = h.copy()
+        if call is not None:
+            with pytest.raises(error):
+                call(h, x)
+        assert h == before and h.check_dual_consistency()
+        if cli is not None:
+            prepare, code = cli
+            monkeypatch.chdir(tmp_path)
+            assert _exit_code(prepare(x)) == code
+            assert capsys.readouterr().out == ""
