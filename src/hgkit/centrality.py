@@ -7,19 +7,19 @@ hop lengths; geodesic counts are exact integers.
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Iterator, Mapping
 from functools import reduce
 from operator import or_
-from typing import Mapping
 
 from .errors import (
     DomainMismatchError,
     InvalidSError,
+    UnknownNodeError,
     UnknownVertexError,
     ZeroVarianceError,
 )
 from .hypercore import Hypergraph, check_id, check_int
-from .views import co_member_counts
+from .views import Graph, co_member_counts
 
 __all__ = [
     "CentralityVector",
@@ -31,14 +31,20 @@ __all__ = [
 ]
 
 
-class CentralityVector:
-    """Per-vertex scores with a fixed ranking rule: score desc, id asc."""
+class CentralityVector(Mapping[int, float]):
+    """Per-vertex scores, read-only, with a fixed ranking rule: score desc, id asc."""
 
     def __init__(self, scores: dict[int, float]) -> None:
         self.scores = scores
 
     def __getitem__(self, v: int) -> float:
         return self.scores[v]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.scores)
+
+    def __len__(self) -> int:
+        return len(self.scores)
 
     def ranked(self) -> list[tuple[int, float]]:
         return sorted(self.scores.items(), key=lambda item: (-item[1], item[0]))
@@ -48,19 +54,20 @@ class CentralityVector:
 
 
 class SAdjacency:
-    """Unweighted graph over the vertices of a hypergraph at threshold s."""
+    """Unit-weight :class:`Graph` over a hypergraph's vertices, joining those that share at least s hyperedges."""
 
-    def __init__(self, s: int, n: int, _nbrs: list[set[int]]) -> None:
-        self.s, self.n, self._nbrs = s, n, _nbrs
+    def __init__(self, s: int, n_nodes: int, _nbrs: list[set[int]]) -> None:
+        self.s, self.n_nodes, self._nbrs = s, n_nodes, _nbrs
 
-    def neighbors(self, v: int) -> set[int]:
-        check_id(v, self.n, UnknownVertexError, "vertex")
-        return set(self._nbrs[v - 1])
+    def neighbors(self, v: int) -> dict[int, int]:
+        """Map of s-neighbour -> 1, keyed in the order of v's neighbour set."""
+        check_id(v, self.n_nodes, UnknownVertexError, "vertex")
+        return dict.fromkeys(self._nbrs[v - 1], 1)
 
     def edges(self) -> list[tuple[int, int]]:
         out = [
             (u, v)
-            for u in range(1, self.n + 1)
+            for u in range(1, self.n_nodes + 1)
             for v in self._nbrs[u - 1]
             if u < v
         ]
@@ -102,43 +109,33 @@ def s_adjacency(h: Hypergraph, s: int = 1) -> SAdjacency:
         for e in edges:
             if members[e - 1][-1] == u:
                 members[e - 1] = None
-    return SAdjacency(s=s, n=h.nhv, _nbrs=nbrs)
+    return SAdjacency(s=s, n_nodes=h.nhv, _nbrs=nbrs)
 
 
-def s_shortest_path_length(
-    g: Hypergraph | SAdjacency, u: int, v: int, s: int | None = None
-) -> int | None:
-    """Hop count of a shortest u-v path in the s-adjacency graph.
+def s_shortest_path_length(g: Graph, u: int, v: int) -> int | None:
+    """Hop count of a shortest u-v path in a graph; edge weights are not read.
 
-    Accepts either a hypergraph, whose adjacency is built at threshold
-    ``s`` (1 when omitted), or a prebuilt :class:`SAdjacency`, which
-    already fixes its threshold: an omitted ``s`` means ``adj.s``, and
-    an explicit one must equal it, or :class:`InvalidSError` is raised
-    rather than answering for a threshold the graph was not built at.
-    Returns 0 for u == v and None when no path exists.
+    For the s-adjacency graph of a hypergraph, pass ``s_adjacency(h, s)``.
+    Returns 0 for u == v and None when no path exists.  An object that
+    is not a :class:`Graph` raises ``TypeError``, and an id outside
+    1..n_nodes :class:`UnknownNodeError`.
     """
-    if isinstance(g, Hypergraph):
-        adj = s_adjacency(g, 1 if s is None else s)
-    else:
-        adj = g
-        if s is not None:
-            check_int(s, 1, None, InvalidSError, "s")
-            if s != adj.s:
-                raise InvalidSError(f"s={s} does not match the adjacency's s={adj.s}")
-    check_id(u, adj.n, UnknownVertexError, "vertex")
-    check_id(v, adj.n, UnknownVertexError, "vertex")
+    if not isinstance(g, Graph):
+        raise TypeError(f"expected a weighted graph, got {type(g).__name__}")
+    check_id(u, g.n_nodes, UnknownNodeError, "node")
+    check_id(v, g.n_nodes, UnknownNodeError, "node")
     if u == v:
         return 0
     dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in adj._nbrs[x - 1]:
+    order = [u]
+    for x in order:
+        dy = dist[x] + 1
+        for y in g.neighbors(x):
             if y not in dist:
-                dist[y] = dist[x] + 1
                 if y == v:
-                    return dist[y]
-                queue.append(y)
+                    return dy
+                dist[y] = dy
+                order.append(y)
     return None
 
 
@@ -343,24 +340,16 @@ def s_betweenness(h: Hypergraph, s: int = 1) -> CentralityVector:
     return CentralityVector(_brandes(adj._nbrs))
 
 
-def _as_scores(x: CentralityVector | Mapping[int, float]) -> Mapping[int, float]:
-    return x.scores if isinstance(x, CentralityVector) else x
-
-
-def pearson(
-    xs: CentralityVector | Mapping[int, float],
-    ys: CentralityVector | Mapping[int, float],
-) -> float:
+def pearson(xs: Mapping[int, float], ys: Mapping[int, float]) -> float:
     """Pearson correlation of two score vectors over the same vertex set."""
-    sx, sy = _as_scores(xs), _as_scores(ys)
-    if set(sx) != set(sy):
+    if set(xs) != set(ys):
         raise DomainMismatchError("score vectors cover different vertex sets")
-    keys = sorted(sx)
+    keys = sorted(xs)
     if len(keys) < 2:
         raise ZeroVarianceError("correlation needs at least two vertices")
     import statistics  # kept off the import of every CLI command
 
     try:
-        return statistics.correlation([sx[k] for k in keys], [sy[k] for k in keys])
+        return statistics.correlation([xs[k] for k in keys], [ys[k] for k in keys])
     except statistics.StatisticsError as exc:
         raise ZeroVarianceError(str(exc)) from None

@@ -213,8 +213,8 @@ def _histogram_line(counts: Counter[int]) -> str:
 def cmd_stats(args: argparse.Namespace) -> int:
     h, _ = _load_hypergraph(args, args.format)
     components = connected_components(h)
-    sizes = Counter(h.hyperedge_size(e) for e in h.hyperedges())
-    degrees = Counter(h.degree(v) for v in h.vertices())
+    sizes = Counter(map(len, h._he2v))
+    degrees = Counter(map(len, h._v2he))
     lines = [
         f"vertices: {h.nhv}",
         f"hyperedges: {h.nhe}",

@@ -5,8 +5,8 @@ values:
 
 * hypergraph route - average, over its incident hyperedges with at
   least two members, of the mean rating of the other members
-* graph route - co-occurrence-weighted mean of its two-section
-  neighbors' ratings
+* graph route - weighted mean of its neighbors' ratings in a graph,
+  such as the two-section view, whose weights count co-occurrences
 
 A vertex with no usable hyperedge (or no neighbor) gets None.
 """
@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .errors import DomainMismatchError, EmptyEvaluationSetError
 from .hypercore import Hypergraph
-from .views import Graph, TwoSectionView, neighbor_rows
+from .views import Graph, neighbor_rows
 
 __all__ = [
     "forecast_hypergraph",
@@ -64,15 +64,14 @@ def forecast_hypergraph(h: Hypergraph, ratings: Mapping[int, float]) -> Predicti
     return out
 
 
-def forecast_graph(g: Hypergraph | Graph, ratings: Mapping[int, float]) -> Predictions:
-    """Predict each vertex's rating from its weighted neighbours.
+def forecast_graph(g: Graph, ratings: Mapping[int, float]) -> Predictions:
+    """Predict each vertex's rating from its weighted neighbours in graph ``g``.
 
-    ``g`` is a graph, or a hypergraph standing for its two-section
-    view.  Both sums run over the neighbour row in its own order.
+    For a hypergraph, pass its ``TwoSectionView``.  Both sums run over
+    the neighbour row in its own order.
     """
-    graph = TwoSectionView(g) if isinstance(g, Hypergraph) else g
-    rows = neighbor_rows(graph)
-    _check_ratings(ratings, graph.n_nodes)
+    rows = neighbor_rows(g)
+    _check_ratings(ratings, g.n_nodes)
     rating = ratings.__getitem__
     out: Predictions = {}
     for u, nbrs in enumerate(rows, start=1):

@@ -60,7 +60,12 @@ def check_int(value: Any, low: int | None, high: int | None, error: type[Excepti
         kind = f"an integer of at least {low}"
     else:
         kind = f"the integer {low}" if low == high else f"an integer in {low}..{high}"
-    raise error(f"{what} must be {kind}, got {value!r}")
+    try:
+        got = repr(value)
+    except ValueError:  # Python spells no int of more than sys.get_int_max_str_digits() digits
+        from decimal import Decimal
+        got = f"a {'negative' if value < 0 else 'positive'} integer of {len(Decimal(value).as_tuple().digits)} digits"
+    raise error(f"{what} must be {kind}, got {got}")
 
 
 def check_id(i: Any, n: int, error: type[Exception], noun: str) -> None:

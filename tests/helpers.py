@@ -432,7 +432,7 @@ def reference_s_adjacency(h: Hypergraph, s: int = 1) -> SAdjacency:
         if c >= s:
             nbrs[u - 1].add(v)
             nbrs[v - 1].add(u)
-    return SAdjacency(s=s, n=h.nhv, _nbrs=nbrs)
+    return SAdjacency(s=s, n_nodes=h.nhv, _nbrs=nbrs)
 
 
 # --- reference review ingest ------------------------------------------------------------

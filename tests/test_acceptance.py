@@ -270,7 +270,7 @@ def test_forecast_anchors():
         h = hypergraph_from_edges(3, [(1, 2), (2, 3)])
         ratings = {1: 5.0, 2: 3.0, 3: 1.0}
         hyper = forecast_hypergraph(h, ratings)
-        graph = forecast_graph(h, ratings)
+        graph = forecast_graph(TwoSectionView(h), ratings)
         assert hyper[2] == 3.0
         assert graph[2] == 3.0
         assert average_error(hyper, ratings) == (2.0 + 0.0 + 2.0) / 3
@@ -283,7 +283,7 @@ def test_forecast_anchors():
             const = rng.choice((1.0, 2.0, 3.0, 4.0, 5.0, 2.5))
             flat = {v: const for v in g.vertices()}
             assert average_error(forecast_hypergraph(g, flat), flat) == 0.0
-            assert average_error(forecast_graph(g, flat), flat) == 0.0
+            assert average_error(forecast_graph(TwoSectionView(g), flat), flat) == 0.0
             done += 1
 
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 
 from hgkit import (
+    BipartiteView,
     Hypergraph,
     TwoSectionView,
     degree_centrality,
@@ -16,7 +18,7 @@ from hgkit import (
     s_betweenness,
     s_shortest_path_length,
 )
-from hgkit.errors import DomainMismatchError, InvalidSError, UnknownVertexError, ZeroVarianceError
+from hgkit.errors import DomainMismatchError, InvalidSError, UnknownNodeError, UnknownVertexError, ZeroVarianceError
 
 from helpers import (
     enumerated_betweenness,
@@ -55,15 +57,16 @@ class TestSAdjacency:
             adj = s_adjacency(h, 1)
             expected = two_section_adjacency(h)
             for v in h.vertices():
-                assert adj.neighbors(v) == set(expected[v])
+                assert adj.neighbors(v) == dict.fromkeys(expected[v], 1)
+                assert list(adj.neighbors(v)) == list(adj._nbrs[v - 1])
 
     def test_threshold_filters_weak_ties(self):
         h = hypergraph_from_edges(3, [(1, 2, 3), (1, 2)])
         adj1 = s_adjacency(h, 1)
         adj2 = s_adjacency(h, 2)
-        assert adj1.neighbors(1) == {2, 3}
-        assert adj2.neighbors(1) == {2}
-        assert adj2.neighbors(3) == set()
+        assert adj1.neighbors(1) == {2: 1, 3: 1}
+        assert adj2.neighbors(1) == {2: 1}
+        assert adj2.neighbors(3) == {}
 
     @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None, 0, 4])
     def test_neighbors_rejects_what_hypergraph_rejects(self, bad):
@@ -82,37 +85,52 @@ class TestSAdjacency:
 
 class TestShortestPaths:
     def test_path_graph_distances(self):
-        h = path_hypergraph(4)
-        assert s_shortest_path_length(h, 1, 1) == 0
-        assert s_shortest_path_length(h, 1, 2) == 1
-        assert s_shortest_path_length(h, 1, 4) == 3
+        adj = s_adjacency(path_hypergraph(4), 1)
+        assert s_shortest_path_length(adj, 1, 1) == 0
+        assert s_shortest_path_length(adj, 1, 2) == 1
+        assert s_shortest_path_length(adj, 1, 4) == 3
 
     def test_disconnected_returns_none(self):
         h = hypergraph_from_edges(3, [(1, 2)])
-        assert s_shortest_path_length(h, 1, 3) is None
+        assert s_shortest_path_length(s_adjacency(h, 1), 1, 3) is None
 
     def test_higher_s_can_disconnect(self):
         h = hypergraph_from_edges(3, [(1, 2, 3), (1, 2)])
-        assert s_shortest_path_length(h, 1, 3, s=1) == 1
-        assert s_shortest_path_length(h, 1, 3, s=2) is None
+        assert s_shortest_path_length(s_adjacency(h, 1), 1, 3) == 1
+        assert s_shortest_path_length(s_adjacency(h, 2), 1, 3) is None
 
     def test_prebuilt_adjacency_fixes_s(self):
         h = path_hypergraph(3)
-        adj = s_adjacency(h, 1)
-        assert s_shortest_path_length(adj, 1, 3) == 2
-        assert s_shortest_path_length(adj, 1, 3, s=1) == 2
-        for bad in (5, 2, 0, True, 1.0, "1"):
-            with pytest.raises(InvalidSError) as info:
-                s_shortest_path_length(adj, 1, 3, s=bad)
-            assert info.value.exit_code == 4
+        assert s_shortest_path_length(s_adjacency(h, 1), 1, 3) == 2
         assert s_shortest_path_length(s_adjacency(h, 2), 1, 2) is None
-        assert s_shortest_path_length(s_adjacency(h, 2), 1, 2, s=2) is None
 
     def test_hypergraph_s_defaults_to_one(self):
         h = hypergraph_from_edges(3, [(1, 2, 3), (1, 2)])
-        assert s_shortest_path_length(h, 1, 3) == s_shortest_path_length(h, 1, 3, s=1) == 1
+        assert s_shortest_path_length(s_adjacency(h), 1, 3) == s_shortest_path_length(s_adjacency(h, 1), 1, 3) == 1
         with pytest.raises(InvalidSError):
-            s_shortest_path_length(h, 1, 3, s=0)
+            s_adjacency(h, 0)
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None, 0, 4])
+    def test_ids_outside_the_graph_are_refused(self, bad):
+        adj = s_adjacency(path_hypergraph(3), 1)
+        for u, v in ((bad, 1), (1, bad)):
+            with pytest.raises(UnknownNodeError) as info:
+                s_shortest_path_length(adj, u, v)
+            assert info.value.exit_code == 4
+
+    def test_hop_distance_on_every_graph_of_a_hypergraph(self):
+        # Two vertices one shared hyperedge apart are one hop apart in the
+        # two-section graph and in the 1-adjacency graph, and two hops, through
+        # the hyperedge node, in the incidence graph.
+        rng = random.Random(57)
+        for _ in range(60):
+            h = random_hypergraph(rng, max_n=10, max_k=8)
+            adj, view, incidence = s_adjacency(h, 1), TwoSectionView(h), BipartiteView(h)
+            for u in h.vertices():
+                for v in h.vertices():
+                    d = s_shortest_path_length(view, u, v)
+                    assert s_shortest_path_length(adj, u, v) == d
+                    assert s_shortest_path_length(incidence, u, v) == (None if d is None else 2 * d)
 
 
 class TestSBetweenness:
@@ -181,6 +199,18 @@ class TestSBetweenness:
         assert scores.ranked()[0] == (3, 4.0)
         assert scores.top(2) == [(3, 4.0), (2, 3.0)]
 
+    def test_scores_are_a_read_only_mapping(self):
+        h = path_hypergraph(5)
+        scores = s_betweenness(h)
+        assert isinstance(scores, Mapping)
+        assert scores == {1: 0.0, 2: 3.0, 3: 4.0, 4: 3.0, 5: 0.0} == s_betweenness(h)
+        assert scores != s_betweenness(star_hypergraph(5))
+        assert (list(scores), len(scores), 6 in scores) == ([1, 2, 3, 4, 5], 5, False)
+        with pytest.raises(TypeError):
+            hash(scores)
+        with pytest.raises(TypeError):
+            scores[1] = 0.0
+
 
 class TestPearson:
     def test_perfect_positive(self):
@@ -216,3 +246,8 @@ class TestPearson:
         h = star_hypergraph(6)
         r = pearson(degree_centrality(h).scores, s_betweenness(h).scores)
         assert abs(r - 1.0) < 1e-12
+
+    def test_takes_score_vectors_as_mappings(self):
+        h = hypergraph_from_edges(5, [(1, 2), (2, 3), (3, 4, 5), (1, 5)])
+        xs, ys = degree_centrality(h), s_betweenness(h)
+        assert pearson(xs, ys) == pearson(xs.scores, ys.scores) == pearson(xs, ys.scores)

@@ -8,6 +8,7 @@ import pytest
 
 from hgkit import (
     Hypergraph,
+    TwoSectionView,
     average_error,
     evaluation_size,
     forecast_graph,
@@ -53,19 +54,19 @@ class TestHypergraphForecast:
 class TestGraphForecast:
     def test_hand_values(self):
         h, ratings = hand_instance()
-        pred = forecast_graph(h, ratings)
+        pred = forecast_graph(TwoSectionView(h), ratings)
         assert pred == {1: 3.0, 2: 3.0, 3: 3.0}
 
     def test_weighted_neighbor_mean(self):
         # vertex 1 shares two hyperedges with 2 and one with 3
         h = hypergraph_from_edges(3, [(1, 2), (1, 2), (1, 3)])
         ratings = {1: 1.0, 2: 3.0, 3: 9.0}
-        pred = forecast_graph(h, ratings)
+        pred = forecast_graph(TwoSectionView(h), ratings)
         assert pred[1] == (2 * 3.0 + 9.0) / 3
 
     def test_no_neighbors_means_undefined(self):
         h = hypergraph_from_edges(2, [(1,)])
-        pred = forecast_graph(h, {1: 4.0, 2: 2.0})
+        pred = forecast_graph(TwoSectionView(h), {1: 4.0, 2: 2.0})
         assert pred == {1: None, 2: None}
 
     def test_defined_sets_agree_between_routes(self):
@@ -74,7 +75,7 @@ class TestGraphForecast:
             h = random_hypergraph(rng, max_n=10, max_k=8)
             ratings = {v: float(rng.randint(1, 5)) for v in h.vertices()}
             ph = forecast_hypergraph(h, ratings)
-            pg = forecast_graph(h, ratings)
+            pg = forecast_graph(TwoSectionView(h), ratings)
             defined_h = {v for v, p in ph.items() if p is not None}
             defined_g = {v for v, p in pg.items() if p is not None}
             assert defined_h == defined_g
@@ -108,7 +109,7 @@ class TestAverageError:
             ph = forecast_hypergraph(h, ratings)
             if evaluation_size(ph) == 0:
                 continue
-            pg = forecast_graph(h, ratings)
+            pg = forecast_graph(TwoSectionView(h), ratings)
             assert average_error(ph, ratings) == 0.0
             assert average_error(pg, ratings) == 0.0
             done += 1
@@ -123,7 +124,7 @@ class TestProperties:
                 continue
             ratings = {v: float(rng.randint(1, 5)) for v in h.vertices()}
             lo, hi = min(ratings.values()), max(ratings.values())
-            for pred in (forecast_hypergraph(h, ratings), forecast_graph(h, ratings)):
+            for pred in (forecast_hypergraph(h, ratings), forecast_graph(TwoSectionView(h), ratings)):
                 for p in pred.values():
                     if p is not None:
                         assert lo - 1e-9 <= p <= hi + 1e-9
@@ -143,7 +144,7 @@ class TestProperties:
                 h.add_hyperedge((u, v))
             ratings = {v: float(rng.randint(1, 5)) for v in h.vertices()}
             ph = forecast_hypergraph(h, ratings)
-            pg = forecast_graph(h, ratings)
+            pg = forecast_graph(TwoSectionView(h), ratings)
             for v in h.vertices():
                 if ph[v] is None:
                     assert pg[v] is None

@@ -2,8 +2,9 @@
 only ``hypercore`` writes the dual index, only the callers that hold both
 of its sides adopt them through ``Hypergraph._from_rows``, only ``hgio``
 reads numbers from text, only ``hgio._json`` decodes JSON, only ``hypercore``
-tests whether a value is an integer, and the builtin ``sum`` adds only
-integers."""
+tests whether a value is an integer, the builtin ``sum`` adds only
+integers, and no function outside an ``__eq__`` branches on hgkit's own
+classes."""
 
 from __future__ import annotations
 
@@ -48,6 +49,13 @@ INTEGER_SUMS = {
     ("forecast.py", "evaluation_size"): 1,
     ("hypercore.py", "incidence_count"): 1,
 }
+# hgkit's own concrete classes.  Each function takes one kind of argument and
+# reads every graph through the ``Graph`` protocol, so only an ``__eq__``, which
+# must answer for any other object, tests for one of them.
+HGKIT_CLASSES = frozenset({
+    "Hypergraph", "SAdjacency", "CentralityVector", "TwoSectionView", "BipartiteView",
+    "MaterializedGraph", "Partition",
+})
 MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "pop", "popitem", "remove", "clear",
     "update", "setdefault", "sort", "reverse", "__setitem__", "__delitem__",
@@ -449,3 +457,61 @@ def test_every_builtin_sum_is_a_listed_integer_sum():
         for scope, _ in sum_uses(path.read_text(encoding="utf-8"))
     )
     assert dict(found) == INTEGER_SUMS
+
+
+def _class_names(node: ast.expr) -> set[str]:
+    """The class names that the second argument of ``isinstance`` spells, through tuples and ``|``."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_class_names, node.elts))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _class_names(node.left) | _class_names(node.right)
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return {node.id} if isinstance(node, ast.Name) else set()
+
+
+def type_dispatches(source: str) -> list[tuple[str, int]]:
+    """(function, line) of each ``isinstance`` against one of hgkit's own classes outside an ``__eq__``."""
+    hits = scoped_hits(source, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+        and len(node.args) == 2 and bool(_class_names(node.args[1]) & HGKIT_CLASSES)
+    ))
+    return [(scope, line) for scope, line in hits if scope != "__eq__"]
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        ("ok = isinstance(g, Hypergraph)", ("<module>", 1)),
+        ("def f(g):\n    return TwoSectionView(g) if isinstance(g, Hypergraph) else g", ("f", 2)),
+        ("def f(x):\n    return x.scores if isinstance(x, CentralityVector) else x", ("f", 2)),
+        ("ok = isinstance(g, (dict, SAdjacency))", ("<module>", 1)),
+        ("ok = isinstance(g, views.BipartiteView)", ("<module>", 1)),
+        ("ok = isinstance(g, MaterializedGraph | TwoSectionView)", ("<module>", 1)),
+        ("class C:\n    def __hash__(self):\n        return isinstance(self, Partition)", ("__hash__", 3)),
+    ],
+)
+def test_dispatch_guard_sees_each_test_for_an_own_class(source, where):
+    assert type_dispatches(source) == [where]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "def __eq__(self, other):\n    if not isinstance(other, Hypergraph):\n        return NotImplemented",
+        "if not isinstance(g, Graph):\n    raise TypeError(g)",
+        "ok = isinstance(doc, dict)",
+        "ok = isinstance(members, list)",
+        "label = meta if isinstance(meta, str) else ''",
+        "ok = isinstance(memberships, Mapping)",
+        "g = TwoSectionView(h)",
+        '"""Not ``isinstance(g, Hypergraph)``."""',
+    ],
+)
+def test_dispatch_guard_lets_eq_the_protocol_and_input_shapes_pass(source):
+    assert type_dispatches(source) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_branches_on_an_own_class(path):
+    assert type_dispatches(path.read_text(encoding="utf-8")) == []

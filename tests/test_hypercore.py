@@ -6,6 +6,7 @@ import enum
 import json
 import math
 import random
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -554,6 +555,26 @@ def test_seeded_mutation_stream_matches_dense_model():
 
 # --- the one value check ------------------------------------------------------------
 
+# An integer of more digits than Python spells with ``repr`` or ``str`` (4,300 by default).
+HUGE = 10**5000
+
+
+def _dumps(value: object) -> str:
+    """``json.dumps(value)``, for a value holding ``HUGE`` or ``-HUGE`` too."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _label(x: object) -> str:
+    """``repr(x)``, with ``HUGE`` and ``-HUGE`` spelt by name."""
+    if x in (HUGE, -HUGE):
+        return "HUGE" if x > 0 else "-HUGE"
+    return repr(x)
+
 
 def _json_doc(weight: object = 1.0, **fields: object) -> str:
     """A 3-vertex, 2-hyperedge JSON document whose cell (3, 1) weighs ``weight``, with ``fields`` replaced."""
@@ -562,11 +583,11 @@ def _json_doc(weight: object = 1.0, **fields: object) -> str:
     doc = json.loads(write_json(h))
     doc["v2he"][2]["1"] = doc["he2v"][0]["3"] = weight
     doc.update(fields)
-    return json.dumps(doc)
+    return _dumps(doc)
 
 
 def _manifest(version: object) -> str:
-    return json.dumps({"manifest_version": version, "argv": ["stats", "--input", "g.hgf"], "inputs": [], "outputs": []})
+    return _dumps({"manifest_version": version, "argv": ["stats", "--input", "g.hgf"], "inputs": [], "outputs": []})
 
 
 def _document(name: str, make: Callable[[object], str], *argv: str) -> Callable[[object], list[str]]:
@@ -584,14 +605,21 @@ def _option(command: str, option: str) -> Callable[[object], list[str]]:
 
     def prepare(x: object) -> list[str]:
         Path("g.hgf").write_text("1 1\n1=1.0\n")
-        return [command, "--input", "g.hgf", option, json.dumps(x)]
+        return [command, "--input", "g.hgf", option, _dumps(x)]
 
     return prepare
 
 
 def _bad_integers(low: int | None, high: int | None) -> list[object]:
-    """The bad values of an integer in ``low..high``: four of other types, and one past each closed end."""
-    return [True, 1.0, "1", None, *([] if low is None else [low - 1]), *([] if high is None else [high + 1])]
+    """The bad values of an integer in ``low..high``: four of other types, and two past each closed end.
+
+    The two are the next integer and ``HUGE`` of that sign, which no error message may spell with ``repr``.
+    """
+    return [
+        True, 1.0, "1", None,
+        *([] if low is None else [low - 1, -HUGE]),
+        *([] if high is None else [high + 1, HUGE]),
+    ]
 
 
 # The bad values of a weight: two of other types, and the three floats that are not finite.
@@ -634,12 +662,12 @@ class TestOneValueCheck:
         "LpConfig-max_iterations": (lambda h, x: LpConfig(max_iterations=x), 1, None, ValueError, None),
         "LpConfig-seed": (lambda h, x: LpConfig(seed=x), None, None, ValueError, None),
         "hgf-vertex-count": (
-            lambda h, x: read_hgf(f"{json.dumps(x)} 0\n"), 0, MAX_HGF_VERTICES, MalformedHeaderError,
-            (_document("g.hgf", lambda x: f"{json.dumps(x)} 0\n", "stats", "--input"), 3),
+            lambda h, x: read_hgf(f"{_dumps(x)} 0\n"), 0, MAX_HGF_VERTICES, MalformedHeaderError,
+            (_document("g.hgf", lambda x: f"{_dumps(x)} 0\n", "stats", "--input"), 3),
         ),
         "hgf-hyperedge-count": (
-            lambda h, x: read_hgf(f"0 {json.dumps(x)}\n"), 0, None, MalformedHeaderError,
-            (_document("g.hgf", lambda x: f"0 {json.dumps(x)}\n", "stats", "--input"), 3),
+            lambda h, x: read_hgf(f"0 {_dumps(x)}\n"), 0, None, MalformedHeaderError,
+            (_document("g.hgf", lambda x: f"0 {_dumps(x)}\n", "stats", "--input"), 3),
         ),
         "json-format_version": (
             lambda h, x: read_json(_json_doc(format_version=x)), 1, 1, SchemaViolationError,
@@ -678,7 +706,7 @@ class TestOneValueCheck:
         *(("weight", name, x) for name in WEIGHTS for x in BAD_WEIGHTS),
     ]
 
-    @pytest.mark.parametrize("kind, name, x", CASES, ids=[f"{k}-{n}-{x!r}" for k, n, x in CASES])
+    @pytest.mark.parametrize("kind, name, x", CASES, ids=[f"{k}-{n}-{_label(x)}" for k, n, x in CASES])
     def test_bad_value_is_refused(self, kind, name, x, tmp_path, monkeypatch, capsys):
         if kind == "int":
             call, _, _, error, cli = self.INTEGERS[name]
@@ -697,3 +725,9 @@ class TestOneValueCheck:
             monkeypatch.chdir(tmp_path)
             assert _exit_code(prepare(x)) == code
             assert capsys.readouterr().out == ""
+
+    def test_an_integer_too_long_to_spell_is_given_by_its_digit_count(self):
+        with pytest.raises(UnknownVertexError, match="got a positive integer of 5001 digits$"):
+            Hypergraph(3, 0).get_hyperedges(HUGE)
+        with pytest.raises(ValueError, match="got a negative integer of 5001 digits$"):
+            LpConfig(max_iterations=-HUGE)

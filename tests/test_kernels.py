@@ -16,8 +16,8 @@ from hgkit import (
     BipartiteView,
     Hypergraph,
     LpConfig,
+    MaterializedGraph,
     Partition,
-    SAdjacency,
     TwoSectionView,
     build_from_reviews,
     forecast_graph,
@@ -29,6 +29,7 @@ from hgkit import (
     materialize,
     s_adjacency,
     s_betweenness,
+    s_shortest_path_length,
 )
 from hgkit.centrality import _DENSE_RECIPROCAL, _brandes, _dense_masks
 from hgkit.errors import EmptyGraphError
@@ -173,7 +174,6 @@ def test_graph_lp_still_rejects_non_graphs():
 
 NON_GRAPHS = {
     "object": object(),
-    "SAdjacency": SAdjacency(s=1, n=2, _nbrs=[{2}, {1}]),
     "dict": {1: {2: 1.0}, 2: {1: 1.0}},
     "Hypergraph": hypergraph_from_edges(2, [(1, 2)]),
 }
@@ -183,22 +183,28 @@ GRAPH_KERNELS = {
     "graph_degree_centrality": graph_degree_centrality,
     "forecast_graph": lambda g: forecast_graph(g, {1: 1.0, 2: 2.0}),
     "materialize": materialize,
+    "s_shortest_path_length": lambda g: s_shortest_path_length(g, 1, 2),
 }
 
 
-@pytest.mark.parametrize(
-    "kernel, given",
-    [
-        (kernel, given)
-        for kernel in GRAPH_KERNELS
-        for given in NON_GRAPHS
-        # forecast_graph reads a hypergraph as its two-section view.
-        if not (kernel == "forecast_graph" and given == "Hypergraph")
-    ],
-)
+@pytest.mark.parametrize("kernel, given", [(kernel, given) for kernel in GRAPH_KERNELS for given in NON_GRAPHS])
 def test_graph_kernels_reject_non_graphs(kernel, given):
     with pytest.raises(TypeError):
         GRAPH_KERNELS[kernel](NON_GRAPHS[given])
+
+
+@pytest.mark.parametrize("kernel", GRAPH_KERNELS)
+def test_graph_kernels_run_on_s_adjacency(kernel):
+    # The one edge is three hyperedges, so it holds at every s up to 3.
+    h = hypergraph_from_edges(2, [(1, 2)] * 3)
+    run = GRAPH_KERNELS[kernel]
+    want = run(EdgeListGraph(n_nodes=2, edges=[(1, 2, 1.0)]))
+    for s in (1, 2, 3):
+        got = run(s_adjacency(h, s))
+        if isinstance(got, MaterializedGraph):
+            assert (got.n_nodes, got.edges) == (want.n_nodes, want.edges)
+        else:
+            assert got == want
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -392,7 +398,7 @@ def test_s_adjacency_matches_reference_in_iteration_order(s):
     for h in CASES + _overlap_cases(9, 80):
         got = s_adjacency(h, s)
         want = reference_s_adjacency(h, s)
-        assert (got.s, got.n) == (want.s, want.n)
+        assert (got.s, got.n_nodes) == (want.s, want.n_nodes)
         assert [list(x) for x in got._nbrs] == [list(x) for x in want._nbrs]
         assert _brandes(got._nbrs) == _brandes(want._nbrs)
 
@@ -548,7 +554,7 @@ def test_forecasts_match_reference_bit_for_bit():
             assert _outcome(forecast_hypergraph, h, ratings) == want
             outcomes.add(want if isinstance(want, type) else list)
             want = _outcome(reference_forecast_graph, h, ratings)
-            for g in (h, view, materialize(view)):
+            for g in (view, materialize(view)):
                 assert _outcome(forecast_graph, g, ratings) == want
             outcomes.add(want if isinstance(want, type) else list)
     # Between them the cases reach finite results, overflow and inf - inf.
@@ -645,6 +651,32 @@ def test_graph_kernels_on_bipartite_views_match_reference():
             ratings = {v: rng.uniform(1.0, 5.0) for v in range(1, view.n_nodes + 1)}
             want = _outcome(reference_forecast_graph, view, ratings)
             assert _outcome(forecast_graph, g, ratings) == want
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_graph_kernels_on_s_adjacency_match_reference(s):
+    # The s-adjacency graph is a unit-weight graph: every graph kernel
+    # reads it as it reads the same edges listed with weight 1.0.
+    rng = random.Random(53 + s)
+    for h in GRAPH_CASES[::3]:
+        adj = s_adjacency(h, s)
+        frozen = EdgeListGraph(n_nodes=h.nhv, edges=[(u, v, 1.0) for u, v in adj.edges()])
+        assert materialize(adj).edges == frozen.edges
+        assert graph_degree_centrality(adj) == {v: float(len(adj._nbrs[v - 1])) for v in h.vertices()}
+        for cfg in CONFIGS:
+            got = graph_label_propagation(adj, cfg)
+            want = reference_graph_label_propagation(frozen, cfg)
+            assert (got[0].labels, got[1]) == (want[0].labels, want[1])
+        p = random_partition(rng, h.vertices())
+        try:
+            want = reference_graph_modularity(frozen, p)
+        except EmptyGraphError:
+            with pytest.raises(EmptyGraphError):
+                graph_modularity(adj, p)
+        else:
+            assert graph_modularity(adj, p) == want
+        ratings = {v: rng.uniform(1.0, 5.0) for v in h.vertices()}
+        assert _outcome(forecast_graph, adj, ratings) == _outcome(reference_forecast_graph, frozen, ratings)
 
 
 def test_materialized_rows_are_built_once():
