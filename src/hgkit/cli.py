@@ -18,7 +18,16 @@ earlier command cached the same bytes (inputs of at least
 ``loadcache.MIN_BYTES``); otherwise it parses them and, once the command
 has succeeded, caches the result.  A review CSV's entry also carries
 each item's star sum and count, which ``forecast`` rates items by.
-Outputs are the same either way.
+
+``communities --algo graph-lp`` and ``convert --to dot-twosection`` read
+only the two-section graph, through ``_load_two_section``: its rows come
+from their own cache entry when an earlier one of these commands cached
+them, without loading the hypergraph, and are otherwise derived from the
+hypergraph that ``_load_hypergraph`` loads.  So a cold ``convert --to
+dot-twosection`` holds the whole expansion (about 13 MB on a 12k-scene
+input) where it used to stream it row by row.  ``forecast`` streams its
+two-section rows and stays out of that entry, whose review CSV rows
+would add about 39 MB to its peak.  Outputs are the same either way.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ from .hgio import (
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import Graph, TwoSectionView, materialize, upper_rows
+from .views import Graph, MaterializedGraph, TwoSectionView, materialize, upper_rows
 
 INPUT_FORMATS = ("hgf", "json", "reviews-csv", "scenes-json")
 
@@ -95,17 +104,43 @@ def _infer_format(path: str) -> str:
     return {".hgf": "hgf", ".json": "json", ".csv": "reviews-csv"}.get(suffix, "hgf")
 
 
+def _read_input(args: argparse.Namespace, fmt: str | None) -> tuple[bytes, str]:
+    """The bytes of ``args.input`` and its format, ``fmt`` or inferred from the name."""
+    data = Path(args.input).read_bytes()
+    # The manifest records these bytes, the ones the output is made from.
+    args.input_sha256 = hashlib.sha256(data).hexdigest()
+    return data, fmt or _infer_format(args.input)
+
+
+def _cached_hypergraph(
+    args: argparse.Namespace, data: bytes, fmt: str, star_filter: list[int] | None = None
+) -> tuple[Hypergraph, tuple[list[int], list[int]] | None]:
+    """What ``_parse_hypergraph`` makes of input bytes ``data``, from the load cache when it holds them."""
+    key = fmt if star_filter is None else f"{fmt} --stars {sorted(set(star_filter))}"
+    return args.cache.load(data, key, lambda: _parse_hypergraph(_decode(data, args.input), fmt, star_filter))
+
+
 def _load_hypergraph(
     args: argparse.Namespace, fmt: str | None, star_filter: list[int] | None = None
 ) -> tuple[Hypergraph, tuple[list[int], list[int]] | None]:
-    """What ``_parse_hypergraph`` makes of ``args.input``, from the load cache when it holds these bytes."""
-    path = args.input
-    data = Path(path).read_bytes()
-    # The manifest records these bytes, the ones the output is made from.
-    args.input_sha256 = hashlib.sha256(data).hexdigest()
-    fmt = fmt or _infer_format(path)
-    key = fmt if star_filter is None else f"{fmt} --stars {sorted(set(star_filter))}"
-    return args.cache.load(data, key, lambda: _parse_hypergraph(_decode(data, path), fmt, star_filter))
+    """What ``_parse_hypergraph`` makes of ``args.input``, from the load cache when it holds its bytes."""
+    return _cached_hypergraph(args, *_read_input(args, fmt), star_filter)
+
+
+def _load_two_section(args: argparse.Namespace, fmt: str | None) -> MaterializedGraph:
+    """The two-section graph of ``args.input``, its rows from the load cache when it holds these bytes.
+
+    A hit reads the input only for its digest: it loads no hypergraph and
+    counts no co-members.  A miss loads the hypergraph as
+    ``_load_hypergraph`` does and freezes its ``TwoSectionView``.
+    """
+    data, fmt = _read_input(args, fmt)
+
+    def derive() -> MaterializedGraph:
+        h, _ = _cached_hypergraph(args, data, fmt)
+        return materialize(TwoSectionView(h))
+
+    return args.cache.two_section(data, fmt, derive)
 
 
 def _parse_hypergraph(
@@ -267,19 +302,23 @@ def _bipartite_edge_chunks(h: Hypergraph) -> Iterator[str]:
             yield "".join([f"  {u} -- {n + e} [weight=1];\n" for e in sorted(row)])
 
 
-# Output format -> generator of the document's text chunks.
+# Output format -> generator of the document's text chunks, from the
+# hypergraph, or for dot-twosection from the two-section graph.
 _CONVERT_WRITERS = {
     "hgf": hgf_chunks,
     "json": json_chunks,
     "dot-bipartite": lambda h: _dot_chunks("bipartite", h.nhv + h.nhe, _bipartite_edge_chunks(h)),
-    "dot-twosection": lambda h: _dot_chunks("twosection", h.nhv, _upper_edge_chunks(TwoSectionView(h))),
+    "dot-twosection": lambda g: _dot_chunks("twosection", g.n_nodes, _upper_edge_chunks(g)),
 }
 OUTPUT_FORMATS = tuple(_CONVERT_WRITERS)
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    h, _ = _load_hypergraph(args, args.from_fmt)
-    _emit(args, _CONVERT_WRITERS[args.to_fmt](h))
+    if args.to_fmt == "dot-twosection":
+        source = _load_two_section(args, args.from_fmt)
+    else:
+        source, _ = _load_hypergraph(args, args.from_fmt)
+    _emit(args, _CONVERT_WRITERS[args.to_fmt](source))
     return 0
 
 
@@ -287,14 +326,14 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_communities(args: argparse.Namespace) -> int:
-    h, _ = _load_hypergraph(args, args.format)
     cfg = LpConfig(max_iterations=args.max_iter, seed=args.seed)
     if args.algo == "hyper-lp":
+        h, _ = _load_hypergraph(args, args.format)
         part, iterations = hypergraph_label_propagation(h, cfg)
         score = lambda: hypergraph_modularity(h, part)  # noqa: E731
     else:
-        # LP and modularity read the same rows, so derive them once.
-        graph = materialize(TwoSectionView(h))
+        # LP and modularity read the same rows, so they are derived once.
+        graph = _load_two_section(args, args.format)
         part, iterations = graph_label_propagation(graph, cfg)
         score = lambda: graph_modularity(graph, part)  # noqa: E731
     try:

@@ -49,10 +49,32 @@ WeightMap = dict[int, float]
 DEFAULT_WEIGHT = 1.0
 
 
+# Python spells every int strictly between these in decimal, whatever its
+# digit limit (``sys.set_int_max_str_digits`` takes no limit below 640).
+_SPELLED_LOW, _SPELLED_HIGH = -(10**640), 10**640
+
+
+def _spelled(value: int) -> bool:
+    """Whether Python spells ``value`` in decimal under its digit limit."""
+    try:
+        repr(value)
+    except ValueError:
+        return False
+    return True
+
+
 def check_int(value: Any, low: int | None, high: int | None, error: type[Exception], what: str) -> int:
-    """``value`` if it is an ``int``, not a ``bool``, in ``low..high`` (None leaves an end open); else ``error``."""
+    """``value`` if it is an ``int``, not a ``bool``, in ``low..high`` (None leaves an end open); else ``error``.
+
+    An open end stops at the ints Python spells in decimal, so every int
+    this returns can be printed: a larger one raises ``error`` with its
+    digit count.
+    """
     if isinstance(value, int) and not isinstance(value, bool):
-        if (low is None or low <= value) and (high is None or value <= high):
+        # A closed end costs one comparison, as without the open ends' limit.
+        if (value > _SPELLED_LOW or _spelled(value) if low is None else low <= value) and (
+            value < _SPELLED_HIGH or _spelled(value) if high is None else value <= high
+        ):
             return value
     if low is None:
         kind = "an integer" if high is None else f"an integer of at most {high}"

@@ -1,4 +1,4 @@
-"""Content-addressed cache of the hypergraphs the batch CLI loads.
+"""Content-addressed cache of what the batch CLI loads: hypergraphs and two-section rows.
 
 Each CLI command is a fresh process, so a batch of commands on one
 input would parse and build the same hypergraph once per command.  The
@@ -8,8 +8,21 @@ review CSV's per-item star sums and counts, else None), as a ``marshal``
 entry instead, and the next command on the same bytes adopts them
 through ``Hypergraph._from_rows``.
 
+Beside it an input can have a second entry: its two-section neighbour
+rows, a list of ``{neighbour: count}`` dicts in the order
+``TwoSectionView.neighbors`` returns them (``marshal`` keeps each dict's
+order and int keys).  ``communities --algo graph-lp`` and ``convert --to
+dot-twosection`` read and write it (``Session.two_section``), so on a hit
+they load no hypergraph and count no co-members; on a miss they load the
+hypergraph entry as every command does.  It holds the whole expansion:
+3.0 MB on disk for the benchmark's 12k-scene input, 10.0 MB for its
+100k-review input.  ``forecast`` reads the same rows but streams them,
+one vertex at a time, and neither reads nor writes this entry: holding
+the review expansion would add about 39 MB to its peak memory.
+
 An entry's name is the SHA-256 of the input's SHA-256, the format key
-(the input format, with the star filter of a filtered review build),
+(the input format, with the star filter of a filtered review build or
+the tag ``two-section`` of a rows entry),
 ``sys.implementation.cache_tag``, ``marshal.version`` and the name and
 bytes of every ``hgkit/*.py`` source, so other input bytes, another
 interpreter or edited code never read it.  An entry file is the SHA-256
@@ -39,6 +52,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .hypercore import Hypergraph
+from .views import MaterializedGraph
 
 MIN_BYTES = 32 * 1024
 """Inputs below this many bytes are parsed and never cached."""
@@ -60,8 +74,8 @@ class Session:
     """One command's use of the cache: lookups as it loads, writes once it has succeeded."""
 
     def __init__(self) -> None:
-        # (entry name, hypergraph, extra payload) of each input this command parsed.
-        self._staged: list[tuple[str, Hypergraph, Any]] = []
+        # (entry name, payload) of each entry this command derived.
+        self._staged: list[tuple[str, Any]] = []
 
     def load(self, data: bytes, fmt: str, parse: Callable[[], tuple[Hypergraph, Any]]) -> tuple[Hypergraph, Any]:
         """The hypergraph of input ``data`` under format key ``fmt`` and its extra payload.
@@ -75,11 +89,28 @@ class Session:
             return parse()
         name = _entry_name(data, fmt)
         rows = _read_entry(name)
-        if rows is not None:
+        if type(rows) is tuple and len(rows) == 5:
             return Hypergraph._from_rows(*rows[:4]), rows[4]
         h, extra = parse()
-        self._staged.append((name, h, extra))
+        self._staged.append((name, (h._v2he, h._he2v, h._vmeta, h._hemeta, extra)))
         return h, extra
+
+    def two_section(self, data: bytes, fmt: str, derive: Callable[[], MaterializedGraph]) -> MaterializedGraph:
+        """The two-section graph of input ``data`` under format key ``fmt``.
+
+        Its rows come from the two-section entry of ``data`` and ``fmt``,
+        else from ``derive()``, whose rows are staged for ``commit`` when
+        ``data`` has at least ``MIN_BYTES``.
+        """
+        if len(data) < MIN_BYTES or not _SUPPORTED:
+            return derive()
+        name = _entry_name(data, f"{fmt} two-section")
+        rows = _read_entry(name)
+        if type(rows) is list:
+            return MaterializedGraph._adopt(rows)
+        graph = derive()
+        self._staged.append((name, graph._rows))
+        return graph
 
     def commit(self) -> None:
         """Write the staged entries; call it only when the command has succeeded."""
@@ -88,8 +119,8 @@ class Session:
         if fd is None:
             return
         try:
-            for name, h, extra in staged:
-                _write_entry(fd, name, h, extra)
+            for name, payload in staged:
+                _write_entry(fd, name, payload)
             _evict(fd)
         finally:
             os.close(fd)
@@ -126,8 +157,8 @@ def _open_directory() -> int | None:
     return fd
 
 
-def _read_entry(name: str) -> tuple | None:
-    """The four lists and the extra payload of a valid entry, touched as just used, or None."""
+def _read_entry(name: str) -> Any:
+    """The payload of an entry whose digest matches, touched as just used, or None."""
     fd = _open_directory()
     if fd is None:
         return None
@@ -138,20 +169,18 @@ def _read_entry(name: str) -> tuple | None:
         digest, payload = blob[:_DIGEST], memoryview(blob)[_DIGEST:]
         if hashlib.sha256(payload).digest() != digest:
             return None
-        rows = marshal.loads(payload)
-        if not (type(rows) is tuple and len(rows) == 5):
-            return None
+        value = marshal.loads(payload)
         os.utime(name, dir_fd=fd)
     except (OSError, ValueError, EOFError):
         return None
     finally:
         os.close(fd)
-    return rows
+    return value
 
 
-def _write_entry(fd: int, name: str, h: Hypergraph, extra: Any) -> None:
+def _write_entry(fd: int, name: str, value: Any) -> None:
     try:
-        payload = marshal.dumps((h._v2he, h._he2v, h._vmeta, h._hemeta, extra))
+        payload = marshal.dumps(value)
     except ValueError:  # JSON metadata nested deeper than marshal writes
         return
     temp = f".{name}.{os.getpid()}.tmp"

@@ -26,6 +26,12 @@ class Partition:
 
     def __init__(self, labels: Mapping[int, int]) -> None:
         self.labels: dict[int, int] = dict(labels)
+        if self.labels:
+            # The extremes bound every id and label, so checking them alone
+            # refuses any int the writers could not spell, in O(1) Python calls.
+            for what, values in (("vertex", self.labels), ("label", self.labels.values())):
+                check_int(min(values), None, None, ValueError, f"partition {what}")
+                check_int(max(values), None, None, ValueError, f"partition {what}")
 
     @classmethod
     def from_communities(cls, communities: Iterable[Iterable[int]]) -> "Partition":
@@ -58,15 +64,6 @@ class Partition:
         if not isinstance(other, Partition):
             return NotImplemented
         return self.labels == other.labels
-
-    def same_blocks(self, other: "Partition") -> bool:
-        """True when the two partitions induce the same communities,
-        ignoring the label values themselves."""
-        if self.vertices() != other.vertices():
-            return False
-        mine = sorted(frozenset(b) for b in self.communities().values())
-        theirs = sorted(frozenset(b) for b in other.communities().values())
-        return mine == theirs
 
     def __repr__(self) -> str:
         return f"Partition(vertices={len(self.labels)}, communities={self.community_count})"

@@ -5,7 +5,8 @@ Every graph kernel reads a :class:`Graph`: ``n_nodes`` plus
 :class:`BipartiteView` and :class:`TwoSectionView` derive each row on
 demand from the dual incidence indexes and copy nothing;
 :func:`materialize` freezes any graph into a :class:`MaterializedGraph`
-that reads each row once, for a caller that runs several kernels.
+that reads each row once, for a caller that runs several kernels; the
+CLI's load cache stores a two-section graph's rows and adopts them back.
 :func:`upper_rows` is the one walk that visits each edge once.
 """
 
@@ -158,6 +159,14 @@ class MaterializedGraph:
     def __init__(self, g: Graph) -> None:
         self._rows = list(neighbor_rows(g))
         self.n_nodes = len(self._rows)
+
+    @classmethod
+    def _adopt(cls, rows: list[Mapping[int, float]]) -> "MaterializedGraph":
+        """A graph over ``rows``, row v-1 being node v's, taken as they are: no copy, no check."""
+        g = cls.__new__(cls)
+        g._rows = rows
+        g.n_nodes = len(rows)
+        return g
 
     def neighbors(self, v: int) -> Mapping[int, float]:
         check_id(v, self.n_nodes, UnknownNodeError, "node")

@@ -26,6 +26,7 @@ modularity must reproduce bit for bit; ``reference_add_vertex``,
 the two-direction cell walk that the batched id check and the one-pass
 consistency check must agree with.  ``EdgeListGraph`` is the oracles' own
 frozen graph: a canonical edge list whose rows are built from it.
+``same_blocks`` compares two partitions' communities whatever their labels.
 """
 
 from __future__ import annotations
@@ -145,6 +146,13 @@ def random_json_meta(rng: random.Random):
 def random_partition(rng: random.Random, vertices, max_labels: int = 4) -> Partition:
     labels = {v: rng.randint(1, max_labels) for v in vertices}
     return Partition(labels)
+
+
+def same_blocks(a: Partition, b: Partition) -> bool:
+    """Whether two partitions induce the same communities, whatever their label values."""
+    return {frozenset(block) for block in a.communities().values()} == {
+        frozenset(block) for block in b.communities().values()
+    }
 
 
 def planted_two_cluster(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import marshal
 import os
 import random
 import shutil
@@ -17,6 +18,7 @@ import pytest
 
 import hgkit
 from hgkit import (
+    Hypergraph,
     Partition,
     TwoSectionView,
     build_from_reviews,
@@ -28,7 +30,7 @@ from hgkit import (
 from hgkit import cli, hgio, loadcache
 from hgkit.cli import _read_scores_csv, main
 
-from helpers import hypergraph_from_edges, seeded_reviews_csv, seeded_scenes_json
+from helpers import hypergraph_from_edges, same_blocks, seeded_reviews_csv, seeded_scenes_json
 
 GOLDEN = "3 2\n1=1.0 2=1.0\n2=1.5 3=1.0\n"
 PATH5 = "5 4\n1=1.0 2=1.0\n2=1.0 3=1.0\n3=1.0 4=1.0\n4=1.0 5=1.0\n"
@@ -175,7 +177,7 @@ class TestCommunities:
         )
         assert code == 0
         part = Partition.from_json_text(dst.read_text())
-        assert part.same_blocks(Partition.from_communities([{1, 2, 3}, {4, 5, 6}]))
+        assert same_blocks(part, Partition.from_communities([{1, 2, 3}, {4, 5, 6}]))
         report = dict(
             line.split(": ", 1) for line in out.strip().splitlines()
         )
@@ -1046,7 +1048,13 @@ class TestLoadCache:
         # forecast reads every input as a review CSV.
         "forecast": ["forecast", "--output", "{out}.csv"],
         "forecast-stars": ["forecast", "--stars", "5", "4", "--output", "{out}.csv"],
+        "graph-lp": [
+            "communities", "--format", "{fmt}", "--algo", "graph-lp", "--max-iter", "5", "--output", "{out}.json",
+        ],
+        "dot-twosection": ["convert", "--from", "{fmt}", "--to", "dot-twosection", "--output", "{out}.dot"],
     }
+    # The commands that read the two-section rows entry beside the hypergraph's.
+    TWO_SECTION = ("graph-lp", "dot-twosection")
     CASES = [(c, f) for c, f in product(COMMANDS, FORMATS) if f == "reviews-csv" or not c.startswith("forecast")]
 
     @staticmethod
@@ -1101,14 +1109,35 @@ class TestLoadCache:
 
         monkeypatch.setattr(cli, "_parse_hypergraph", forbidden)
 
+    @staticmethod
+    def forbid_deriving_rows(monkeypatch) -> None:
+        """Fail any load that adopts a hypergraph or counts co-members instead of adopting the rows entry."""
+
+        def forbidden(*args):
+            raise AssertionError("derived two-section rows although the cache holds them")
+
+        monkeypatch.setattr(Hypergraph, "_from_rows", forbidden)
+        monkeypatch.setattr(TwoSectionView, "neighbors", forbidden)
+
+    @staticmethod
+    def entry(src: Path, key: str) -> Path:
+        """The path of the entry of ``src`` under format key ``key``."""
+        return Path(os.environ["XDG_CACHE_HOME"]) / "hgkit" / loadcache._entry_name(src.read_bytes(), key)
+
+    def two_section_entry(self, src: Path, fmt: str) -> Path:
+        return self.entry(src, f"{fmt} two-section")
+
     @pytest.mark.parametrize("command, fmt", CASES)
     def test_cold_warm_and_unusable_runs_agree(self, tmp_path, capsys, monkeypatch, fmt, command):
         src = self.write_input(tmp_path, fmt)
         argv, out = self.argv(command, src, fmt, tmp_path / "out")
         cold = self.outcome(capsys, argv, out)
-        assert cold[0] == 0 and len(self.entries()) == 1
+        # A two-section command caches the hypergraph it parsed and, beside it, the rows.
+        assert cold[0] == 0 and len(self.entries()) == (2 if command in self.TWO_SECTION else 1)
         with monkeypatch.context() as patch:
             self.forbid_parsing(patch)
+            if command in self.TWO_SECTION:
+                self.forbid_deriving_rows(patch)
             assert self.outcome(capsys, argv, out) == cold
         unusable = tmp_path / "unusable"
         unusable.mkdir()
@@ -1311,6 +1340,90 @@ class TestLoadCache:
         for _ in range(2):
             assert run(capsys, "stats", "--input", str(src))[0] == 0
         assert self.entries() == []
+
+    @pytest.mark.parametrize("command", TWO_SECTION)
+    @pytest.mark.parametrize("damage", ["truncate", "recount"])
+    def test_damaged_rows_entry_is_ignored_and_rewritten(self, tmp_path, capsys, monkeypatch, command, damage):
+        src = self.write_input(tmp_path, "scenes-json")
+        argv, out = self.argv(command, src, "scenes-json", tmp_path / "out")
+        cold = self.outcome(capsys, argv, out)
+        entry = self.two_section_entry(src, "scenes-json")
+        good = entry.read_bytes()
+        digest = hashlib.sha256().digest_size
+        rows = marshal.loads(good[digest:])
+        if damage == "truncate":
+            entry.write_bytes(good[: len(good) // 2])
+        else:
+            # Rows that marshal loads, one count off, behind the old digest:
+            # only the digest tells them from the original.
+            damaged = marshal.loads(good[digest:])
+            row = next(r for r in damaged if r)
+            row[next(iter(row))] += 1
+            entry.write_bytes(good[:digest] + marshal.dumps(damaged))
+        with monkeypatch.context() as patch:
+            # The rows are derived again from the hypergraph entry, not from the input.
+            self.forbid_parsing(patch)
+            assert self.outcome(capsys, argv, out) == cold
+        # Rewritten with the same rows; marshal may share their ints otherwise.
+        assert len(self.entries()) == 2
+        assert loadcache._read_entry(entry.name) == rows
+
+    def test_failing_two_section_commands_leave_no_entry(self, tmp_path, capsys):
+        src = self.write_input(tmp_path, "scenes-json")
+        bad = tmp_path / "bad.json"
+        bad.write_text(src.read_text()[:-1])
+        missing = str(tmp_path / "no-such-directory" / "out")
+        graph_lp = ["communities", "--format", "scenes-json", "--algo", "graph-lp"]
+        dot = ["convert", "--from", "scenes-json", "--to", "dot-twosection"]
+        # An output that cannot be written (exit 1) and an input that does not parse (exit 3).
+        for argv, code in (
+            ([*graph_lp, "--input", str(src), "--output", missing], 1),
+            ([*dot, "--input", str(src), "--output", missing], 1),
+            ([*graph_lp, "--input", str(bad)], 3),
+            ([*dot, "--input", str(bad)], 3),
+        ):
+            assert [run(capsys, *argv)[0] for _ in range(2)] == [code, code]
+            assert self.entries() == []
+
+    def test_forecast_neither_reads_nor_writes_rows(self, tmp_path, capsys, monkeypatch):
+        src = self.write_input(tmp_path, "reviews-csv")
+        argv, _ = self.argv("forecast", src, "reviews-csv", tmp_path / "forecast")
+        assert run(capsys, *argv)[0] == 0
+        assert self.entries() == [self.entry(src, "reviews-csv")]
+        # With the rows entry in place, a warm forecast still reads only the hypergraph's.
+        assert run(capsys, *self.argv("dot-twosection", src, "reviews-csv", tmp_path / "dot")[0])[0] == 0
+        names = []
+        read = loadcache._read_entry
+        monkeypatch.setattr(loadcache, "_read_entry", lambda name: names.append(name) or read(name))
+        assert run(capsys, *argv)[0] == 0
+        assert names == [self.entry(src, "reviews-csv").name]
+
+    @pytest.mark.parametrize("command", TWO_SECTION)
+    def test_small_inputs_never_cache_rows(self, tmp_path, capsys, command):
+        src = tmp_path / "scenes.json"
+        src.write_text('[{"id": 1, "members": ["a", "b", "c"]}, {"id": 2, "members": ["b", "d"]}]')
+        assert src.stat().st_size < loadcache.MIN_BYTES
+        argv, out = self.argv(command, src, "scenes-json", tmp_path / "out")
+        outcomes = [self.outcome(capsys, argv, out) for _ in range(2)]
+        assert outcomes[0][0] == 0 and outcomes[0] == outcomes[1]
+        assert self.entries() == []
+
+    @pytest.mark.parametrize("command", TWO_SECTION)
+    def test_rows_are_keyed_on_the_format(self, tmp_path, capsys, command):
+        scenes = self.write_input(tmp_path, "scenes-json")
+        reviews = self.write_input(tmp_path, "reviews-csv")
+        for src, fmt, other, error in (
+            (scenes, "scenes-json", "reviews-csv", "review CSV must start with header user_id,item_id,stars"),
+            (reviews, "reviews-csv", "scenes-json", "scene document is not valid JSON"),
+        ):
+            argv, _ = self.argv(command, src, fmt, tmp_path / "out")
+            assert run(capsys, *argv)[0] == 0
+            assert self.two_section_entry(src, fmt).exists()
+            # The same bytes under the other format key parse, and fail, as without a cache.
+            argv, _ = self.argv(command, src, other, tmp_path / "out")
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "") and err.startswith(f"error: {error}")
+            assert not self.two_section_entry(src, other).exists()
 
 
 class TestHashSeeds:

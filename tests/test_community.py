@@ -23,7 +23,7 @@ from hgkit import (
 from hgkit.community import _draw, _shuffle
 from hgkit.errors import DomainMismatchError, EmptyDomainError
 
-from helpers import hypergraph_from_edges, planted_two_cluster, random_hypergraph
+from helpers import hypergraph_from_edges, planted_two_cluster, random_hypergraph, same_blocks
 
 
 def complete_graph(n: int) -> Hypergraph:
@@ -66,6 +66,11 @@ class TestLpConfig:
         assert LpConfig(seed=-1).seed == -1
         assert LpConfig(seed=2**80).seed == 2**80
 
+    def test_refuses_a_seed_too_long_to_spell(self):
+        # repr would end in a bare ValueError past Python's 4,300 digits.
+        with pytest.raises(ValueError, match="^seed must be an integer, got a positive integer of 5001 digits$"):
+            repr(LpConfig(seed=10**5000))
+
 
 # Every length from 1 to 130 covers each 2**k and 2**k + 1 up to 129,
 # where the number of bits drawn per index changes.
@@ -107,13 +112,13 @@ class TestGraphLabelPropagation:
         g = materialize(TwoSectionView(h))
         for seed in range(30):
             part, _ = graph_label_propagation(g, LpConfig(seed=seed))
-            assert part.same_blocks(Partition.from_communities([{1, 2, 3}, {4, 5, 6}]))
+            assert same_blocks(part, Partition.from_communities([{1, 2, 3}, {4, 5, 6}]))
 
     def test_isolated_vertices_stay_singletons(self):
         h = hypergraph_from_edges(4, [(1, 2)])
         g = materialize(TwoSectionView(h))
         part, _ = graph_label_propagation(g, LpConfig(seed=3))
-        assert part.same_blocks(Partition.from_communities([{1, 2}, {3}, {4}]))
+        assert same_blocks(part, Partition.from_communities([{1, 2}, {3}, {4}]))
 
     def test_empty_graph(self):
         g = materialize(TwoSectionView(Hypergraph()))
@@ -163,7 +168,7 @@ class TestHypergraphLabelPropagation:
         h = hypergraph_from_edges(6, [(1, 2, 3), (1, 2, 3), (4, 5, 6), (4, 5, 6)])
         for seed in range(30):
             part, _ = hypergraph_label_propagation(h, LpConfig(seed=seed))
-            assert part.same_blocks(Partition.from_communities([{1, 2, 3}, {4, 5, 6}]))
+            assert same_blocks(part, Partition.from_communities([{1, 2, 3}, {4, 5, 6}]))
 
     def test_chain_splits_with_converging_seed(self):
         # overlapping chain: a seed known to settle on the two-block answer
@@ -174,7 +179,7 @@ class TestHypergraphLabelPropagation:
     def test_isolated_vertices_and_empty_hyperedges(self):
         h = hypergraph_from_edges(3, [(1, 2), ()])
         part, _ = hypergraph_label_propagation(h, LpConfig(seed=5))
-        assert part.same_blocks(Partition.from_communities([{1, 2}, {3}]))
+        assert same_blocks(part, Partition.from_communities([{1, 2}, {3}]))
 
     def test_empty_hypergraph(self):
         part, iters = hypergraph_label_propagation(Hypergraph(), LpConfig())

@@ -64,7 +64,8 @@ MUTATING_METHODS = frozenset({
 
 def test_package_imports_with_the_standard_library_only():
     # -I drops PYTHONPATH and the user site, -S the site packages, so a
-    # third-party import anywhere in the package fails here.
+    # third-party import anywhere in the package fails here.  -I also drops
+    # PYTHONDONTWRITEBYTECODE, so -B keeps the probe from writing __pycache__.
     probe = (
         "import sys, pkgutil, importlib; sys.path.insert(0, sys.argv[1]); "
         "import hgkit, hgkit.cli; "
@@ -72,7 +73,7 @@ def test_package_imports_with_the_standard_library_only():
         "print('ok')"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", probe, str(PACKAGE_DIR.parent)],
+        [sys.executable, "-I", "-S", "-B", "-c", probe, str(PACKAGE_DIR.parent)],
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr

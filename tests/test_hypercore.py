@@ -611,14 +611,16 @@ def _option(command: str, option: str) -> Callable[[object], list[str]]:
 
 
 def _bad_integers(low: int | None, high: int | None) -> list[object]:
-    """The bad values of an integer in ``low..high``: four of other types, and two past each closed end.
+    """The bad values of an integer in ``low..high``: four of other types, the next integer past
+    each closed end, and ``-HUGE`` and ``HUGE``.
 
-    The two are the next integer and ``HUGE`` of that sign, which no error message may spell with ``repr``.
+    An open end stops at the integers Python spells, so ``HUGE`` of either sign is bad at either
+    kind of end, and no error message may spell it with ``repr``.
     """
     return [
         True, 1.0, "1", None,
-        *([] if low is None else [low - 1, -HUGE]),
-        *([] if high is None else [high + 1, HUGE]),
+        *([] if low is None else [low - 1]), -HUGE,
+        *([] if high is None else [high + 1]), HUGE,
     ]
 
 
@@ -682,8 +684,8 @@ class TestOneValueCheck:
             (_document("g.json", lambda x: _json_doc(k=x), "stats", "--input"), 3),
         ),
         "partition-member": (
-            lambda h, x: Partition.from_json_text(json.dumps({"1": [x]})), None, None, FormatError,
-            (_document("p.json", lambda x: json.dumps({"1": [x]}), "nmi", "p.json"), 3),
+            lambda h, x: Partition.from_json_text(_dumps({"1": [x]})), None, None, FormatError,
+            (_document("p.json", lambda x: _dumps({"1": [x]}), "nmi", "p.json"), 3),
         ),
         "manifest_version": (None, 1, 1, None, (_document("m.manifest.json", _manifest, "rerun"), 3)),
         "--max-iter": (None, 1, None, None, (_option("communities", "--max-iter"), 2)),

@@ -22,21 +22,30 @@ class TestPartition:
         p = Partition({1: 7, 2: 7, 3: 9})
         assert p.communities() == {7: {1, 2}, 9: {3}}
 
-    def test_equality_is_label_sensitive(self):
-        a = Partition({1: 1, 2: 2})
-        b = Partition({1: 10, 2: 20})
-        assert a != b
-        assert a.same_blocks(b)
-
-    def test_same_blocks_detects_differences(self):
-        a = Partition.from_communities([{1, 2}, {3}])
-        b = Partition.from_communities([{1}, {2, 3}])
-        assert not a.same_blocks(b)
-        assert not a.same_blocks(Partition({1: 1, 2: 1}))
-
     def test_len(self):
         assert len(Partition({1: 1, 2: 1, 3: 2})) == 3
         assert len(Partition({})) == 0
+
+    # Each int has more digits than Python spells (4,300 by default), so a
+    # writer would end in a bare ValueError; the constructor refuses it.
+    @pytest.mark.parametrize(
+        "make, what",
+        [
+            (lambda: Partition({1: 10**5000, 2: 1}).to_json_text(), "label"),
+            (lambda: Partition({1: 10**5000}).to_csv_text(), "label"),
+            (lambda: Partition({10**5000: 1}).to_csv_text(), "vertex"),
+            (lambda: Partition({1: 1, 2: -(10**5000), 3: 2}), "label"),
+        ],
+        ids=["json-label", "csv-label", "csv-vertex", "negative-label"],
+    )
+    def test_refuses_an_int_too_long_to_spell(self, make, what):
+        digits = "got a (positive|negative) integer of 5001 digits$"
+        with pytest.raises(ValueError, match=f"^partition {what} must be an integer, {digits}"):
+            make()
+
+    def test_accepts_long_ints_python_spells(self):
+        big = 10**4299
+        assert Partition({big: -big}).to_csv_text() == f"vertex,label\n{big},{-big}\n"
 
 
 class TestJsonCodec:
