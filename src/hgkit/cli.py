@@ -12,27 +12,32 @@ output digests; ``hgkit rerun`` replays a manifest and verifies the
 outputs come back byte-identical.
 
 ``stats``, ``convert``, ``communities``, ``betweenness`` and
-``forecast`` load their input through ``_load_hypergraph``, which reads
-it once as bytes and takes the hypergraph from ``loadcache`` when an
-earlier command cached the same bytes (inputs of at least
-``loadcache.MIN_BYTES``); otherwise it parses them and, once the command
-has succeeded, caches the result.  A review CSV's entry also carries
-each item's star sum and count, which ``forecast`` rates items by.
+``forecast`` read their input once as bytes and take what they build
+from a ``loadcache`` entry when an earlier command stored one for the
+same bytes; otherwise they build it and, once the command has succeeded,
+store it.  The CLI decides what each entry holds, and ignores and
+rewrites one whose payload lacks that shape:
 
-``communities --algo graph-lp`` and ``convert --to dot-twosection`` read
-only the two-section graph, through ``_load_two_section``: its rows come
-from their own cache entry when an earlier one of these commands cached
-them, without loading the hypergraph, and are otherwise derived from the
-hypergraph that ``_load_hypergraph`` loads.  So a cold ``convert --to
-dot-twosection`` holds the whole expansion (about 13 MB on a 12k-scene
-input) where it used to stream it row by row.  ``forecast`` streams its
-two-section rows and stays out of that entry, whose review CSV rows
-would add about 39 MB to its peak.  Outputs are the same either way.
+- ``_load_hypergraph``'s entry, keyed ``<fmt>`` (``<fmt> --stars [..]``
+  for a star-filtered review build), is the 5-tuple ``_parse_hypergraph``
+  makes: the four incidence and metadata lists, then a review CSV's
+  per-item star sums and counts, which ``forecast`` rates items by.
+- ``_load_two_section``'s entry, keyed ``<fmt> two-section``, is the list
+  of two-section rows, ``{neighbour: count}`` dicts in the order
+  ``TwoSectionView.neighbors`` returns them, that ``communities --algo
+  graph-lp`` and ``convert --to dot-twosection`` read: a hit loads no
+  hypergraph, a miss freezes the loaded one's two-section graph.  The
+  entry holds the whole expansion (3.0 MB for the benchmark's 12k-scene
+  input, 10.0 MB for its 100k-review input), so ``forecast``, which
+  streams its rows, stays out of it: it would add 39 MB to its peak.
+
+Outputs are the same with or without an entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -60,7 +65,6 @@ from .errors import (
 )
 from .forecast import average_error, evaluation_size, forecast_graph, forecast_hypergraph
 from .hgio import (
-    _check_encodable,
     _csv_chunks,
     _csv_rows,
     build_from_reviews,
@@ -112,19 +116,18 @@ def _read_input(args: argparse.Namespace, fmt: str | None) -> tuple[bytes, str]:
     return data, fmt or _infer_format(args.input)
 
 
-def _cached_hypergraph(
+def _load_hypergraph(
     args: argparse.Namespace, data: bytes, fmt: str, star_filter: list[int] | None = None
 ) -> tuple[Hypergraph, tuple[list[int], list[int]] | None]:
-    """What ``_parse_hypergraph`` makes of input bytes ``data``, from the load cache when it holds them."""
+    """The hypergraph that input bytes ``data`` of ``args.input`` hold and its star tallies.
+
+    Both are adopted from the payload ``_parse_hypergraph`` makes, taken
+    from the load cache when it holds these bytes under this key.
+    """
     key = fmt if star_filter is None else f"{fmt} --stars {sorted(set(star_filter))}"
-    return args.cache.load(data, key, lambda: _parse_hypergraph(_decode(data, args.input), fmt, star_filter))
-
-
-def _load_hypergraph(
-    args: argparse.Namespace, fmt: str | None, star_filter: list[int] | None = None
-) -> tuple[Hypergraph, tuple[list[int], list[int]] | None]:
-    """What ``_parse_hypergraph`` makes of ``args.input``, from the load cache when it holds its bytes."""
-    return _cached_hypergraph(args, *_read_input(args, fmt), star_filter)
+    parse = lambda: _parse_hypergraph(_decode(data, args.input), fmt, star_filter)  # noqa: E731
+    *rows, tallies = args.cache.load(data, key, parse, lambda payload: type(payload) is tuple and len(payload) == 5)
+    return Hypergraph._from_rows(*rows), tallies
 
 
 def _load_two_section(args: argparse.Namespace, fmt: str | None) -> MaterializedGraph:
@@ -136,38 +139,40 @@ def _load_two_section(args: argparse.Namespace, fmt: str | None) -> Materialized
     """
     data, fmt = _read_input(args, fmt)
 
-    def derive() -> MaterializedGraph:
-        h, _ = _cached_hypergraph(args, data, fmt)
-        return materialize(TwoSectionView(h))
+    def derive() -> list[dict[int, int]]:
+        h, _ = _load_hypergraph(args, data, fmt)
+        return materialize(TwoSectionView(h))._rows
 
-    return args.cache.two_section(data, fmt, derive)
+    rows = args.cache.load(data, f"{fmt} two-section", derive, lambda payload: type(payload) is list)
+    return MaterializedGraph(rows)
 
 
-def _parse_hypergraph(
-    text: str, fmt: str, star_filter: list[int] | None = None
-) -> tuple[Hypergraph, tuple[list[int], list[int]] | None]:
-    """The hypergraph in ``text`` and, for a review CSV, its star tallies.
+def _parse_hypergraph(text: str, fmt: str, star_filter: list[int] | None = None) -> tuple:
+    """The payload of the hypergraph in ``text``: its four index and metadata lists, then its star tallies.
 
-    The tallies are two lists, each item's star sum and review count at
-    position v-1 for vertex v, taken over every review: ``star_filter``
-    drops reviews from the hypergraph only.  Other formats carry None.
+    The tallies of a review CSV are two lists, each item's star sum and
+    review count at position v-1 for vertex v, taken over every review:
+    ``star_filter`` drops reviews from the hypergraph only.  Other formats
+    carry None.
     """
+    tallies = None
     # A review CSV is a table, whose reader refuses a line of blanks.
     if fmt == "reviews-csv":
         totals: dict[str, list[int]] = {}
         h, item_labels, _ = build_from_reviews(_tally_stars(review_rows(text), totals), star_filter)
-        return h, ([totals[i][0] for i in item_labels], [totals[i][1] for i in item_labels])
+        tallies = [totals[i][0] for i in item_labels], [totals[i][1] for i in item_labels]
     # An entirely blank file stands for the empty structure in any other format.
-    if not text.strip():
-        return Hypergraph(0, 0), None
-    if fmt == "hgf":
-        return read_hgf(text), None
-    if fmt == "json":
-        return read_json(text), None
-    if fmt == "scenes-json":
+    elif not text.strip():
+        h = Hypergraph(0, 0)
+    elif fmt == "hgf":
+        h = read_hgf(text)
+    elif fmt == "json":
+        h = read_json(text)
+    elif fmt == "scenes-json":
         h, _ = build_from_scenes(read_scenes_json(text))
-        return h, None
-    raise FormatError(f"unknown input format {fmt!r}")
+    else:
+        raise FormatError(f"unknown input format {fmt!r}")
+    return h._v2he, h._he2v, h._vmeta, h._hemeta, tallies
 
 
 def _tally_stars(
@@ -246,7 +251,7 @@ def _histogram_line(counts: Counter[int]) -> str:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    h, _ = _load_hypergraph(args, args.format)
+    h, _ = _load_hypergraph(args, *_read_input(args, args.format))
     components = connected_components(h)
     sizes = Counter(map(len, h._he2v))
     degrees = Counter(map(len, h._v2he))
@@ -317,7 +322,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if args.to_fmt == "dot-twosection":
         source = _load_two_section(args, args.from_fmt)
     else:
-        source, _ = _load_hypergraph(args, args.from_fmt)
+        source, _ = _load_hypergraph(args, *_read_input(args, args.from_fmt))
     _emit(args, _CONVERT_WRITERS[args.to_fmt](source))
     return 0
 
@@ -328,7 +333,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 def cmd_communities(args: argparse.Namespace) -> int:
     cfg = LpConfig(max_iterations=args.max_iter, seed=args.seed)
     if args.algo == "hyper-lp":
-        h, _ = _load_hypergraph(args, args.format)
+        h, _ = _load_hypergraph(args, *_read_input(args, args.format))
         part, iterations = hypergraph_label_propagation(h, cfg)
         score = lambda: hypergraph_modularity(h, part)  # noqa: E731
     else:
@@ -377,7 +382,7 @@ def _score_rows(h: Hypergraph, ranked: list[tuple[int, float]], full: bool) -> I
 
 
 def cmd_betweenness(args: argparse.Namespace) -> int:
-    h, _ = _load_hypergraph(args, args.format)
+    h, _ = _load_hypergraph(args, *_read_input(args, args.format))
     vector = s_betweenness(h, args.s)
     ranked = vector.top(args.top_k) if args.top_k is not None else vector.ranked()
     _emit(args, _csv_chunks(_score_rows(h, ranked, args.full_precision)))
@@ -390,7 +395,7 @@ def cmd_betweenness(args: argparse.Namespace) -> int:
 def cmd_forecast(args: argparse.Namespace) -> int:
     # Ratings are in-sample item means over every review, unfiltered;
     # the star filter shapes only the hypergraph.
-    h, (sums, counts) = _load_hypergraph(args, "reviews-csv", args.stars)
+    h, (sums, counts) = _load_hypergraph(args, *_read_input(args, "reviews-csv"), args.stars)
     ratings = {v: total / n for v, total, n in zip(h.vertices(), sums, counts)}
     hyper = forecast_hypergraph(h, ratings)
     graph = forecast_graph(TwoSectionView(h), ratings)
@@ -443,15 +448,16 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 # --- rerun -----------------------------------------------------------------------
 
 
-def _read_manifest(path: str) -> dict[str, Any]:
-    """Load a run manifest, rejecting any document ``rerun`` cannot replay."""
+def _read_manifest(path: str) -> tuple[dict[str, Any], argparse.Namespace]:
+    """Load a run manifest and parse its argv, rejecting any document ``rerun`` cannot replay."""
     doc = hgio._json(_read_text(path), dict, FormatError, f"{path}: manifest")
     hypercore.check_int(doc.get("manifest_version"), 1, 1, FormatError, f"{path}: manifest_version")
     argv = doc.get("argv")
     if not isinstance(argv, list) or not argv or not all(isinstance(a, str) for a in argv):
         raise FormatError(f"{path}: argv must be a non-empty list of strings")
-    if argv[0] == "rerun":
-        raise FormatError(f"{path}: a manifest cannot replay rerun")
+    # The commands that write a manifest.
+    if argv[0] not in ("stats", "convert", "communities", "betweenness", "forecast"):
+        raise FormatError(f"{path}: argv must replay a command that writes a manifest, not {argv[0]!r}")
     for key in ("inputs", "outputs"):
         records = doc.get(key)
         if not isinstance(records, list) or not all(
@@ -459,9 +465,23 @@ def _read_manifest(path: str) -> dict[str, Any]:
             for r in records
         ):
             raise FormatError(f"{path}: {key} must be a list of path and sha256 strings")
-    paths = [r["path"] for key in ("inputs", "outputs") for r in doc[key]]
-    _check_encodable([*argv, *paths], FormatError, f"{path}: manifest string")
-    return doc
+    # Argv and paths name files, so they must encode as ``open`` encodes a
+    # name: a non-UTF-8 name that hgkit recorded holds escaped bytes.
+    for name in [*argv, *(r["path"] for key in ("inputs", "outputs") for r in doc[key])]:
+        try:
+            os.fsencode(name)
+        except UnicodeEncodeError:
+            raise FormatError(f"{path}: manifest string {name!r} holds a lone surrogate") from None
+    # argparse exits after printing help, the version (exit 0) or a usage
+    # error; none of them replays a command.
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            replay = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        reason = printed.getvalue().rpartition(": error: ")[2].strip() if exc.code else "it asks for help or the version"
+        raise FormatError(f"{path}: argv does not replay a command: {reason}") from None
+    return doc, replay
 
 
 def _recorded_cwd(manifest: str, outputs: list[dict[str, str]]) -> Path:
@@ -504,22 +524,20 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     changed when the replay or the file at its recorded path no longer
     has the recorded digest, and every changed file is named.
     """
-    doc = _read_manifest(args.manifest)
+    doc, replay = _read_manifest(args.manifest)
     base = _recorded_cwd(args.manifest, doc["outputs"])
     # Lists and ``|`` rather than generators and ``or``, so that every
     # changed file is reported.
     if any([_digest_changed(r, base / r["path"]) for r in doc["inputs"]]):
         return 1
-    replay = _build_parser().parse_args(doc["argv"])
     replay.argv_snapshot = list(doc["argv"])
     replay.cache = args.cache
-    # Every command that writes a manifest reads one --input.
-    if getattr(replay, "input", None) is not None:
-        replay.input = str(base / replay.input)
+    # Every command that writes a manifest reads one --input and takes an --output.
+    replay.input = str(base / replay.input)
     import tempfile  # only rerun needs it; kept off every other command's start-up
 
     with tempfile.TemporaryDirectory() as tmp:
-        if getattr(replay, "output", None):
+        if replay.output:
             replay.output = str(Path(tmp) / Path(replay.output).name)
         rc = replay.func(replay)
         if rc != 0:

@@ -10,15 +10,16 @@ other modules only read them.  The mutators mirror each cell they write;
 ``_transpose`` is the one bulk mirror.  Readers and builders fill only the
 hyperedge index and hand it to ``Hypergraph._from_columns``, which derives
 the vertex index, each row in ascending hyperedge id.  ``_from_rows``
-adopts both sides, for the callers that hold both (``copy``, the load
-cache, ``read_json``).  Neither checks ids or weights: their callers do.
+adopts both sides, for the callers that hold both (``copy``, ``read_json``,
+the CLI's load-cache loader).  Neither checks ids or weights: their callers do.
 
 This module owns the one check of the integers (``check_int``) and
 weights (``check_weight``) that arrive as Python values: caller
 arguments, decoded JSON and parsed options.  Bools, and for integers
-floats and strings, are rejected, not coerced.  ``add_vertex`` and
-``add_hyperedge`` check all the ids of one call together, in C, and walk
-them one by one only to name the first bad one.
+floats and strings, are rejected, not coerced.  ``check_ints`` checks a
+whole collection together, in C, and walks it one by one only to name the
+first bad value: ``add_vertex`` and ``add_hyperedge`` check the ids of one
+call with it, ``Partition`` its ids and labels.
 
 Ids stay contiguous across removals: the highest-numbered vertex (or
 hyperedge) moves into the freed slot, and the move is reported to the
@@ -30,7 +31,7 @@ Empty hyperedges and vertices with no incident hyperedge are legal.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from typing import Any, Iterable
 
 from .errors import (
@@ -41,7 +42,7 @@ from .errors import (
     UnknownVertexError,
 )
 
-__all__ = ["Hypergraph", "IdRemap", "DEFAULT_WEIGHT", "check_int", "check_id", "check_weight"]
+__all__ = ["Hypergraph", "IdRemap", "DEFAULT_WEIGHT", "check_int", "check_ints", "check_id", "check_weight"]
 
 IdRemap = dict[int, int]
 WeightMap = dict[int, float]
@@ -95,6 +96,24 @@ def check_id(i: Any, n: int, error: type[Exception], noun: str) -> None:
     check_int(i, 1, n, error, noun)
 
 
+def check_ints(values: Collection[Any], low: int | None, high: int | None, error: type[Exception], what: str) -> bool:
+    """Check every one of ``values`` as ``check_int`` does; whether all are plain ``int``s.
+
+    The types are checked all at once, in C, and then the extremes, which
+    bound the rest.  Only when that fails are the values walked with
+    ``check_int``, which raises ``error`` for the first bad one in
+    iteration order; a walk that passes met an int subclass, whose values
+    the caller stores as plain ints.
+    """
+    floor = _SPELLED_LOW if low is None else low - 1
+    ceiling = _SPELLED_HIGH if high is None else high + 1
+    if not values or (set(map(type, values)) == {int} and floor < min(values) and max(values) < ceiling):
+        return True
+    for value in values:
+        check_int(value, low, high, error, what)
+    return False
+
+
 def check_weight(value: Any, error: type[Exception] | None = None, what: str = "weight") -> float:
     """A finite int or float weight as a float; bools, strings and other types are rejected.
 
@@ -117,11 +136,9 @@ def _as_weight_map(memberships: Any, n: int, error: type[Exception], noun: str) 
 
     Accepts None, a mapping id -> weight, or a bare iterable of ids
     (each of which gets ``DEFAULT_WEIGHT``).  Weights are checked first.
-    The ids are then checked all at once: each must be of type ``int``
-    and lie in 1..n.  Only when that fails are they walked with
-    ``check_id``, which raises ``error`` for the first bad id in
-    iteration order.  The ids of an accepted int subclass are stored as
-    plain ints.
+    The ids are then checked against 1..n by ``check_ints``, all at once
+    but for the first bad one, which raises ``error``.  The ids of an
+    accepted int subclass are stored as plain ints.
     """
     if memberships is None:
         return {}
@@ -131,9 +148,7 @@ def _as_weight_map(memberships: Any, n: int, error: type[Exception], noun: str) 
         # The raw ids, not the deduplicated keys: [1, True] must fail too.
         ids = memberships if type(memberships) in (list, tuple) else list(memberships)
         members = dict.fromkeys(ids, DEFAULT_WEIGHT)
-    if members and not (set(map(type, ids)) == {int} and 1 <= min(members) and max(members) <= n):
-        for i in ids:
-            check_id(i, n, error, noun)
+    if not check_ints(ids, 1, n, error, noun):
         members = {int(i): w for i, w in members.items()}
     return members
 

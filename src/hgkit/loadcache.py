@@ -1,45 +1,33 @@
-"""Content-addressed cache of what the batch CLI loads: hypergraphs and two-section rows.
+"""Content-addressed store of ``marshal`` payloads, one per input and key.
 
-Each CLI command is a fresh process, so a batch of commands on one
-input would parse and build the same hypergraph once per command.  The
-CLI's loader keeps the built hypergraph's four incidence and metadata
-lists, plus one extra payload the parser derived from the same pass (a
-review CSV's per-item star sums and counts, else None), as a ``marshal``
-entry instead, and the next command on the same bytes adopts them
-through ``Hypergraph._from_rows``.
+Each CLI command is a fresh process, so a batch of commands on one input
+would derive the same values from the same bytes once per command.
+``Session.load`` keeps what a command derived from an input as an entry
+instead, and the next command that asks for the same bytes under the
+same key reads it back.  The caller owns every payload: what it holds,
+and which shape a payload must have to be used (``hgkit.cli`` describes
+its entries).  A payload must be made of the values ``marshal`` writes;
+one that ``marshal`` refuses is not stored.
 
-Beside it an input can have a second entry: its two-section neighbour
-rows, a list of ``{neighbour: count}`` dicts in the order
-``TwoSectionView.neighbors`` returns them (``marshal`` keeps each dict's
-order and int keys).  ``communities --algo graph-lp`` and ``convert --to
-dot-twosection`` read and write it (``Session.two_section``), so on a hit
-they load no hypergraph and count no co-members; on a miss they load the
-hypergraph entry as every command does.  It holds the whole expansion:
-3.0 MB on disk for the benchmark's 12k-scene input, 10.0 MB for its
-100k-review input.  ``forecast`` reads the same rows but streams them,
-one vertex at a time, and neither reads nor writes this entry: holding
-the review expansion would add about 39 MB to its peak memory.
-
-An entry's name is the SHA-256 of the input's SHA-256, the format key
-(the input format, with the star filter of a filtered review build or
-the tag ``two-section`` of a rows entry),
+An entry's name is the SHA-256 of the input's SHA-256, the caller's key,
 ``sys.implementation.cache_tag``, ``marshal.version`` and the name and
-bytes of every ``hgkit/*.py`` source, so other input bytes, another
-interpreter or edited code never read it.  An entry file is the SHA-256
-of its payload followed by the payload; one whose digest does not match
-is ignored and rewritten.  Entries are written to a temporary file in
-the cache directory and moved into place with ``os.replace``, and only
-after the command that loaded the input has succeeded (``Session.commit``).
+bytes of every ``hgkit/*.py`` source, so other input bytes, another key,
+another interpreter or edited code never read it.  An entry file is the
+SHA-256 of its payload followed by the payload; one whose digest does not
+match, or whose payload the caller refuses, is ignored and rewritten.
+Entries are written to a temporary file in the cache directory and moved
+into place with ``os.replace``, and only after the command that derived
+them has succeeded (``Session.commit``).
 
 The directory is ``$XDG_CACHE_HOME/hgkit`` (``~/.cache/hgkit`` when
 that variable is unset or not absolute), created mode 0700.  It is not
 used when it is a symlink, is owned by another user, is writable by
-group or others, or cannot be created or opened; loads then parse as if
+group or others, or cannot be created or opened; loads then derive as if
 there were no cache.  It holds at most ``MAX_ENTRIES`` entries: a write
 evicts the least recently used, and a hit touches its entry.  Inputs
-smaller than ``MIN_BYTES`` are always parsed: below it, writing an entry
-and adopting it once costs about as much as parsing twice.  Deleting the
-directory clears the cache.
+smaller than ``MIN_BYTES`` are never cached: below it, writing an entry
+and reading it once costs about as much as deriving it twice.  Deleting
+the directory clears the cache.
 """
 
 from __future__ import annotations
@@ -51,11 +39,8 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
-from .hypercore import Hypergraph
-from .views import MaterializedGraph
-
 MIN_BYTES = 32 * 1024
-"""Inputs below this many bytes are parsed and never cached."""
+"""Inputs below this many bytes are never cached."""
 MAX_ENTRIES = 8
 """The most entries the directory holds; a write evicts the least recently used beyond it."""
 
@@ -77,40 +62,21 @@ class Session:
         # (entry name, payload) of each entry this command derived.
         self._staged: list[tuple[str, Any]] = []
 
-    def load(self, data: bytes, fmt: str, parse: Callable[[], tuple[Hypergraph, Any]]) -> tuple[Hypergraph, Any]:
-        """The hypergraph of input ``data`` under format key ``fmt`` and its extra payload.
+    def load(self, data: bytes, key: str, make: Callable[[], Any], fits: Callable[[Any], bool]) -> Any:
+        """The payload of input ``data`` under ``key``: its entry's when ``fits`` accepts it, else ``make()``'s.
 
-        Both come from the entry of ``data`` and ``fmt``, else from
-        ``parse()``.  The payload must be None or made of the values
-        ``marshal`` writes.  A parsed input of at least ``MIN_BYTES`` is
-        staged for ``commit``.
+        A payload made for an input of at least ``MIN_BYTES`` is staged
+        for ``commit``.
         """
         if len(data) < MIN_BYTES or not _SUPPORTED:
-            return parse()
-        name = _entry_name(data, fmt)
-        rows = _read_entry(name)
-        if type(rows) is tuple and len(rows) == 5:
-            return Hypergraph._from_rows(*rows[:4]), rows[4]
-        h, extra = parse()
-        self._staged.append((name, (h._v2he, h._he2v, h._vmeta, h._hemeta, extra)))
-        return h, extra
-
-    def two_section(self, data: bytes, fmt: str, derive: Callable[[], MaterializedGraph]) -> MaterializedGraph:
-        """The two-section graph of input ``data`` under format key ``fmt``.
-
-        Its rows come from the two-section entry of ``data`` and ``fmt``,
-        else from ``derive()``, whose rows are staged for ``commit`` when
-        ``data`` has at least ``MIN_BYTES``.
-        """
-        if len(data) < MIN_BYTES or not _SUPPORTED:
-            return derive()
-        name = _entry_name(data, f"{fmt} two-section")
-        rows = _read_entry(name)
-        if type(rows) is list:
-            return MaterializedGraph._adopt(rows)
-        graph = derive()
-        self._staged.append((name, graph._rows))
-        return graph
+            return make()
+        name = _entry_name(data, key)
+        payload = _read_entry(name)
+        if payload is not None and fits(payload):
+            return payload
+        payload = make()
+        self._staged.append((name, payload))
+        return payload
 
     def commit(self) -> None:
         """Write the staged entries; call it only when the command has succeeded."""
@@ -126,8 +92,8 @@ class Session:
             os.close(fd)
 
 
-def _entry_name(data: bytes, fmt: str) -> str:
-    parts = [hashlib.sha256(data).digest(), fmt.encode(), f"{sys.implementation.cache_tag} {marshal.version}".encode()]
+def _entry_name(data: bytes, key: str) -> str:
+    parts = [hashlib.sha256(data).digest(), key.encode(), f"{sys.implementation.cache_tag} {marshal.version}".encode()]
     for source in sorted(Path(__file__).parent.glob("*.py")):
         parts += [source.name.encode(), source.read_bytes()]
     key = hashlib.sha256()

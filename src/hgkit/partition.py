@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import index
 from typing import Iterable, Mapping
 
 from .errors import FormatError
 from .hgio import _csv_chunks, _csv_rows, _json, _number
-from .hypercore import check_int
+from .hypercore import check_int, check_ints
 
 __all__ = ["Partition"]
 
@@ -25,13 +26,14 @@ class Partition:
     __slots__ = ("labels",)
 
     def __init__(self, labels: Mapping[int, int]) -> None:
+        """Raises ``ValueError`` for an id or label that is not an int the writers can spell."""
         self.labels: dict[int, int] = dict(labels)
-        if self.labels:
-            # The extremes bound every id and label, so checking them alone
-            # refuses any int the writers could not spell, in O(1) Python calls.
-            for what, values in (("vertex", self.labels), ("label", self.labels.values())):
-                check_int(min(values), None, None, ValueError, f"partition {what}")
-                check_int(max(values), None, None, ValueError, f"partition {what}")
+        plain = [
+            check_ints(values, None, None, ValueError, f"partition {what}")
+            for what, values in (("vertex", self.labels), ("label", self.labels.values()))
+        ]
+        if not all(plain):
+            self.labels = {index(v): index(lab) for v, lab in self.labels.items()}
 
     @classmethod
     def from_communities(cls, communities: Iterable[Iterable[int]]) -> "Partition":

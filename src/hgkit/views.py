@@ -5,8 +5,9 @@ Every graph kernel reads a :class:`Graph`: ``n_nodes`` plus
 :class:`BipartiteView` and :class:`TwoSectionView` derive each row on
 demand from the dual incidence indexes and copy nothing;
 :func:`materialize` freezes any graph into a :class:`MaterializedGraph`
-that reads each row once, for a caller that runs several kernels; the
-CLI's load cache stores a two-section graph's rows and adopts them back.
+that reads each row once, for a caller that runs several kernels, and
+``MaterializedGraph(rows)`` adopts rows held elsewhere, as the CLI does
+with the two-section rows of its load cache.
 :func:`upper_rows` is the one walk that visits each edge once.
 """
 
@@ -147,26 +148,19 @@ class TwoSectionView:
 
 
 class MaterializedGraph:
-    """A graph frozen in memory: each neighbour row read once from a source graph.
+    """A graph frozen in memory: one neighbour row per node, row v-1 being node v's.
 
-    The rows are the source's own mappings, so their order and weights
-    are the source's.  Pass one to every kernel of a command that would
+    The rows are taken as they are: no copy, no check.  :func:`materialize`
+    reads them once from a source graph, so their order and weights are the
+    source's; pass the result to every kernel of a command that would
     otherwise derive the same rows again.  No metadata survives.
     """
 
     __slots__ = ("n_nodes", "_rows")
 
-    def __init__(self, g: Graph) -> None:
-        self._rows = list(neighbor_rows(g))
-        self.n_nodes = len(self._rows)
-
-    @classmethod
-    def _adopt(cls, rows: list[Mapping[int, float]]) -> "MaterializedGraph":
-        """A graph over ``rows``, row v-1 being node v's, taken as they are: no copy, no check."""
-        g = cls.__new__(cls)
-        g._rows = rows
-        g.n_nodes = len(rows)
-        return g
+    def __init__(self, rows: list[Mapping[int, float]]) -> None:
+        self._rows = rows
+        self.n_nodes = len(rows)
 
     def neighbors(self, v: int) -> Mapping[int, float]:
         check_id(v, self.n_nodes, UnknownNodeError, "node")
@@ -180,4 +174,4 @@ class MaterializedGraph:
 
 def materialize(view: Graph) -> MaterializedGraph:
     """Freeze any graph, a view included, into a MaterializedGraph."""
-    return MaterializedGraph(view)
+    return MaterializedGraph(list(neighbor_rows(view)))

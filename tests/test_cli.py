@@ -583,7 +583,7 @@ class TestRerun:
         assert lines[1].startswith("error: out/scores.csv digest changed (000000000000 -> ")
         assert dst.read_bytes() == before
 
-    def test_manifest_with_removed_flag_exits_2(self, tmp_path, capsys):
+    def test_manifest_with_removed_flag_exits_3(self, tmp_path, capsys):
         src = tmp_path / "path.hgf"
         src.write_text(PATH5)
         dst = tmp_path / "scores.csv"
@@ -592,10 +592,50 @@ class TestRerun:
         doc = json.loads(manifest.read_text())
         doc["argv"].insert(1, "--deterministic")
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(SystemExit) as info:
-            main(["rerun", str(manifest)])
-        assert info.value.code == 2
-        assert "unrecognized arguments: --deterministic" in capsys.readouterr().err
+        code, out, err = run(capsys, "rerun", str(manifest))
+        assert (code, out) == (3, "")
+        assert err == f"error: {manifest}: argv does not replay a command: unrecognized arguments: --deterministic\n"
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["stats", "-h"], "argv does not replay a command: it asks for help or the version"),
+            (["--version"], "argv must replay a command that writes a manifest, not '--version'"),
+            (["stats", "--bogus"], "argv does not replay a command: the following arguments are required: --input"),
+            (["nmi", "a.json", "b.json"], "argv must replay a command that writes a manifest, not 'nmi'"),
+        ],
+        ids=["help", "version", "unknown-flag", "command-without-manifest"],
+    )
+    def test_argv_that_replays_no_command_exits_3(self, tmp_path, capsys, argv, reason):
+        src = tmp_path / "a.hgf"
+        src.write_text(GOLDEN)
+        out = tmp_path / "o.txt"
+        assert run(capsys, "stats", "--input", str(src), "--output", str(out))[0] == 0
+        manifest = Path(str(out) + ".manifest.json")
+        doc = json.loads(manifest.read_text())
+        doc["argv"] = argv
+        manifest.write_text(json.dumps(doc))
+        out.write_text("overwritten\n")
+        assert run(capsys, "rerun", str(manifest)) == (3, "", f"error: {manifest}: {reason}\n")
+
+    def test_manifest_of_a_non_utf8_path_replays(self, tmp_path):
+        folder = bytes(tmp_path) + b"/d\xff"
+        try:
+            os.mkdir(folder)
+        except OSError:
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        src, out = folder + b"/in.hgf", folder + b"/out.txt"
+        Path(os.fsdecode(src)).write_text(GOLDEN)
+        env = {**os.environ, "PYTHONPATH": str(Path(hgkit.__file__).resolve().parent.parent)}
+        hgkit_cli = [sys.executable, "-m", "hgkit.cli"]
+        stats = subprocess.run([*hgkit_cli, "stats", "--input", src, "--output", out], capture_output=True, env=env)
+        assert stats.returncode == 0, stats.stderr
+        rerun = [*hgkit_cli, "rerun", out + b".manifest.json"]
+        done = subprocess.run(rerun, capture_output=True, env=env)
+        assert (done.returncode, done.stderr) == (0, b"")
+        Path(os.fsdecode(out)).write_text("edited\n")
+        done = subprocess.run(rerun, capture_output=True, env=env)
+        assert done.returncode == 1 and b"digest changed" in done.stderr
 
     @pytest.mark.parametrize(
         "text",
@@ -625,7 +665,7 @@ class TestRerun:
         "doc",
         [
             {"argv": ["stats", "--input", "\ud800"], "inputs": [], "outputs": []},
-            {"argv": ["stats", "--input", "g.hgf"], "inputs": [{"path": "\udc80", "sha256": "0"}], "outputs": []},
+            {"argv": ["stats", "--input", "g.hgf"], "inputs": [{"path": "\udfff", "sha256": "0"}], "outputs": []},
             {"argv": ["stats", "--input", "g.hgf"], "inputs": [], "outputs": [{"path": "\ud800.txt", "sha256": "0"}]},
         ],
         ids=["argv", "input-path", "output-path"],
@@ -1367,6 +1407,34 @@ class TestLoadCache:
         # Rewritten with the same rows; marshal may share their ints otherwise.
         assert len(self.entries()) == 2
         assert loadcache._read_entry(entry.name) == rows
+
+    @pytest.mark.parametrize(
+        "kind, shape",
+        [("hypergraph", "rows"), ("hypergraph", "4-tuple"), ("two-section", "5-tuple"), ("two-section", "4-tuple")],
+    )
+    def test_entry_of_the_wrong_shape_is_ignored_and_rewritten(self, tmp_path, capsys, monkeypatch, kind, shape):
+        src = self.write_input(tmp_path, "scenes-json")
+        command = "stats" if kind == "hypergraph" else "graph-lp"
+        argv, out = self.argv(command, src, "scenes-json", tmp_path / "out")
+        cold = self.outcome(capsys, argv, out)
+        if kind == "hypergraph":
+            assert run(capsys, *self.argv("graph-lp", src, "scenes-json", tmp_path / "lp")[0])[0] == 0
+        entries = {"hypergraph": self.entry(src, "scenes-json"), "two-section": self.two_section_entry(src, "scenes-json")}
+        payloads = {k: loadcache._read_entry(e.name) for k, e in entries.items()}
+        assert type(payloads["hypergraph"]) is tuple and type(payloads["two-section"]) is list
+        # Behind a matching digest: only the shape tells it from the entry's own payload.
+        wrong = {
+            "rows": payloads["two-section"], "5-tuple": payloads["hypergraph"], "4-tuple": payloads["hypergraph"][:4],
+        }[shape]
+        blob = marshal.dumps(wrong)
+        entries[kind].write_bytes(hashlib.sha256(blob).digest() + blob)
+        with monkeypatch.context() as patch:
+            if kind == "two-section":
+                # The rows are derived again from the hypergraph entry, not from the input.
+                self.forbid_parsing(patch)
+            assert self.outcome(capsys, argv, out) == cold
+        assert len(self.entries()) == 2
+        assert loadcache._read_entry(entries[kind].name) == payloads[kind]
 
     def test_failing_two_section_commands_leave_no_entry(self, tmp_path, capsys):
         src = self.write_input(tmp_path, "scenes-json")

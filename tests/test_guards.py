@@ -26,8 +26,8 @@ INDEX_ATTRS = frozenset({"_v2he", "_he2v", "_vmeta", "_hemeta"})
 # The modules, and the functions of other modules, that hold both sides of
 # the index and may adopt them through ``_from_rows``.  Every other builder
 # hands over its hyperedges to ``_from_columns``.
-ROWS_ADOPTING_MODULES = frozenset({"hypercore.py", "loadcache.py"})
-ROWS_ADOPTING_FUNCTIONS = {"hgio.py": {"read_json"}}
+ROWS_ADOPTING_MODULES = frozenset({"hypercore.py"})
+ROWS_ADOPTING_FUNCTIONS = {"hgio.py": {"read_json"}, "cli.py": {"_load_hypergraph"}}
 # The builtins that would read a number from text past hgio's grammar, and
 # the calls that may still be handed them.
 NUMBER_TYPES = frozenset({"int", "float"})

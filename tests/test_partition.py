@@ -47,6 +47,32 @@ class TestPartition:
         big = 10**4299
         assert Partition({big: -big}).to_csv_text() == f"vertex,label\n{big},{-big}\n"
 
+    # Each bad value sits strictly between the extremes of its side, or
+    # cannot be compared with them, so checking the extremes alone misses it.
+    @pytest.mark.parametrize(
+        "labels, what, got",
+        [
+            ({1: 1, 2: 1.5, 3: 3}, "label", "1.5"),
+            ({1: "a", 2: 1}, "label", "'a'"),
+            ({1: 1, 2: True, 3: 3}, "label", "True"),
+            ({1: 1, 2.0: 1, 3: 1}, "vertex", "2.0"),
+            ({1: 1, "2": 1}, "vertex", "'2'"),
+        ],
+        ids=["float-label", "str-label", "bool-label", "float-vertex", "str-vertex"],
+    )
+    def test_checks_every_id_and_label(self, labels, what, got):
+        with pytest.raises(ValueError, match=f"^partition {what} must be an integer, got {re.escape(got)}$"):
+            Partition(labels)
+
+    def test_writers_and_readers_agree_on_what_the_constructor_accepts(self):
+        class Label(int):
+            pass
+
+        p = Partition({Label(3): Label(1), 1: 2, 2: Label(-4)})
+        assert {type(x) for pair in p.labels.items() for x in pair} == {int}
+        assert Partition.from_json_text(p.to_json_text()) == p
+        assert Partition.from_csv_text(p.to_csv_text()) == p
+
 
 class TestJsonCodec:
     def test_round_trip(self):
