@@ -27,7 +27,13 @@ from .community import (
     nmi,
 )
 from .errors import HgkitError
-from .forecast import average_error, evaluation_size, forecast_graph, forecast_hypergraph
+from .forecast import (
+    average_error,
+    evaluation_size,
+    forecast_co_members,
+    forecast_graph,
+    forecast_hypergraph,
+)
 from .hgio import (
     build_from_reviews,
     build_from_scenes,
@@ -42,7 +48,7 @@ from .hgio import (
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import BipartiteView, Graph, MaterializedGraph, TwoSectionView, materialize
+from .views import BipartiteView, CoMemberTable, Graph, MaterializedGraph, TwoSectionView, materialize
 
 __version__ = "0.1.0"
 
@@ -53,6 +59,7 @@ __all__ = [
     "Graph",
     "TwoSectionView",
     "MaterializedGraph",
+    "CoMemberTable",
     "materialize",
     "Partition",
     "CentralityVector",
@@ -78,6 +85,7 @@ __all__ = [
     "pearson",
     "forecast_hypergraph",
     "forecast_graph",
+    "forecast_co_members",
     "average_error",
     "evaluation_size",
     "read_hgf",

@@ -7,8 +7,9 @@ hop lengths; geodesic counts are exact integers.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Set
 from functools import reduce
+from itertools import compress
 from operator import or_
 
 from .errors import (
@@ -19,7 +20,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .hypercore import Hypergraph, check_id, check_int
-from .views import Graph, co_member_counts
+from .views import CoMemberTable, Graph, co_member_tallies
 
 __all__ = [
     "CentralityVector",
@@ -56,7 +57,7 @@ class CentralityVector(Mapping[int, float]):
 class SAdjacency:
     """Unit-weight :class:`Graph` over a hypergraph's vertices, joining those that share at least s hyperedges."""
 
-    def __init__(self, s: int, n_nodes: int, _nbrs: list[set[int]]) -> None:
+    def __init__(self, s: int, n_nodes: int, _nbrs: list[Set[int]]) -> None:
         self.s, self.n_nodes, self._nbrs = s, n_nodes, _nbrs
 
     def neighbors(self, v: int) -> dict[int, int]:
@@ -75,40 +76,40 @@ class SAdjacency:
         return out
 
 
-def s_adjacency(h: Hypergraph, s: int = 1) -> SAdjacency:
-    """Build the s-adjacency graph by counting co-memberships per vertex.
+# The neighbour set of every vertex that has no s-neighbours.
+_NONE: frozenset[int] = frozenset()
 
-    Each vertex u of degree at least s tallies its partners over its
-    hyperedges, in ascending hyperedge id and then ascending partner id,
-    and keeps those it shares at least s hyperedges with.  Vertices of
-    degree below s have no s-neighbours and are skipped.  Cost is the
-    sum over hyperedges of size squared (each pair is tallied from both
-    ends); memory beyond the result is one vertex's tally plus the
-    sorted member lists, and no table of all co-occurring pairs is ever
-    built.
 
-    Every neighbour set receives its members in the order (first shared
-    hyperedge id, partner id), which fixes the sets' iteration order and
-    therefore the exact floating-point betweenness scores.  Each set is
-    built from a list, which inserts one element at a time; building it
-    from the tally dict would presize its table and reorder it.
+def s_adjacency(h: Hypergraph, s: int = 1, table: CoMemberTable | None = None) -> SAdjacency:
+    """Build the s-adjacency graph: each vertex keeps the co-members it shares at least s hyperedges with.
+
+    The co-members and counts come from ``co_member_tallies(h, s)``,
+    vertex by vertex, so memory beyond the result is one vertex's tally
+    plus the sorted member lists.  ``table``, h's :class:`CoMemberTable`
+    held from an earlier walk, replaces the walk with one filter of its
+    rows, in the same order, with the same result.
+
+    Vertices without s-neighbours share one empty frozenset: at s = 2 on
+    the benchmark's review input that is nearly every vertex, and an
+    empty set of its own would cost each of them 216 bytes.
+
+    Every neighbour set receives its members in the walk's order (first
+    shared hyperedge id, partner id), which fixes the sets' iteration
+    order and therefore the exact floating-point betweenness scores.
+    Each set is built from an iterator, which inserts one element at a
+    time; building it from the tally dict would presize its table and
+    reorder it.
     """
     check_int(s, 1, None, InvalidSError, "s")
-    members: list[list[int] | None] = [sorted(col) for col in h._he2v]
-    nbrs: list[set[int]] = []
-    for u, row in enumerate(h._v2he, start=1):
-        if len(row) < s:
-            nbrs.append(set())
-            continue
-        edges = sorted(row)
-        tally = co_member_counts([members[e - 1] for e in edges])
-        del tally[u]
-        nbrs.append(set([v for v, c in tally.items() if c >= s]))
-        # No later vertex reads a hyperedge whose highest member is u,
-        # so its list is dropped while the result grows.
-        for e in edges:
-            if members[e - 1][-1] == u:
-                members[e - 1] = None
+    at_least_s = s.__le__
+    if table is None:
+        nbrs = [set(compress(tally, map(at_least_s, tally.values()))) or _NONE for tally in co_member_tallies(h, s)]
+    elif table.n_nodes != h.nhv:
+        raise DomainMismatchError(f"co-member table of {table.n_nodes} vertices given for {h.nhv}")
+    else:
+        # The sets hold one int object per vertex, as the walk's sets hold h's.
+        node = list(range(h.nhv + 1)).__getitem__
+        nbrs = [set(map(node, compress(ids, map(at_least_s, counts)))) or _NONE for ids, counts in table.rows()]
     return SAdjacency(s=s, n_nodes=h.nhv, _nbrs=nbrs)
 
 
@@ -182,7 +183,7 @@ def _dense_masks(adj: list[list[int]]) -> tuple[list[int], list[int], list[int]]
     return bit, mask, whole
 
 
-def _brandes(nbrs: list[set[int]]) -> dict[int, float]:
+def _brandes(nbrs: list[Set[int]]) -> dict[int, float]:
     """Unnormalized betweenness over unordered pairs (unit edge lengths).
 
     Standard two-pass accumulation: a BFS builds shortest-path counts,
@@ -330,13 +331,15 @@ def _brandes(nbrs: list[set[int]]) -> dict[int, float]:
     return {v: bc[v] / 2.0 for v in range(1, n + 1)}
 
 
-def s_betweenness(h: Hypergraph, s: int = 1) -> CentralityVector:
+def s_betweenness(h: Hypergraph, s: int = 1, table: CoMemberTable | None = None) -> CentralityVector:
     """Betweenness of every vertex in the s-adjacency graph.
 
     Unordered vertex pairs count once; pairs with no connecting path
     contribute nothing.  Vertices isolated at threshold s score 0.
+    ``table`` is passed on to :func:`s_adjacency`.
     """
-    adj = s_adjacency(h, s)
+    adj = s_adjacency(h, s, table)
+    del table  # not read again: its rows go before Brandes' lists are built
     return CentralityVector(_brandes(adj._nbrs))
 
 

@@ -22,14 +22,21 @@ rewrites one whose payload lacks that shape:
   for a star-filtered review build), is the 5-tuple ``_parse_hypergraph``
   makes: the four incidence and metadata lists, then a review CSV's
   per-item star sums and counts, which ``forecast`` rates items by.
-- ``_load_two_section``'s entry, keyed ``<fmt> two-section``, is the list
-  of two-section rows, ``{neighbour: count}`` dicts in the order
-  ``TwoSectionView.neighbors`` returns them, that ``communities --algo
-  graph-lp`` and ``convert --to dot-twosection`` read: a hit loads no
-  hypergraph, a miss freezes the loaded one's two-section graph.  The
-  entry holds the whole expansion (3.0 MB for the benchmark's 12k-scene
-  input, 10.0 MB for its 100k-review input), so ``forecast``, which
-  streams its rows, stays out of it: it would add 39 MB to its peak.
+- ``_load_co_members``' entry, keyed as the hypergraph's plus
+  `` co-members``, is the hypergraph's ``CoMemberTable``: a 4-tuple of
+  the three arrays' typecodes, then the bytes of the ids, counts and row
+  ends, read back through ``memoryview(...).cast(...)``.  Every command
+  that reads co-member counts reads it: ``forecast``'s graph route sums
+  its slices, ``betweenness`` filters it to the s-adjacency graph,
+  ``convert --to dot-twosection`` writes it, and ``communities --algo
+  graph-lp`` unpacks its rows once for LP and modularity.  A hit of the
+  last two loads no hypergraph; a miss packs the loaded one.  Its rows
+  are in ``s_adjacency``'s walk order, ascending hyperedges, then
+  ascending members, not the two-section view's, which graph-LP and
+  ``graph_modularity`` cannot tell apart: their row sums are float sums
+  of small integers, exact in any order, and tied labels are sorted.
+  The entry takes 3.07 MB for the benchmark's 100k-review input (2-byte
+  ids, 1-byte counts) and 0.93 MB for its 12k-scene input.
 
 Outputs are the same with or without an entry.
 """
@@ -63,7 +70,7 @@ from .errors import (
     FormatError,
     HgkitError,
 )
-from .forecast import average_error, evaluation_size, forecast_graph, forecast_hypergraph
+from .forecast import average_error, evaluation_size, forecast_co_members, forecast_hypergraph
 from .hgio import (
     _csv_chunks,
     _csv_rows,
@@ -78,7 +85,7 @@ from .hgio import (
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import Graph, MaterializedGraph, TwoSectionView, materialize, upper_rows
+from .views import CoMemberTable, materialize
 
 INPUT_FORMATS = ("hgf", "json", "reviews-csv", "scenes-json")
 
@@ -116,6 +123,11 @@ def _read_input(args: argparse.Namespace, fmt: str | None) -> tuple[bytes, str]:
     return data, fmt or _infer_format(args.input)
 
 
+def _cache_key(fmt: str, star_filter: list[int] | None) -> str:
+    """The load-cache key of the hypergraph that ``fmt`` and ``star_filter`` build from an input."""
+    return fmt if star_filter is None else f"{fmt} --stars {sorted(set(star_filter))}"
+
+
 def _load_hypergraph(
     args: argparse.Namespace, data: bytes, fmt: str, star_filter: list[int] | None = None
 ) -> tuple[Hypergraph, tuple[list[int], list[int]] | None]:
@@ -124,27 +136,51 @@ def _load_hypergraph(
     Both are adopted from the payload ``_parse_hypergraph`` makes, taken
     from the load cache when it holds these bytes under this key.
     """
-    key = fmt if star_filter is None else f"{fmt} --stars {sorted(set(star_filter))}"
     parse = lambda: _parse_hypergraph(_decode(data, args.input), fmt, star_filter)  # noqa: E731
-    *rows, tallies = args.cache.load(data, key, parse, lambda payload: type(payload) is tuple and len(payload) == 5)
+    fits = lambda payload: type(payload) is tuple and len(payload) == 5  # noqa: E731
+    *rows, tallies = args.cache.load(data, _cache_key(fmt, star_filter), parse, fits)
     return Hypergraph._from_rows(*rows), tallies
 
 
-def _load_two_section(args: argparse.Namespace, fmt: str | None) -> MaterializedGraph:
-    """The two-section graph of ``args.input``, its rows from the load cache when it holds these bytes.
+def _load_co_members(
+    args: argparse.Namespace, data: bytes, fmt: str, star_filter: list[int] | None = None, h: Hypergraph | None = None
+) -> CoMemberTable:
+    """The co-member table of the hypergraph that ``_load_hypergraph`` loads, from the load cache when it holds one.
 
-    A hit reads the input only for its digest: it loads no hypergraph and
-    counts no co-members.  A miss loads the hypergraph as
-    ``_load_hypergraph`` does and freezes its ``TwoSectionView``.
+    A hit reads no hypergraph.  A miss packs ``h`` when the caller holds
+    it, else the hypergraph ``_load_hypergraph`` loads.
     """
-    data, fmt = _read_input(args, fmt)
 
-    def derive() -> list[dict[int, int]]:
-        h, _ = _load_hypergraph(args, data, fmt)
-        return materialize(TwoSectionView(h))._rows
+    def derive() -> tuple[str, bytes, bytes, bytes]:
+        table = CoMemberTable.of(h if h is not None else _load_hypergraph(args, data, fmt, star_filter)[0])
+        arrays = (table.ids, table.counts, table.ends)
+        return ("".join([a.typecode for a in arrays]), *[a.tobytes() for a in arrays])
 
-    rows = args.cache.load(data, f"{fmt} two-section", derive, lambda payload: type(payload) is list)
-    return MaterializedGraph(rows)
+    payload = args.cache.load(
+        data, f"{_cache_key(fmt, star_filter)} co-members", derive, lambda p: _unpack_table(p) is not None
+    )
+    return _unpack_table(payload)
+
+
+def _unpack_table(payload: Any) -> CoMemberTable | None:
+    """The table in a co-member entry's payload, or None when the payload lacks that shape.
+
+    The payload is the typecodes of the ids, counts and ends arrays, then
+    the bytes of each; ids and counts are alike in number and the ends run
+    from 0 to it.
+    """
+    if type(payload) is not tuple or len(payload) != 4 or type(payload[0]) is not str or len(payload[0]) != 3:
+        return None
+    codes, *blobs = payload
+    if not set(codes) <= set("BHIQ") or any(type(b) is not bytes for b in blobs):
+        return None
+    try:
+        ids, counts, ends = [memoryview(b).cast(c) for c, b in zip(codes, blobs)]
+    except TypeError:  # a length that is not a whole number of items
+        return None
+    if len(ids) != len(counts) or not ends or ends[0] != 0 or ends[-1] != len(ids):
+        return None
+    return CoMemberTable(ids, counts, ends)
 
 
 def _parse_hypergraph(text: str, fmt: str, star_filter: list[int] | None = None) -> tuple:
@@ -284,15 +320,17 @@ def _dot_chunks(name: str, n_nodes: int, edge_chunks: Iterable[str]) -> Iterator
     yield "}\n"
 
 
-def _upper_edge_chunks(g: Graph) -> Iterator[str]:
+def _two_section_edge_chunks(table: CoMemberTable) -> Iterator[str]:
     """Each edge (u, v) with u < v in ascending order, one chunk per u with higher neighbours.
 
-    The two-section view weighs edges by integer counts, so each weight prints as ``str``.
+    Each row's higher (neighbour, count) pairs are sorted straight from
+    the table's slices; the counts are integers and print as ``str``.
     """
-    for u, row, higher in upper_rows(g):
+    for u, (ids, counts) in enumerate(table.rows(), start=1):
+        higher = [pair for pair in zip(ids, counts) if pair[0] > u]
         if higher:
             higher.sort()
-            yield "".join([f"  {u} -- {v} [weight={row[v]}];\n" for v in higher])
+            yield "".join([f"  {u} -- {v} [weight={c}];\n" for v, c in higher])
 
 
 def _bipartite_edge_chunks(h: Hypergraph) -> Iterator[str]:
@@ -308,19 +346,19 @@ def _bipartite_edge_chunks(h: Hypergraph) -> Iterator[str]:
 
 
 # Output format -> generator of the document's text chunks, from the
-# hypergraph, or for dot-twosection from the two-section graph.
+# hypergraph, or for dot-twosection from its co-member table.
 _CONVERT_WRITERS = {
     "hgf": hgf_chunks,
     "json": json_chunks,
     "dot-bipartite": lambda h: _dot_chunks("bipartite", h.nhv + h.nhe, _bipartite_edge_chunks(h)),
-    "dot-twosection": lambda g: _dot_chunks("twosection", g.n_nodes, _upper_edge_chunks(g)),
+    "dot-twosection": lambda t: _dot_chunks("twosection", t.n_nodes, _two_section_edge_chunks(t)),
 }
 OUTPUT_FORMATS = tuple(_CONVERT_WRITERS)
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
     if args.to_fmt == "dot-twosection":
-        source = _load_two_section(args, args.from_fmt)
+        source = _load_co_members(args, *_read_input(args, args.from_fmt))
     else:
         source, _ = _load_hypergraph(args, *_read_input(args, args.from_fmt))
     _emit(args, _CONVERT_WRITERS[args.to_fmt](source))
@@ -337,8 +375,8 @@ def cmd_communities(args: argparse.Namespace) -> int:
         part, iterations = hypergraph_label_propagation(h, cfg)
         score = lambda: hypergraph_modularity(h, part)  # noqa: E731
     else:
-        # LP and modularity read the same rows, so they are derived once.
-        graph = _load_two_section(args, args.format)
+        # LP and modularity read the same rows, so they are unpacked once.
+        graph = materialize(_load_co_members(args, *_read_input(args, args.format)))
         part, iterations = graph_label_propagation(graph, cfg)
         score = lambda: graph_modularity(graph, part)  # noqa: E731
     try:
@@ -382,8 +420,9 @@ def _score_rows(h: Hypergraph, ranked: list[tuple[int, float]], full: bool) -> I
 
 
 def cmd_betweenness(args: argparse.Namespace) -> int:
-    h, _ = _load_hypergraph(args, *_read_input(args, args.format))
-    vector = s_betweenness(h, args.s)
+    data, fmt = _read_input(args, args.format)
+    h, _ = _load_hypergraph(args, data, fmt)
+    vector = s_betweenness(h, args.s, _load_co_members(args, data, fmt, h=h))
     ranked = vector.top(args.top_k) if args.top_k is not None else vector.ranked()
     _emit(args, _csv_chunks(_score_rows(h, ranked, args.full_precision)))
     return 0
@@ -395,10 +434,11 @@ def cmd_betweenness(args: argparse.Namespace) -> int:
 def cmd_forecast(args: argparse.Namespace) -> int:
     # Ratings are in-sample item means over every review, unfiltered;
     # the star filter shapes only the hypergraph.
-    h, (sums, counts) = _load_hypergraph(args, *_read_input(args, "reviews-csv"), args.stars)
+    data, fmt = _read_input(args, "reviews-csv")
+    h, (sums, counts) = _load_hypergraph(args, data, fmt, args.stars)
     ratings = {v: total / n for v, total, n in zip(h.vertices(), sums, counts)}
     hyper = forecast_hypergraph(h, ratings)
-    graph = forecast_graph(TwoSectionView(h), ratings)
+    graph = forecast_co_members(_load_co_members(args, data, fmt, args.stars, h), ratings)
     if evaluation_size(hyper) == 0 and evaluation_size(graph) == 0:
         raise EmptyEvaluationSetError("no vertex received a defined prediction")
     full = args.full_precision
@@ -481,22 +521,26 @@ def _read_manifest(path: str) -> tuple[dict[str, Any], argparse.Namespace]:
     except SystemExit as exc:
         reason = printed.getvalue().rpartition(": error: ")[2].strip() if exc.code else "it asks for help or the version"
         raise FormatError(f"{path}: argv does not replay a command: {reason}") from None
+    # Without an output there is nothing to compare the replay with.
+    if not doc["outputs"]:
+        raise FormatError(f"{path}: the manifest records no output")
+    if replay.output != doc["outputs"][0]["path"]:
+        raise FormatError(f"{path}: argv's --output must name the first recorded output")
     return doc, replay
 
 
-def _recorded_cwd(manifest: str, outputs: list[dict[str, str]]) -> Path:
+def _recorded_cwd(manifest: str, output: str) -> Path:
     """The working directory that a manifest's relative paths were recorded in.
 
-    A manifest is written at ``<outputs[0].path>.manifest.json``, so that
-    directory is the manifest's own, one level up per directory in the
-    recorded output path.  When that path is absolute or contains
-    ``..``, or the manifest no longer carries its name, paths resolve
-    against the current directory instead.
+    A manifest is written at ``<output>.manifest.json``, ``output`` being
+    its first recorded output, so that directory is the manifest's own,
+    one level up per directory in the recorded output path.  When that
+    path is absolute or contains ``..``, or the manifest no longer
+    carries its name, paths resolve against the current directory
+    instead.
     """
-    if not outputs:
-        return Path()
     here = Path(os.path.abspath(manifest))
-    recorded = Path(outputs[0]["path"])
+    recorded = Path(output)
     if recorded.is_absolute() or ".." in recorded.parts or here.name != recorded.name + ".manifest.json":
         return Path()
     base = here.parent
@@ -505,15 +549,28 @@ def _recorded_cwd(manifest: str, outputs: list[dict[str, str]]) -> Path:
     return base
 
 
+def _report_error(message: str) -> None:
+    """Write ``error: <message>`` to stderr.
+
+    A name that is not UTF-8 holds its bytes escaped as lone surrogates,
+    which a stream with strict errors refuses; there the line goes out
+    through the stream's bytes, the name as the bytes it stands for.
+    """
+    line = f"error: {message}\n"
+    try:
+        sys.stderr.write(line)
+    except UnicodeEncodeError:
+        sys.stderr.flush()
+        sys.stderr.buffer.write(os.fsencode(line))
+        sys.stderr.buffer.flush()
+
+
 def _digest_changed(record: dict[str, str], path: Path, how: str = "") -> bool:
     """Whether the file at ``path`` lacks the record's digest, reported on stderr."""
     fresh = _sha256_file(str(path))
     if fresh == record["sha256"]:
         return False
-    print(
-        f"error: {record['path']} digest changed{how} ({record['sha256'][:12]} -> {fresh[:12]})",
-        file=sys.stderr,
-    )
+    _report_error(f"{record['path']} digest changed{how} ({record['sha256'][:12]} -> {fresh[:12]})")
     return True
 
 
@@ -525,20 +582,19 @@ def cmd_rerun(args: argparse.Namespace) -> int:
     has the recorded digest, and every changed file is named.
     """
     doc, replay = _read_manifest(args.manifest)
-    base = _recorded_cwd(args.manifest, doc["outputs"])
+    base = _recorded_cwd(args.manifest, replay.output)
     # Lists and ``|`` rather than generators and ``or``, so that every
     # changed file is reported.
     if any([_digest_changed(r, base / r["path"]) for r in doc["inputs"]]):
         return 1
     replay.argv_snapshot = list(doc["argv"])
     replay.cache = args.cache
-    # Every command that writes a manifest reads one --input and takes an --output.
+    # Every command that writes a manifest reads one --input.
     replay.input = str(base / replay.input)
     import tempfile  # only rerun needs it; kept off every other command's start-up
 
     with tempfile.TemporaryDirectory() as tmp:
-        if replay.output:
-            replay.output = str(Path(tmp) / Path(replay.output).name)
+        replay.output = str(Path(tmp) / Path(replay.output).name)
         rc = replay.func(replay)
         if rc != 0:
             return rc
@@ -641,10 +697,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         rc = args.func(args)
     except HgkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report_error(str(exc))
         return exc.exit_code
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report_error(str(exc))
         return 1
     # Only a command that succeeded leaves load-cache entries behind.
     if rc == 0:

@@ -6,7 +6,8 @@ values:
 * hypergraph route - average, over its incident hyperedges with at
   least two members, of the mean rating of the other members
 * graph route - weighted mean of its neighbors' ratings in a graph,
-  such as the two-section view, whose weights count co-occurrences
+  such as the two-section view, whose weights count co-occurrences,
+  or in the same graph packed as a :class:`CoMemberTable`
 
 A vertex with no usable hyperedge (or no neighbor) gets None.
 """
@@ -15,15 +16,16 @@ from __future__ import annotations
 
 from math import fsum
 from operator import mul
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import DomainMismatchError, EmptyEvaluationSetError
 from .hypercore import Hypergraph
-from .views import Graph, neighbor_rows
+from .views import CoMemberTable, Graph, neighbor_rows
 
 __all__ = [
     "forecast_hypergraph",
     "forecast_graph",
+    "forecast_co_members",
     "average_error",
     "evaluation_size",
 ]
@@ -64,6 +66,24 @@ def forecast_hypergraph(h: Hypergraph, ratings: Mapping[int, float]) -> Predicti
     return out
 
 
+def _weighted_means(
+    rows: Iterable[tuple[Iterable[int], Iterable[float]]], rating: Callable[[int], float]
+) -> Predictions:
+    """Each row's weighted mean rating, or None for an empty row; rows are (neighbours, weights) in node order.
+
+    Both sums take ``fsum`` over the row in its own order.  ``fsum``
+    rounds the exact sum once, so any order of a row gives the same
+    bits whenever no partial sum overflows.
+    """
+    out: Predictions = {}
+    for u, (nbrs, weights) in enumerate(rows, start=1):
+        if not weights:
+            out[u] = None
+            continue
+        out[u] = fsum(map(mul, map(rating, nbrs), weights)) / fsum(weights)
+    return out
+
+
 def forecast_graph(g: Graph, ratings: Mapping[int, float]) -> Predictions:
     """Predict each vertex's rating from its weighted neighbours in graph ``g``.
 
@@ -72,15 +92,20 @@ def forecast_graph(g: Graph, ratings: Mapping[int, float]) -> Predictions:
     """
     rows = neighbor_rows(g)
     _check_ratings(ratings, g.n_nodes)
-    rating = ratings.__getitem__
-    out: Predictions = {}
-    for u, nbrs in enumerate(rows, start=1):
-        if not nbrs:
-            out[u] = None
-            continue
-        weight = fsum(nbrs.values())
-        out[u] = fsum(map(mul, map(rating, nbrs), nbrs.values())) / weight
-    return out
+    return _weighted_means(((nbrs, nbrs.values()) for nbrs in rows), ratings.__getitem__)
+
+
+def forecast_co_members(table: CoMemberTable, ratings: Mapping[int, float]) -> Predictions:
+    """``forecast_graph`` over the two-section graph packed in ``table``, read straight from its slices.
+
+    The predictions are those of ``forecast_graph(TwoSectionView(h),
+    ratings)`` for the hypergraph h that ``table`` packs, bit for bit,
+    whenever no partial sum overflows.
+    """
+    _check_ratings(ratings, table.n_nodes)
+    # The table's ids are 1..n, and a list indexed by vertex reads faster than a mapping.
+    rating = [0.0, *map(ratings.__getitem__, range(1, table.n_nodes + 1))]
+    return _weighted_means(table.rows(), rating.__getitem__)
 
 
 def evaluation_size(predictions: Predictions) -> int:

@@ -192,6 +192,13 @@ def _weights_json(row: dict[int, float]) -> str:
 
 
 def _meta_json(value: object) -> str:
+    """One metadata value at depth 2 of an indent-2 document.
+
+    Most ids carry no metadata, and None spells ``null`` without a call
+    into the encoder, whose indenting path runs in Python.
+    """
+    if value is None:
+        return "null"
     return _META_ENCODER.encode(value).replace("\n", "\n    ")
 
 

@@ -10,11 +10,15 @@ its entries).  A payload must be made of the values ``marshal`` writes;
 one that ``marshal`` refuses is not stored.
 
 An entry's name is the SHA-256 of the input's SHA-256, the caller's key,
-``sys.implementation.cache_tag``, ``marshal.version`` and the name and
-bytes of every ``hgkit/*.py`` source, so other input bytes, another key,
-another interpreter or edited code never read it.  An entry file is the
-SHA-256 of its payload followed by the payload; one whose digest does not
-match, or whose payload the caller refuses, is ignored and rewritten.
+``sys.implementation.cache_tag``, ``marshal.version``, ``sys.byteorder``
+and the name and bytes of every ``hgkit/*.py`` source, so other input
+bytes, another key, another interpreter or machine word order, or edited
+code never read it.  An entry is named by its input, not by its payload's
+bytes: ``marshal`` writes a value whose objects are shared as references,
+so two runs may store one payload as different bytes, and either entry
+loads the same value.  An entry file is the SHA-256 of its payload
+followed by the payload; one whose digest does not match, or whose payload
+the caller refuses, is ignored and rewritten.
 Entries are written to a temporary file in the cache directory and moved
 into place with ``os.replace``, and only after the command that derived
 them has succeeded (``Session.commit``).
@@ -93,7 +97,7 @@ class Session:
 
 
 def _entry_name(data: bytes, key: str) -> str:
-    parts = [hashlib.sha256(data).digest(), key.encode(), f"{sys.implementation.cache_tag} {marshal.version}".encode()]
+    parts = [hashlib.sha256(data).digest(), key.encode(), f"{sys.implementation.cache_tag} {marshal.version} {sys.byteorder}".encode()]
     for source in sorted(Path(__file__).parent.glob("*.py")):
         parts += [source.name.encode(), source.read_bytes()]
     key = hashlib.sha256()

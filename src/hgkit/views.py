@@ -5,17 +5,19 @@ Every graph kernel reads a :class:`Graph`: ``n_nodes`` plus
 :class:`BipartiteView` and :class:`TwoSectionView` derive each row on
 demand from the dual incidence indexes and copy nothing;
 :func:`materialize` freezes any graph into a :class:`MaterializedGraph`
-that reads each row once, for a caller that runs several kernels, and
-``MaterializedGraph(rows)`` adopts rows held elsewhere, as the CLI does
-with the two-section rows of its load cache.
+that reads each row once, for a caller that runs several kernels.
+:class:`CoMemberTable` packs the two-section graph into three flat
+arrays of ints, which the CLI's load cache stores as bytes; it is made
+by :func:`co_member_tallies`, the walk that ``s_adjacency`` also reads.
 :func:`upper_rows` is the one walk that visits each edge once.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import _count_elements
-from itertools import chain
-from typing import Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from .errors import UnknownNodeError, UnknownVertexError
 from .hypercore import Hypergraph, check_id
@@ -25,7 +27,9 @@ __all__ = [
     "BipartiteView",
     "TwoSectionView",
     "MaterializedGraph",
+    "CoMemberTable",
     "co_member_counts",
+    "co_member_tallies",
     "neighbor_rows",
     "upper_rows",
     "materialize",
@@ -75,6 +79,40 @@ def co_member_counts(rows: Iterable[Iterable[int]]) -> dict[int, int]:
     counts: dict[int, int] = {}
     _count_elements(counts, chain.from_iterable(rows))
     return counts
+
+
+def co_member_tallies(h: Hypergraph, s: int = 1) -> Iterator[dict[int, int]]:
+    """Each vertex's co-members and the number of hyperedges it shares with each, vertex by vertex.
+
+    Vertex u tallies the members of its hyperedges in ascending hyperedge
+    id, each one's members in ascending id, so its co-members are keyed
+    in the order (first shared hyperedge id, co-member id); u itself is
+    left out.  A vertex of degree below ``s`` shares fewer than ``s``
+    hyperedges with anyone and yields an empty dict without a walk.
+    Cost is the sum over hyperedges of size squared (each pair is
+    tallied from both ends); memory beyond the tally being yielded is
+    the sorted member lists, and no table of all co-occurring pairs is
+    ever built.
+    """
+    members: list[list[int] | None] = [sorted(col) for col in h._he2v]
+    for u, row in enumerate(h._v2he, start=1):
+        if len(row) < s or not row:
+            yield {}
+            continue
+        edges = sorted(row)
+        tally = co_member_counts([members[e - 1] for e in edges])
+        del tally[u]
+        yield tally
+        # No later vertex reads a hyperedge whose highest member is u,
+        # so its list is dropped as the walk goes.
+        for e in edges:
+            if members[e - 1][-1] == u:
+                members[e - 1] = None
+
+
+def _typecode(largest: int) -> str:
+    """The narrowest unsigned ``array`` type among B, H, I and Q that holds 0..largest."""
+    return next(code for code in "BHIQ" if largest >> 8 * array(code).itemsize == 0)
 
 
 class BipartiteView:
@@ -170,6 +208,62 @@ class MaterializedGraph:
     def edges(self) -> list[tuple[int, int, float]]:
         """Every edge once as (u, v, weight) with u < v, sorted ascending, weights as floats."""
         return [(u, v, float(row[v])) for u, row, higher in upper_rows(self) for v in sorted(higher)]
+
+
+class CoMemberTable:
+    """The two-section graph of a hypergraph packed into three flat sequences of ints.
+
+    Node v's neighbours are ``ids[ends[v-1]:ends[v]]`` and its edge
+    weights, the numbers of hyperedges shared, are ``counts`` over the
+    same slice, in :func:`co_member_tallies`' order: ascending first
+    shared hyperedge, then ascending id.  So ``s_adjacency`` is one
+    filter of the table, and a kernel that weighs a row in any order
+    gets the ``TwoSectionView``'s result whenever its sums of integer
+    weights are exact.  The sequences are taken as they are: the
+    arrays of :meth:`of`, or memoryviews cast over their bytes.
+    """
+
+    __slots__ = ("n_nodes", "ids", "counts", "ends", "_node")
+
+    def __init__(self, ids: Sequence[int], counts: Sequence[int], ends: Sequence[int]) -> None:
+        self.ids, self.counts, self.ends = ids, counts, ends
+        self.n_nodes = len(ends) - 1
+        self._node: Callable[[int], int] | None = None
+
+    @classmethod
+    def of(cls, h: Hypergraph) -> "CoMemberTable":
+        """Pack ``h``'s co-member tallies, each array in the narrowest type that fits the input.
+
+        Ids fit 1..n, counts the largest degree, which bounds every
+        count, and ends the number of entries.
+        """
+        ids = array(_typecode(h.nhv))
+        counts = array(_typecode(max(map(len, h._v2he), default=0)))
+        ends = array("Q", [0])
+        # fromlist converts a list's items faster than extend iterates a dict.
+        for tally in co_member_tallies(h):
+            if tally:
+                ids.fromlist(list(tally))
+                counts.fromlist(list(tally.values()))
+            ends.append(len(ids))
+        return cls(ids, counts, array(_typecode(len(ids)), ends))
+
+    def rows(self) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
+        """Each node's (neighbours, counts) slices, in node order."""
+        ids, counts, ends = self.ids, self.counts, self.ends
+        return ((ids[a:b], counts[a:b]) for a, b in zip(ends, islice(ends, 1, None)))
+
+    def neighbors(self, v: int) -> dict[int, int]:
+        """Map of co-member vertex -> number of shared hyperedges, keyed in the table's order.
+
+        Every row read keys its dict with the same int object per vertex,
+        so rows held together cost what a hypergraph's rows cost.
+        """
+        check_id(v, self.n_nodes, UnknownVertexError, "vertex")
+        if self._node is None:
+            self._node = list(range(self.n_nodes + 1)).__getitem__
+        a, b = self.ends[v - 1], self.ends[v]
+        return dict(zip(map(self._node, self.ids[a:b]), self.counts[a:b]))
 
 
 def materialize(view: Graph) -> MaterializedGraph:

@@ -18,6 +18,7 @@ import pytest
 
 import hgkit
 from hgkit import (
+    CoMemberTable,
     Hypergraph,
     Partition,
     TwoSectionView,
@@ -27,7 +28,7 @@ from hgkit import (
     write_hgf,
     write_json,
 )
-from hgkit import cli, hgio, loadcache
+from hgkit import centrality, cli, hgio, loadcache, views
 from hgkit.cli import _read_scores_csv, main
 
 from helpers import hypergraph_from_edges, same_blocks, seeded_reviews_csv, seeded_scenes_json
@@ -208,12 +209,12 @@ class TestCommunities:
         assert a.read_bytes() == b.read_bytes()
 
     def test_graph_algo_derives_each_row_once(self, tmp_path, capsys, monkeypatch):
-        # LP and modularity share one derivation of the two-section rows.
+        # LP and modularity share one unpacking of the co-member table's rows.
         src = tmp_path / "two.hgf"
         src.write_text("6 3\n1=1.0 2=1.0 3=1.0\n3=1.0 4=1.0\n4=1.0 5=1.0 6=1.0\n")
         calls = []
-        neighbors = TwoSectionView.neighbors
-        monkeypatch.setattr(TwoSectionView, "neighbors", lambda self, v: calls.append(v) or neighbors(self, v))
+        neighbors = CoMemberTable.neighbors
+        monkeypatch.setattr(CoMemberTable, "neighbors", lambda self, v: calls.append(v) or neighbors(self, v))
         code, out, _ = run(capsys, "communities", "--input", str(src), "--algo", "graph-lp", "--max-iter", "5")
         assert code == 0 and "modularity: n/a" not in out
         assert sorted(calls) == [1, 2, 3, 4, 5, 6]
@@ -499,9 +500,9 @@ class TestRerun:
         dst = tmp_path / "scores.csv"
         score = cli.s_betweenness
 
-        def rewrite_input_then_score(h, s):
+        def rewrite_input_then_score(*args):
             src.write_text(GOLDEN)
-            return score(h, s)
+            return score(*args)
 
         monkeypatch.setattr(cli, "s_betweenness", rewrite_input_then_score)
         assert run(capsys, "betweenness", "--input", str(src), "--output", str(dst))[0] == 0
@@ -617,6 +618,48 @@ class TestRerun:
         manifest.write_text(json.dumps(doc))
         out.write_text("overwritten\n")
         assert run(capsys, "rerun", str(manifest)) == (3, "", f"error: {manifest}: {reason}\n")
+
+    @pytest.mark.parametrize("edit", ["no-output", "no-output-recorded", "other-output"])
+    def test_manifest_without_its_output_exits_3(self, tmp_path, capsys, edit):
+        src = tmp_path / "a.hgf"
+        src.write_text(GOLDEN)
+        out = tmp_path / "o.txt"
+        assert run(capsys, "stats", "--input", str(src), "--output", str(out))[0] == 0
+        manifest = Path(str(out) + ".manifest.json")
+        doc = json.loads(manifest.read_text())
+        if edit == "no-output":
+            doc["argv"], doc["outputs"] = ["stats", "--input", str(src)], []
+            reason = "the manifest records no output"
+        elif edit == "no-output-recorded":
+            doc["outputs"] = []
+            reason = "the manifest records no output"
+        else:
+            doc["argv"][-1] = str(tmp_path / "p.txt")
+            reason = "argv's --output must name the first recorded output"
+        manifest.write_text(json.dumps(doc))
+        # A replay would pass without looking at the overwritten output.
+        out.write_text("overwritten\n")
+        assert run(capsys, "rerun", str(manifest)) == (3, "", f"error: {manifest}: {reason}\n")
+
+    def test_non_utf8_names_reach_a_strict_stderr_as_their_bytes(self, tmp_path, capsysbinary):
+        folder = bytes(tmp_path) + b"/d\xff"
+        try:
+            os.mkdir(folder)
+        except OSError:
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        src, out = os.fsdecode(folder + b"/in.hgf"), os.fsdecode(folder + b"/out.txt")
+        Path(src).write_text(GOLDEN)
+        assert main(["stats", "--input", src, "--output", out]) == 0
+        Path(src).write_text(PATH5)
+        capsysbinary.readouterr()
+        # pytest's stderr encodes with strict errors, as PYTHONIOENCODING=utf-8:strict would.
+        assert main(["rerun", out + ".manifest.json"]) == 1
+        assert capsysbinary.readouterr().err.startswith(b"error: " + folder + b"/in.hgf digest changed (")
+        Path(src).write_bytes(b"\xff\n")
+        assert main(["stats", "--input", src]) == 3
+        assert capsysbinary.readouterr().err == b"error: " + folder + b"/in.hgf: not UTF-8 text (invalid start byte)\n"
+        assert main(["stats", "--input", src + ".missing"]) == 1
+        assert b"No such file or directory" in capsysbinary.readouterr().err
 
     def test_manifest_of_a_non_utf8_path_replays(self, tmp_path):
         folder = bytes(tmp_path) + b"/d\xff"
@@ -1085,37 +1128,48 @@ class TestLoadCache:
         "convert": ["convert", "--from", "{fmt}", "--to", "json", "--output", "{out}.json"],
         "communities": ["communities", "--format", "{fmt}", "--max-iter", "5", "--output", "{out}.json"],
         "betweenness": ["betweenness", "--format", "{fmt}", "--s", "2", "--top-k", "10", "--output", "{out}.csv"],
+        # On the clustered input (see write_input), whose two-section graph falls apart into small pieces.
+        "betweenness-s1": ["betweenness", "--format", "{fmt}", "--s", "1", "--full-precision", "--output", "{out}.csv"],
+        "betweenness-s2": ["betweenness", "--format", "{fmt}", "--s", "2", "--full-precision", "--output", "{out}.csv"],
         # forecast reads every input as a review CSV.
-        "forecast": ["forecast", "--output", "{out}.csv"],
-        "forecast-stars": ["forecast", "--stars", "5", "4", "--output", "{out}.csv"],
+        "forecast": ["forecast", "--full-precision", "--output", "{out}.csv"],
+        "forecast-stars": ["forecast", "--stars", "5", "4", "--full-precision", "--output", "{out}.csv"],
         "graph-lp": [
             "communities", "--format", "{fmt}", "--algo", "graph-lp", "--max-iter", "5", "--output", "{out}.json",
         ],
         "dot-twosection": ["convert", "--from", "{fmt}", "--to", "dot-twosection", "--output", "{out}.dot"],
     }
-    # The commands that read the two-section rows entry beside the hypergraph's.
+    # The commands that read no hypergraph when the co-member table entry beside it hits.
     TWO_SECTION = ("graph-lp", "dot-twosection")
+    # Every command that reads the co-member table entry.
+    TABLE = (*TWO_SECTION, "betweenness", "betweenness-s1", "betweenness-s2", "forecast", "forecast-stars")
     CASES = [(c, f) for c, f in product(COMMANDS, FORMATS) if f == "reviews-csv" or not c.startswith("forecast")]
 
     @staticmethod
-    def reviews_text(seed: int = 7, rows: int = 4500) -> str:
+    def reviews_text(seed: int = 7, rows: int = 4500, clustered: bool = False) -> str:
+        """A random review CSV; a clustered one has each user review among 12 items of their own group of 10 users."""
         rng = random.Random(seed)
-        lines = ["user_id,item_id,stars"] + [
-            f"u{rng.randrange(1500)},b{rng.randrange(2000)},{rng.randint(1, 5)}" for _ in range(rows)
-        ]
+        if clustered:
+            pairs = [(user, user // 10 * 12 + rng.randrange(12)) for user in (rng.randrange(1500) for _ in range(rows))]
+        else:
+            pairs = [(rng.randrange(1500), rng.randrange(2000)) for _ in range(rows)]
+        lines = ["user_id,item_id,stars"] + [f"u{user},b{item},{rng.randint(1, 5)}" for user, item in pairs]
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def write_input(cls, tmp_path: Path, fmt: str) -> Path:
-        """An input in ``fmt`` above the cache's size threshold."""
-        text = cls.reviews_text()
+    def write_input(cls, tmp_path: Path, fmt: str, clustered: bool = False) -> Path:
+        """An input in ``fmt`` above the cache's size threshold; a clustered one splits into small components."""
+        text = cls.reviews_text(clustered=clustered)
         if fmt in ("hgf", "json"):
             h, _, _ = build_from_reviews(review_rows(text))
             text = write_hgf(h) if fmt == "hgf" else write_json(h)
         elif fmt == "scenes-json":
             rng = random.Random(8)
             text = json.dumps([
-                {"id": f"s{i}", "members": [f"c{rng.randrange(1500)}" for _ in range(rng.randint(2, 5))]}
+                {"id": f"s{i}", "members": [
+                    f"c{i // 10 * 6 + rng.randrange(6) if clustered else rng.randrange(1500)}"
+                    for _ in range(rng.randint(2, 5))
+                ]}
                 for i in range(1500)
             ])
         # Named so that every format but scenes-json is inferred.
@@ -1150,34 +1204,42 @@ class TestLoadCache:
         monkeypatch.setattr(cli, "_parse_hypergraph", forbidden)
 
     @staticmethod
-    def forbid_deriving_rows(monkeypatch) -> None:
-        """Fail any load that adopts a hypergraph or counts co-members instead of adopting the rows entry."""
+    def forbid_deriving_rows(monkeypatch, hypergraph: bool) -> None:
+        """Fail any load that counts co-members instead of adopting the table entry's rows.
+
+        Unless ``hypergraph``, also fail one that adopts a hypergraph: a
+        command that reads only the table loads none on a hit.
+        """
 
         def forbidden(*args):
-            raise AssertionError("derived two-section rows although the cache holds them")
+            raise AssertionError("counted co-members although the cache holds their table")
 
-        monkeypatch.setattr(Hypergraph, "_from_rows", forbidden)
+        monkeypatch.setattr(CoMemberTable, "of", forbidden)
+        monkeypatch.setattr(views, "co_member_tallies", forbidden)
+        monkeypatch.setattr(centrality, "co_member_tallies", forbidden)
         monkeypatch.setattr(TwoSectionView, "neighbors", forbidden)
+        if not hypergraph:
+            monkeypatch.setattr(Hypergraph, "_from_rows", forbidden)
 
     @staticmethod
     def entry(src: Path, key: str) -> Path:
         """The path of the entry of ``src`` under format key ``key``."""
         return Path(os.environ["XDG_CACHE_HOME"]) / "hgkit" / loadcache._entry_name(src.read_bytes(), key)
 
-    def two_section_entry(self, src: Path, fmt: str) -> Path:
-        return self.entry(src, f"{fmt} two-section")
+    def table_entry(self, src: Path, key: str) -> Path:
+        return self.entry(src, f"{key} co-members")
 
     @pytest.mark.parametrize("command, fmt", CASES)
     def test_cold_warm_and_unusable_runs_agree(self, tmp_path, capsys, monkeypatch, fmt, command):
-        src = self.write_input(tmp_path, fmt)
+        src = self.write_input(tmp_path, fmt, clustered=command == "betweenness-s1")
         argv, out = self.argv(command, src, fmt, tmp_path / "out")
         cold = self.outcome(capsys, argv, out)
-        # A two-section command caches the hypergraph it parsed and, beside it, the rows.
-        assert cold[0] == 0 and len(self.entries()) == (2 if command in self.TWO_SECTION else 1)
+        # A command that reads co-member counts caches the hypergraph it parsed and, beside it, their table.
+        assert cold[0] == 0 and len(self.entries()) == (2 if command in self.TABLE else 1)
         with monkeypatch.context() as patch:
             self.forbid_parsing(patch)
-            if command in self.TWO_SECTION:
-                self.forbid_deriving_rows(patch)
+            if command in self.TABLE:
+                self.forbid_deriving_rows(patch, hypergraph=command not in self.TWO_SECTION)
             assert self.outcome(capsys, argv, out) == cold
         unusable = tmp_path / "unusable"
         unusable.mkdir()
@@ -1227,15 +1289,17 @@ class TestLoadCache:
 
     def test_a_warm_reviews_pass_hits_on_every_command(self, tmp_path, capsys, monkeypatch):
         src = self.write_input(tmp_path, "reviews-csv")
-        assert run(capsys, "stats", "--input", str(src))[0] == 0
+        commands = ("stats", "communities", "forecast", "betweenness", "convert")
+        for command in commands:
+            assert run(capsys, *self.argv(command, src, "reviews-csv", tmp_path / command)[0])[0] == 0
         found = []
         read = loadcache._read_entry
         monkeypatch.setattr(loadcache, "_read_entry", lambda name: found.append(read(name)) or found[-1])
-        for command in ("stats", "communities", "forecast", "betweenness", "convert"):
-            argv, _ = self.argv(command, src, "reviews-csv", tmp_path / command)
-            assert run(capsys, *argv)[0] == 0
-        assert [entry is not None for entry in found] == [True] * 5
-        assert len(self.entries()) == 1
+        for command in commands:
+            assert run(capsys, *self.argv(command, src, "reviews-csv", tmp_path / command)[0])[0] == 0
+        # forecast and betweenness read the table entry after the hypergraph's.
+        assert [entry is not None for entry in found] == [True] * 7
+        assert len(self.entries()) == 2
 
     def test_the_star_filter_is_part_of_the_key(self, tmp_path, capsys):
         src = self.write_input(tmp_path, "reviews-csv")
@@ -1244,9 +1308,12 @@ class TestLoadCache:
             code, out, _ = run(capsys, "forecast", "--input", str(src), *(["--stars", *stars] if stars else []))
             assert code == 0
             outputs.append(out)
-        # No filter, {4, 5} in two spellings, and {3}: three builds, three entries.
+        # No filter, {4, 5} in two spellings, and {3}: three builds, each with its table.
         assert outputs[1] == outputs[2] and len(set(outputs)) == 3
-        assert len(self.entries()) == 3
+        assert len(self.entries()) == 6
+        for stars in ([], [4, 5], [3]):
+            key = cli._cache_key("reviews-csv", stars or None)
+            assert self.entry(src, key).exists() and self.table_entry(src, key).exists()
 
     def test_one_changed_byte_is_a_miss(self, tmp_path, capsys):
         src = self.write_input(tmp_path, "reviews-csv")
@@ -1381,36 +1448,47 @@ class TestLoadCache:
             assert run(capsys, "stats", "--input", str(src))[0] == 0
         assert self.entries() == []
 
-    @pytest.mark.parametrize("command", TWO_SECTION)
+    @pytest.mark.parametrize("command", [*TWO_SECTION, "betweenness", "forecast"])
     @pytest.mark.parametrize("damage", ["truncate", "recount"])
     def test_damaged_rows_entry_is_ignored_and_rewritten(self, tmp_path, capsys, monkeypatch, command, damage):
-        src = self.write_input(tmp_path, "scenes-json")
-        argv, out = self.argv(command, src, "scenes-json", tmp_path / "out")
+        fmt = "reviews-csv" if command == "forecast" else "scenes-json"
+        src = self.write_input(tmp_path, fmt)
+        argv, out = self.argv(command, src, fmt, tmp_path / "out")
         cold = self.outcome(capsys, argv, out)
-        entry = self.two_section_entry(src, "scenes-json")
+        entry = self.table_entry(src, fmt)
         good = entry.read_bytes()
         digest = hashlib.sha256().digest_size
-        rows = marshal.loads(good[digest:])
+        payload = marshal.loads(good[digest:])
         if damage == "truncate":
             entry.write_bytes(good[: len(good) // 2])
         else:
-            # Rows that marshal loads, one count off, behind the old digest:
-            # only the digest tells them from the original.
-            damaged = marshal.loads(good[digest:])
-            row = next(r for r in damaged if r)
-            row[next(iter(row))] += 1
+            # A table that marshal loads, its first count one off, behind the
+            # old digest: only the digest tells it from the original.
+            codes, ids, counts, ends = payload
+            damaged = (codes, ids, bytes([counts[0] ^ 1]) + counts[1:], ends)
             entry.write_bytes(good[:digest] + marshal.dumps(damaged))
         with monkeypatch.context() as patch:
-            # The rows are derived again from the hypergraph entry, not from the input.
+            # The table is packed again from the hypergraph entry, not from the input.
             self.forbid_parsing(patch)
             assert self.outcome(capsys, argv, out) == cold
-        # Rewritten with the same rows; marshal may share their ints otherwise.
         assert len(self.entries()) == 2
-        assert loadcache._read_entry(entry.name) == rows
+        assert entry.read_bytes() == good
+
+    # Wrong table payloads, each made from the entry's own (codes, ids, counts, ends).
+    WRONG_TABLES = {
+        "5-tuple": None,  # the hypergraph entry's payload
+        "4-tuple": None,  # the first four lists of the hypergraph entry's payload
+        "list": lambda codes, ids, counts, ends: [codes, ids, counts, ends],
+        "float-codes": lambda codes, ids, counts, ends: ("ddd", ids, counts, ends),
+        "part-item": lambda codes, ids, counts, ends: (codes, ids + b"\0", counts, ends),
+        "fewer-counts": lambda codes, ids, counts, ends: (codes, ids, counts[:-1], ends),
+        "short-ends": lambda codes, ids, counts, ends: (codes, ids, counts, ends[: len(ends) // 2]),
+        "text-ids": lambda codes, ids, counts, ends: (codes, ids.decode("latin-1"), counts, ends),
+    }
 
     @pytest.mark.parametrize(
         "kind, shape",
-        [("hypergraph", "rows"), ("hypergraph", "4-tuple"), ("two-section", "5-tuple"), ("two-section", "4-tuple")],
+        [("hypergraph", "rows"), ("hypergraph", "4-tuple")] + [("two-section", shape) for shape in WRONG_TABLES],
     )
     def test_entry_of_the_wrong_shape_is_ignored_and_rewritten(self, tmp_path, capsys, monkeypatch, kind, shape):
         src = self.write_input(tmp_path, "scenes-json")
@@ -1419,18 +1497,17 @@ class TestLoadCache:
         cold = self.outcome(capsys, argv, out)
         if kind == "hypergraph":
             assert run(capsys, *self.argv("graph-lp", src, "scenes-json", tmp_path / "lp")[0])[0] == 0
-        entries = {"hypergraph": self.entry(src, "scenes-json"), "two-section": self.two_section_entry(src, "scenes-json")}
+        entries = {"hypergraph": self.entry(src, "scenes-json"), "two-section": self.table_entry(src, "scenes-json")}
         payloads = {k: loadcache._read_entry(e.name) for k, e in entries.items()}
-        assert type(payloads["hypergraph"]) is tuple and type(payloads["two-section"]) is list
+        assert type(payloads["hypergraph"]) is tuple and len(payloads["hypergraph"]) == 5
         # Behind a matching digest: only the shape tells it from the entry's own payload.
-        wrong = {
-            "rows": payloads["two-section"], "5-tuple": payloads["hypergraph"], "4-tuple": payloads["hypergraph"][:4],
-        }[shape]
+        wrong = {"rows": payloads["two-section"], "5-tuple": payloads["hypergraph"], "4-tuple": payloads["hypergraph"][:4]}
+        wrong = wrong[shape] if shape in wrong else self.WRONG_TABLES[shape](*payloads["two-section"])
         blob = marshal.dumps(wrong)
         entries[kind].write_bytes(hashlib.sha256(blob).digest() + blob)
         with monkeypatch.context() as patch:
             if kind == "two-section":
-                # The rows are derived again from the hypergraph entry, not from the input.
+                # The table is packed again from the hypergraph entry, not from the input.
                 self.forbid_parsing(patch)
             assert self.outcome(capsys, argv, out) == cold
         assert len(self.entries()) == 2
@@ -1453,18 +1530,50 @@ class TestLoadCache:
             assert [run(capsys, *argv)[0] for _ in range(2)] == [code, code]
             assert self.entries() == []
 
-    def test_forecast_neither_reads_nor_writes_rows(self, tmp_path, capsys, monkeypatch):
+    def test_a_warm_forecast_reads_the_hypergraph_and_table_entries(self, tmp_path, capsys, monkeypatch):
         src = self.write_input(tmp_path, "reviews-csv")
         argv, _ = self.argv("forecast", src, "reviews-csv", tmp_path / "forecast")
         assert run(capsys, *argv)[0] == 0
-        assert self.entries() == [self.entry(src, "reviews-csv")]
-        # With the rows entry in place, a warm forecast still reads only the hypergraph's.
-        assert run(capsys, *self.argv("dot-twosection", src, "reviews-csv", tmp_path / "dot")[0])[0] == 0
+        wanted = [self.entry(src, "reviews-csv"), self.table_entry(src, "reviews-csv")]
+        assert self.entries() == sorted(wanted)
         names = []
         read = loadcache._read_entry
         monkeypatch.setattr(loadcache, "_read_entry", lambda name: names.append(name) or read(name))
         assert run(capsys, *argv)[0] == 0
-        assert names == [self.entry(src, "reviews-csv").name]
+        assert names == [entry.name for entry in wanted]
+
+    def test_the_table_entry_is_the_same_after_a_parse_or_an_adoption(self, tmp_path, capsys):
+        src = self.write_input(tmp_path, "reviews-csv")
+        forecast, _ = self.argv("forecast", src, "reviews-csv", tmp_path / "forecast")
+        entry = self.table_entry(src, "reviews-csv")
+        assert run(capsys, *forecast)[0] == 0  # packs the hypergraph it parsed
+        parsed = entry.read_bytes()
+        shutil.rmtree(entry.parent)
+        assert run(capsys, "stats", "--input", str(src))[0] == 0
+        assert run(capsys, *forecast)[0] == 0  # packs the hypergraph it adopted
+        assert entry.read_bytes() == parsed
+        # Flat byte strings carry no marshal references, so no object
+        # identity of the run that packed them can reach the entry.
+        codes, *blobs = loadcache._read_entry(entry.name)
+        # 2-byte ids for 2,000 items, 1-byte counts and 2-byte ends for fewer than 65,536 entries.
+        assert codes == "HBH" and [type(b) for b in blobs] == [bytes] * 3
+
+    def test_entries_that_differ_in_bytes_load_equal_payloads(self, tmp_path, capsys):
+        # An entry is named by its input, not by its payload's bytes: marshal
+        # writes one payload as other bytes when its objects are shared
+        # otherwise, and either entry loads it.
+        src = self.write_input(tmp_path, "reviews-csv")
+        want = run(capsys, "stats", "--input", str(src))
+        [entry] = self.entries()
+        digest = hashlib.sha256().digest_size
+        written = entry.read_bytes()[digest:]
+        payload = marshal.loads(written)
+        # The same payload with no object shared: marshal version 2 writes no references.
+        rewritten = marshal.dumps(marshal.loads(marshal.dumps(payload, 2)))
+        assert rewritten != written and marshal.loads(rewritten) == payload
+        entry.write_bytes(hashlib.sha256(rewritten).digest() + rewritten)
+        assert run(capsys, "stats", "--input", str(src)) == want
+        assert loadcache._read_entry(entry.name) == payload
 
     @pytest.mark.parametrize("command", TWO_SECTION)
     def test_small_inputs_never_cache_rows(self, tmp_path, capsys, command):
@@ -1486,12 +1595,12 @@ class TestLoadCache:
         ):
             argv, _ = self.argv(command, src, fmt, tmp_path / "out")
             assert run(capsys, *argv)[0] == 0
-            assert self.two_section_entry(src, fmt).exists()
+            assert self.table_entry(src, fmt).exists()
             # The same bytes under the other format key parse, and fail, as without a cache.
             argv, _ = self.argv(command, src, other, tmp_path / "out")
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, "") and err.startswith(f"error: {error}")
-            assert not self.two_section_entry(src, other).exists()
+            assert not self.table_entry(src, other).exists()
 
 
 class TestHashSeeds:

@@ -54,7 +54,7 @@ INTEGER_SUMS = {
 # must answer for any other object, tests for one of them.
 HGKIT_CLASSES = frozenset({
     "Hypergraph", "SAdjacency", "CentralityVector", "TwoSectionView", "BipartiteView",
-    "MaterializedGraph", "Partition",
+    "MaterializedGraph", "Partition", "CoMemberTable",
 })
 MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "pop", "popitem", "remove", "clear",

@@ -14,12 +14,15 @@ import pytest
 
 from hgkit import (
     BipartiteView,
+    CoMemberTable,
+    Graph,
     Hypergraph,
     LpConfig,
     MaterializedGraph,
     Partition,
     TwoSectionView,
     build_from_reviews,
+    forecast_co_members,
     forecast_graph,
     forecast_hypergraph,
     graph_degree_centrality,
@@ -32,7 +35,7 @@ from hgkit import (
     s_shortest_path_length,
 )
 from hgkit.centrality import _DENSE_RECIPROCAL, _brandes, _dense_masks
-from hgkit.errors import EmptyGraphError
+from hgkit.errors import DomainMismatchError, EmptyGraphError
 from hgkit.views import upper_rows
 
 from helpers import (
@@ -709,3 +712,82 @@ def test_upper_rows_visit_each_edge_once_at_its_lower_endpoint_in_row_order():
             assert sorted(pairs) == [
                 (u, v) for u in range(1, view.n_nodes + 1) for v in sorted(view.neighbors(u)) if u < v
             ]
+
+
+# --- the packed co-member table ---------------------------------------------------------
+
+
+def test_co_member_tables_pack_the_two_section_graph():
+    for h in GRAPH_CASES:
+        table = CoMemberTable.of(h)
+        view = TwoSectionView(h)
+        assert table.n_nodes == h.nhv and len(table.ids) == len(table.counts) == table.ends[-1]
+        for v, (ids, counts) in zip(h.vertices(), table.rows()):
+            # The rows of the walk: first shared hyperedge, then co-member id.
+            edges = sorted(h._v2he[v - 1])
+            want = list(dict.fromkeys(u for e in edges for u in sorted(h._he2v[e - 1]) if u != v))
+            assert list(ids) == want
+            assert dict(zip(ids, counts)) == view.neighbors(v) == table.neighbors(v)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_table_filtered_s_adjacency_matches_the_walk_in_iteration_order(s):
+    for h in GRAPH_CASES + _overlap_cases(9, 80):
+        got = s_adjacency(h, s, CoMemberTable.of(h))
+        want = s_adjacency(h, s)
+        assert [list(x) for x in got._nbrs] == [list(x) for x in want._nbrs]
+        assert [list(x) for x in want._nbrs] == [list(x) for x in reference_s_adjacency(h, s)._nbrs]
+        assert s_betweenness(h, s, CoMemberTable.of(h)) == s_betweenness(h, s)
+
+
+def test_a_table_of_another_hypergraph_is_refused():
+    with pytest.raises(DomainMismatchError):
+        s_adjacency(Hypergraph(3, 0), 1, CoMemberTable.of(Hypergraph(4, 0)))
+
+
+def test_forecast_from_the_table_matches_reference_bit_for_bit():
+    # Rating tables whose sums cannot overflow: fsum then rounds the exact
+    # sum, whatever the order the table walks each row in.
+    rng = random.Random(59)
+    for h in GRAPH_CASES:
+        table = CoMemberTable.of(h)
+        for ratings in _rating_tables(h, rng)[:3]:
+            want = _outcome(reference_forecast_graph, h, ratings)
+            assert _outcome(forecast_co_members, table, ratings) == want
+
+
+def _permuted_rows(g: Graph, rng: random.Random) -> MaterializedGraph:
+    """The same rows, each in a shuffled order."""
+    rows = []
+    for v in range(1, g.n_nodes + 1):
+        items = list(g.neighbors(v).items())
+        rng.shuffle(items)
+        rows.append(dict(items))
+    return MaterializedGraph(rows)
+
+
+def test_graph_lp_and_modularity_ignore_row_order_under_integer_weights():
+    # Each label's weight is a float sum of small integers, which is exact
+    # in any order, and tied labels are sorted: so the rows of a co-member
+    # table serve graph-LP and graph_modularity as the view's rows do.
+    rng = random.Random(61)
+    for i, h in enumerate(GRAPH_CASES):
+        weights = {(u, v): rng.randint(1, 9) for u, v, _ in materialize(TwoSectionView(h)).edges}
+        g = EdgeListGraph(n_nodes=h.nhv, edges=[(u, v, w) for (u, v), w in weights.items()])
+        for permuted in (_permuted_rows(g, rng), _permuted_rows(g, rng)):
+            for cfg in (*CONFIGS, LpConfig(seed=i)):
+                got = graph_label_propagation(permuted, cfg)
+                want = graph_label_propagation(g, cfg)
+                assert (got[0].labels, got[1]) == (want[0].labels, want[1])
+            for _ in range(3):
+                p = random_partition(rng, h.vertices())
+                try:
+                    want = graph_modularity(g, p)
+                except EmptyGraphError:
+                    with pytest.raises(EmptyGraphError):
+                        graph_modularity(permuted, p)
+                    continue
+                assert graph_modularity(permuted, p) == want
+        table = CoMemberTable.of(h)
+        for cfg in CONFIGS:
+            assert graph_label_propagation(materialize(table), cfg) == graph_label_propagation(TwoSectionView(h), cfg)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hgkit import BipartiteView, Hypergraph, TwoSectionView, materialize
+from hgkit import BipartiteView, CoMemberTable, Hypergraph, TwoSectionView, materialize
 from hgkit.errors import UnknownNodeError, UnknownVertexError
 
 from helpers import hypergraph_from_edges, random_hypergraph, two_section_adjacency
@@ -115,3 +115,40 @@ class TestMaterialize:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             materialize(object())
+
+
+class TestCoMemberTable:
+    def test_rows_follow_the_walk(self, triangle_pair):
+        table = CoMemberTable.of(triangle_pair)
+        assert table.n_nodes == 3
+        assert [(list(ids), list(counts)) for ids, counts in table.rows()] == [
+            ([2, 3], [2, 1]), ([1, 3], [2, 1]), ([1, 2], [1, 1]),
+        ]
+        assert table.neighbors(1) == {2: 2, 3: 1}
+        with pytest.raises(UnknownVertexError):
+            table.neighbors(4)
+
+    def test_each_array_is_as_narrow_as_the_input_allows(self, triangle_pair):
+        table = CoMemberTable.of(triangle_pair)
+        assert (table.ids.typecode, table.counts.typecode, table.ends.typecode) == ("B", "B", "B")
+        # 300 vertices need 2-byte ids; a degree of 256 needs 2-byte counts;
+        # 300 * 299 entries need 4-byte ends.
+        h = hypergraph_from_edges(300, [tuple(range(1, 301))] + [(1, 2)] * 255)
+        table = CoMemberTable.of(h)
+        assert (table.ids.typecode, table.counts.typecode, table.ends.typecode) == ("H", "H", "I")
+        assert table.neighbors(1)[2] == 256 and table.ends[-1] == 300 * 299
+        assert CoMemberTable.of(Hypergraph()).ends.tolist() == [0]
+
+    def test_rows_share_one_int_per_vertex(self):
+        h = hypergraph_from_edges(400, [(1, 300, 399), (2, 300, 399)])
+        table = CoMemberTable.of(h)
+        keys = [next(k for k in table.neighbors(v) if k == 300) for v in (1, 2, 399)]
+        assert keys[0] is keys[1] is keys[2]
+
+    def test_matches_direct_pair_counting(self):
+        rng = random.Random(6)
+        for _ in range(60):
+            h = random_hypergraph(rng, max_n=9, max_k=7)
+            table = CoMemberTable.of(h)
+            oracle = two_section_adjacency(h)
+            assert [table.neighbors(v) for v in h.vertices()] == [oracle[v] for v in h.vertices()]
