@@ -7,7 +7,7 @@ hop lengths; geodesic counts are exact integers.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Set
+from collections.abc import Iterator, Mapping
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -55,13 +55,16 @@ class CentralityVector(Mapping[int, float]):
 
 
 class SAdjacency:
-    """Unit-weight :class:`Graph` over a hypergraph's vertices, joining those that share at least s hyperedges."""
+    """Unit-weight :class:`Graph` over a hypergraph's vertices, joining those that share at least s hyperedges.
 
-    def __init__(self, s: int, n_nodes: int, _nbrs: list[Set[int]]) -> None:
+    Row ``_nbrs[v-1]`` is v's s-neighbours: the tuple, in its order, that ``_brandes`` reads.
+    """
+
+    def __init__(self, s: int, n_nodes: int, _nbrs: list[tuple[int, ...]]) -> None:
         self.s, self.n_nodes, self._nbrs = s, n_nodes, _nbrs
 
     def neighbors(self, v: int) -> dict[int, int]:
-        """Map of s-neighbour -> 1, keyed in the order of v's neighbour set."""
+        """Map of s-neighbour -> 1, keyed in the order of v's row."""
         check_id(v, self.n_nodes, UnknownVertexError, "vertex")
         return dict.fromkeys(self._nbrs[v - 1], 1)
 
@@ -76,10 +79,6 @@ class SAdjacency:
         return out
 
 
-# The neighbour set of every vertex that has no s-neighbours.
-_NONE: frozenset[int] = frozenset()
-
-
 def s_adjacency(h: Hypergraph, s: int = 1, table: CoMemberTable | None = None) -> SAdjacency:
     """Build the s-adjacency graph: each vertex keeps the co-members it shares at least s hyperedges with.
 
@@ -89,27 +88,23 @@ def s_adjacency(h: Hypergraph, s: int = 1, table: CoMemberTable | None = None) -
     held from an earlier walk, replaces the walk with one filter of its
     rows, in the same order, with the same result.
 
-    Vertices without s-neighbours share one empty frozenset: at s = 2 on
-    the benchmark's review input that is nearly every vertex, and an
-    empty set of its own would cost each of them 216 bytes.
-
-    Every neighbour set receives its members in the walk's order (first
-    shared hyperedge id, partner id), which fixes the sets' iteration
-    order and therefore the exact floating-point betweenness scores.
-    Each set is built from an iterator, which inserts one element at a
-    time; building it from the tally dict would presize its table and
-    reorder it.
+    Each row is the tuple of a set that received the s-neighbours in the
+    walk's order (first shared hyperedge id, partner id), one at a time
+    from an iterator: the set's iteration order fixes the row's order and
+    therefore the exact floating-point betweenness scores.  Building the
+    set from the tally dict would presize its table and reorder it.  A
+    vertex without s-neighbours gets the empty tuple, which all share.
     """
     check_int(s, 1, None, InvalidSError, "s")
     at_least_s = s.__le__
     if table is None:
-        nbrs = [set(compress(tally, map(at_least_s, tally.values()))) or _NONE for tally in co_member_tallies(h, s)]
+        nbrs = [tuple(set(compress(tally, map(at_least_s, tally.values())))) for tally in co_member_tallies(h, s)]
     elif table.n_nodes != h.nhv:
         raise DomainMismatchError(f"co-member table of {table.n_nodes} vertices given for {h.nhv}")
     else:
-        # The sets hold one int object per vertex, as the walk's sets hold h's.
+        # The rows hold one int object per vertex, as the walk's rows hold h's.
         node = list(range(h.nhv + 1)).__getitem__
-        nbrs = [set(map(node, compress(ids, map(at_least_s, counts)))) or _NONE for ids, counts in table.rows()]
+        nbrs = [tuple(set(map(node, compress(ids, map(at_least_s, counts))))) for ids, counts in table.rows()]
     return SAdjacency(s=s, n_nodes=h.nhv, _nbrs=nbrs)
 
 
@@ -145,7 +140,7 @@ def s_shortest_path_length(g: Graph, u: int, v: int) -> int | None:
 _DENSE_RECIPROCAL = 10
 
 
-def _dense_masks(adj: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+def _dense_masks(adj: list[tuple[int, ...]]) -> tuple[list[int], list[int], list[int]]:
     """Component-local bitsets for the vertices of dense components.
 
     One pass labels the connected components of ``adj`` (slot 0
@@ -183,22 +178,22 @@ def _dense_masks(adj: list[list[int]]) -> tuple[list[int], list[int], list[int]]
     return bit, mask, whole
 
 
-def _brandes(nbrs: list[Set[int]]) -> dict[int, float]:
+def _brandes(nbrs: list[tuple[int, ...]]) -> dict[int, float]:
     """Unnormalized betweenness over unordered pairs (unit edge lengths).
 
     Standard two-pass accumulation: a BFS builds shortest-path counts,
     then dependencies fold back in reverse BFS order.  The ordered-pair
     totals are halved at the end because the graph is undirected.
 
-    Adjacency is copied into lists indexed by vertex id (slot 0 unused)
-    in each set's own iteration order, and ``dist``/``sigma``/``delta``
-    are flat lists of the same shape, reset after each source only where
-    its BFS reached.  The BFS order list is also the queue, and the back
-    pass finds a vertex's predecessors by scanning its neighbours for
-    ``dist`` one less, so no predecessor lists are built.  BFS order and
-    the order in which each ``delta`` entry receives its terms match a
-    dict-keyed implementation with predecessor lists, so every score is
-    bit-identical to it.
+    ``adj`` holds the rows of ``nbrs`` themselves, uncopied and each in
+    its own order, indexed by vertex id (slot 0 an empty row), and
+    ``dist``/``sigma``/``delta`` are flat lists of the same shape, reset
+    after each source only where its BFS reached.  The BFS order list is
+    also the queue, and the back pass finds a vertex's predecessors by
+    scanning its neighbours for ``dist`` one less, so no predecessor
+    lists are built.  BFS order and the order in which each ``delta``
+    entry receives its terms match a dict-keyed implementation with
+    predecessor lists, so every score is bit-identical to it.
 
     The forward pass is chosen per connected component.  A sparse one
     keeps the plain queue loop, which reads every adjacency entry of
@@ -253,7 +248,7 @@ def _brandes(nbrs: list[Set[int]]) -> dict[int, float]:
       ``bc`` right after the shortened pass.
     """
     n = len(nbrs)
-    adj: list[list[int]] = [[]] + [list(s) for s in nbrs]
+    adj = [(), *nbrs]
     bit, mask, whole = _dense_masks(adj)
     bc = [0.0] * (n + 1)
     dist = [-1] * (n + 1)
@@ -339,7 +334,7 @@ def s_betweenness(h: Hypergraph, s: int = 1, table: CoMemberTable | None = None)
     ``table`` is passed on to :func:`s_adjacency`.
     """
     adj = s_adjacency(h, s, table)
-    del table  # not read again: its rows go before Brandes' lists are built
+    del table  # not read again: its memory goes before Brandes runs
     return CentralityVector(_brandes(adj._nbrs))
 
 

@@ -15,17 +15,17 @@ outputs come back byte-identical.
 ``forecast`` read their input once as bytes and take what they build
 from a ``loadcache`` entry when an earlier command stored one for the
 same bytes; otherwise they build it and, once the command has succeeded,
-store it.  The CLI decides what each entry holds, and ignores and
-rewrites one whose payload lacks that shape:
+store it.  The CLI decides what each entry holds and how it is adopted,
+and rewrites one whose payload its adopter refuses:
 
 - ``_load_hypergraph``'s entry, keyed ``<fmt>`` (``<fmt> --stars [..]``
   for a star-filtered review build), is the 5-tuple ``_parse_hypergraph``
   makes: the four incidence and metadata lists, then a review CSV's
   per-item star sums and counts, which ``forecast`` rates items by.
 - ``_load_co_members``' entry, keyed as the hypergraph's plus
-  `` co-members``, is the hypergraph's ``CoMemberTable``: a 4-tuple of
-  the three arrays' typecodes, then the bytes of the ids, counts and row
-  ends, read back through ``memoryview(...).cast(...)``.  Every command
+  `` co-members``, is the hypergraph's ``CoMemberTable.payload()``: the
+  three arrays' typecodes, then the bytes of the ids, counts and row
+  ends, cast back by ``CoMemberTable.from_payload``.  Every command
   that reads co-member counts reads it: ``forecast``'s graph route sums
   its slices, ``betweenness`` filters it to the s-adjacency graph,
   ``convert --to dot-twosection`` writes it, and ``communities --algo
@@ -137,9 +137,8 @@ def _load_hypergraph(
     from the load cache when it holds these bytes under this key.
     """
     parse = lambda: _parse_hypergraph(_decode(data, args.input), fmt, star_filter)  # noqa: E731
-    fits = lambda payload: type(payload) is tuple and len(payload) == 5  # noqa: E731
-    *rows, tallies = args.cache.load(data, _cache_key(fmt, star_filter), parse, fits)
-    return Hypergraph._from_rows(*rows), tallies
+    adopt = lambda p: (Hypergraph._from_rows(*p[:4]), p[4]) if type(p) is tuple and len(p) == 5 else None  # noqa: E731
+    return args.cache.load(data, _cache_key(fmt, star_filter), parse, adopt)
 
 
 def _load_co_members(
@@ -151,36 +150,10 @@ def _load_co_members(
     it, else the hypergraph ``_load_hypergraph`` loads.
     """
 
-    def derive() -> tuple[str, bytes, bytes, bytes]:
-        table = CoMemberTable.of(h if h is not None else _load_hypergraph(args, data, fmt, star_filter)[0])
-        arrays = (table.ids, table.counts, table.ends)
-        return ("".join([a.typecode for a in arrays]), *[a.tobytes() for a in arrays])
+    def pack() -> tuple[str, bytes, bytes, bytes]:
+        return CoMemberTable.of(h if h is not None else _load_hypergraph(args, data, fmt, star_filter)[0]).payload()
 
-    payload = args.cache.load(
-        data, f"{_cache_key(fmt, star_filter)} co-members", derive, lambda p: _unpack_table(p) is not None
-    )
-    return _unpack_table(payload)
-
-
-def _unpack_table(payload: Any) -> CoMemberTable | None:
-    """The table in a co-member entry's payload, or None when the payload lacks that shape.
-
-    The payload is the typecodes of the ids, counts and ends arrays, then
-    the bytes of each; ids and counts are alike in number and the ends run
-    from 0 to it.
-    """
-    if type(payload) is not tuple or len(payload) != 4 or type(payload[0]) is not str or len(payload[0]) != 3:
-        return None
-    codes, *blobs = payload
-    if not set(codes) <= set("BHIQ") or any(type(b) is not bytes for b in blobs):
-        return None
-    try:
-        ids, counts, ends = [memoryview(b).cast(c) for c, b in zip(codes, blobs)]
-    except TypeError:  # a length that is not a whole number of items
-        return None
-    if len(ids) != len(counts) or not ends or ends[0] != 0 or ends[-1] != len(ids):
-        return None
-    return CoMemberTable(ids, counts, ends)
+    return args.cache.load(data, f"{_cache_key(fmt, star_filter)} co-members", pack, CoMemberTable.from_payload)
 
 
 def _parse_hypergraph(text: str, fmt: str, star_filter: list[int] | None = None) -> tuple:
@@ -230,10 +203,6 @@ def _load_partition(path: str) -> Partition:
     if Path(path).suffix.lower() == ".csv":
         return Partition.from_csv_text(text)
     return Partition.from_json_text(text)
-
-
-def _sha256_file(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _write_manifest(args: argparse.Namespace, outputs: dict[str, str]) -> None:
@@ -567,11 +536,19 @@ def _report_error(message: str) -> None:
 
 def _digest_changed(record: dict[str, str], path: Path, how: str = "") -> bool:
     """Whether the file at ``path`` lacks the record's digest, reported on stderr."""
-    fresh = _sha256_file(str(path))
+    fresh = hashlib.sha256(path.read_bytes()).hexdigest()
     if fresh == record["sha256"]:
         return False
     _report_error(f"{record['path']} digest changed{how} ({record['sha256'][:12]} -> {fresh[:12]})")
     return True
+
+
+def _first_difference(a: bytes, b: bytes) -> str:
+    """Where two unequal documents first differ: ``line N``, counted from 1, or ``end of file`` if one is a prefix."""
+    if a.startswith(b) or b.startswith(a):
+        return "end of file"
+    pairs = enumerate(zip(a.split(b"\n"), b.split(b"\n")), start=1)
+    return f"line {next(n for n, (x, y) in pairs if x != y)}"
 
 
 def cmd_rerun(args: argparse.Namespace) -> int:
@@ -579,7 +556,7 @@ def cmd_rerun(args: argparse.Namespace) -> int:
 
     Recorded outputs are only read, never written: an output counts as
     changed when the replay or the file at its recorded path no longer
-    has the recorded digest, and every changed file is named.
+    has the recorded digest; every changed file is named, and where it differs.
     """
     doc, replay = _read_manifest(args.manifest)
     base = _recorded_cwd(args.manifest, replay.output)
@@ -598,12 +575,15 @@ def cmd_rerun(args: argparse.Namespace) -> int:
         rc = replay.func(replay)
         if rc != 0:
             return rc
-        changed = [
-            _digest_changed(r, Path(tmp) / Path(r["path"]).name, " on replay")
-            | _digest_changed(r, base / r["path"])
-            for r in doc["outputs"]
-        ]
-    return 1 if any(changed) else 0
+        changed = False
+        for r in doc["outputs"]:
+            replayed, recorded = Path(tmp) / Path(r["path"]).name, base / r["path"]
+            if _digest_changed(r, replayed, " on replay") | _digest_changed(r, recorded):
+                changed = True
+                a, b = replayed.read_bytes(), recorded.read_bytes()
+                if a != b:
+                    _report_error(f"{r['path']} first differs from its replay at {_first_difference(a, b)}")
+    return 1 if changed else 0
 
 
 # --- parser ----------------------------------------------------------------------

@@ -5,9 +5,10 @@ would derive the same values from the same bytes once per command.
 ``Session.load`` keeps what a command derived from an input as an entry
 instead, and the next command that asks for the same bytes under the
 same key reads it back.  The caller owns every payload: what it holds,
-and which shape a payload must have to be used (``hgkit.cli`` describes
-its entries).  A payload must be made of the values ``marshal`` writes;
-one that ``marshal`` refuses is not stored.
+and ``adopt``, which turns it, read or made, into what ``load`` returns;
+an entry whose payload ``adopt`` refuses with None is made again
+(``hgkit.cli`` describes its entries).  A payload must be made of the
+values ``marshal`` writes; one that ``marshal`` refuses is not stored.
 
 An entry's name is the SHA-256 of the input's SHA-256, the caller's key,
 ``sys.implementation.cache_tag``, ``marshal.version``, ``sys.byteorder``
@@ -66,21 +67,21 @@ class Session:
         # (entry name, payload) of each entry this command derived.
         self._staged: list[tuple[str, Any]] = []
 
-    def load(self, data: bytes, key: str, make: Callable[[], Any], fits: Callable[[Any], bool]) -> Any:
-        """The payload of input ``data`` under ``key``: its entry's when ``fits`` accepts it, else ``make()``'s.
+    def load(self, data: bytes, key: str, make: Callable[[], Any], adopt: Callable[[Any], Any]) -> Any:
+        """``adopt`` of the payload of input ``data`` under ``key``: its entry's, else ``make()``'s.
 
         A payload made for an input of at least ``MIN_BYTES`` is staged
         for ``commit``.
         """
         if len(data) < MIN_BYTES or not _SUPPORTED:
-            return make()
+            return adopt(make())
         name = _entry_name(data, key)
         payload = _read_entry(name)
-        if payload is not None and fits(payload):
-            return payload
+        if payload is not None and (value := adopt(payload)) is not None:
+            return value
         payload = make()
         self._staged.append((name, payload))
-        return payload
+        return adopt(payload)
 
     def commit(self) -> None:
         """Write the staged entries; call it only when the command has succeeded."""

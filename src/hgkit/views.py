@@ -7,8 +7,8 @@ demand from the dual incidence indexes and copy nothing;
 :func:`materialize` freezes any graph into a :class:`MaterializedGraph`
 that reads each row once, for a caller that runs several kernels.
 :class:`CoMemberTable` packs the two-section graph into three flat
-arrays of ints, which the CLI's load cache stores as bytes; it is made
-by :func:`co_member_tallies`, the walk that ``s_adjacency`` also reads.
+arrays of ints, and gives the load cache their bytes; it is made by
+:func:`co_member_tallies`, the walk that ``s_adjacency`` also reads.
 :func:`upper_rows` is the one walk that visits each edge once.
 """
 
@@ -220,7 +220,7 @@ class CoMemberTable:
     filter of the table, and a kernel that weighs a row in any order
     gets the ``TwoSectionView``'s result whenever its sums of integer
     weights are exact.  The sequences are taken as they are: the
-    arrays of :meth:`of`, or memoryviews cast over their bytes.
+    arrays of :meth:`of`, or the memoryviews of :meth:`from_payload`.
     """
 
     __slots__ = ("n_nodes", "ids", "counts", "ends", "_node")
@@ -247,6 +247,27 @@ class CoMemberTable:
                 counts.fromlist(list(tally.values()))
             ends.append(len(ids))
         return cls(ids, counts, array(_typecode(len(ids)), ends))
+
+    def payload(self) -> tuple[str, bytes, bytes, bytes]:
+        """The typecodes of the ids, counts and ends, then the bytes of each, as :meth:`from_payload` reads them."""
+        views = [memoryview(a) for a in (self.ids, self.counts, self.ends)]
+        return ("".join([v.format for v in views]), *[v.tobytes() for v in views])
+
+    @classmethod
+    def from_payload(cls, payload: object) -> "CoMemberTable | None":
+        """The table cast over the bytes of a :meth:`payload`, or None for any other shape."""
+        if type(payload) is not tuple or len(payload) != 4 or type(payload[0]) is not str or len(payload[0]) != 3:
+            return None
+        codes, *blobs = payload
+        if not set(codes) <= set("BHIQ") or any(type(b) is not bytes for b in blobs):
+            return None
+        try:
+            ids, counts, ends = [memoryview(b).cast(c) for c, b in zip(codes, blobs)]
+        except TypeError:  # a length that is not a whole number of items
+            return None
+        if len(ids) != len(counts) or not ends or ends[0] != 0 or ends[-1] != len(ids):
+            return None
+        return cls(ids, counts, ends)
 
     def rows(self) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
         """Each node's (neighbours, counts) slices, in node order."""

@@ -584,6 +584,45 @@ class TestRerun:
         assert lines[1].startswith("error: out/scores.csv digest changed (000000000000 -> ")
         assert dst.read_bytes() == before
 
+    # Each edit of a recorded output, and the first line rerun names for it.
+    OUTPUT_EDITS = {
+        "line-3": (lambda lines: lines[:2] + [lines[2] + b"0"] + lines[3:], "line 3"),
+        "line-1": (lambda lines: [b"v" + lines[0]] + lines[1:], "line 1"),
+        "appended": (lambda lines: lines + [b"9,,0", b""], "end of file"),
+        "cut": (lambda lines: lines[:3], "end of file"),
+    }
+
+    @pytest.mark.parametrize("edit", list(OUTPUT_EDITS))
+    @pytest.mark.parametrize("recorded", ["kept", "zeroed"])
+    def test_changed_output_names_its_first_differing_line(self, tmp_path, capsys, monkeypatch, edit, recorded):
+        dst = self._relative_run(tmp_path, capsys, monkeypatch)
+        manifest = dst.with_name("scores.csv.manifest.json")
+        if recorded == "zeroed":
+            # The replay's digest changes too.
+            doc = json.loads(manifest.read_text())
+            doc["outputs"][0]["sha256"] = "0" * 64
+            manifest.write_text(json.dumps(doc))
+        lines = dst.read_bytes().split(b"\n")
+        assert len(lines) == 7 and lines[-1] == b""
+        change, where = self.OUTPUT_EDITS[edit]
+        dst.write_bytes(b"\n".join(change(lines)))
+        code, _, err = run(capsys, "rerun", str(manifest))
+        assert code == 1
+        *digests, last = err.splitlines()
+        assert len(digests) == (2 if recorded == "zeroed" else 1)
+        assert last == f"error: out/scores.csv first differs from its replay at {where}"
+
+    def test_first_difference(self):
+        for a, b, where in (
+            (b"a\nb\nc\n", b"a\nb\nd\n", "line 3"),
+            (b"a\nb", b"a\nbc\n", "end of file"),
+            (b"", b"x", "end of file"),
+            (b"x\n", b"y\n", "line 1"),
+            # A carriage return ends no line.
+            (b"a\rb\nc", b"a\rb\nd", "line 2"),
+        ):
+            assert cli._first_difference(a, b) == cli._first_difference(b, a) == where
+
     def test_manifest_with_removed_flag_exits_3(self, tmp_path, capsys):
         src = tmp_path / "path.hgf"
         src.write_text(PATH5)
@@ -1541,6 +1580,16 @@ class TestLoadCache:
         monkeypatch.setattr(loadcache, "_read_entry", lambda name: names.append(name) or read(name))
         assert run(capsys, *argv)[0] == 0
         assert names == [entry.name for entry in wanted]
+
+    def test_a_warm_dot_twosection_constructs_one_table(self, tmp_path, capsys, monkeypatch):
+        src = self.write_input(tmp_path, "scenes-json")
+        argv, out = self.argv("dot-twosection", src, "scenes-json", tmp_path / "out")
+        cold = self.outcome(capsys, argv, out)
+        made = []
+        init = CoMemberTable.__init__
+        monkeypatch.setattr(CoMemberTable, "__init__", lambda self, *rest: made.append(self) or init(self, *rest))
+        assert self.outcome(capsys, argv, out) == cold
+        assert len(made) == 1
 
     def test_the_table_entry_is_the_same_after_a_parse_or_an_adoption(self, tmp_path, capsys):
         src = self.write_input(tmp_path, "reviews-csv")

@@ -2,7 +2,7 @@
 
 The package kernels must reproduce the reference loops exactly: the
 same partition and iteration count for every seed, the same iteration
-order of every s-adjacency neighbour set, and ``==`` on every
+order of every s-adjacency row, and ``==`` on every
 betweenness float.
 """
 
@@ -252,8 +252,8 @@ def _assert_brandes_matches_reference(nbrs: list[set[int]]) -> None:
     assert all(got[v] == want[v] for v in want)
 
 
-def _dense_vertices(nbrs: list[set[int]]) -> set[int]:
-    bit, _, _ = _dense_masks([[]] + [list(x) for x in nbrs])
+def _dense_vertices(nbrs: list[tuple[int, ...]]) -> set[int]:
+    bit, _, _ = _dense_masks([(), *nbrs])
     return {v for v in range(1, len(nbrs) + 1) if bit[v]}
 
 
@@ -273,7 +273,7 @@ def _sigma_levels(nbrs: list[set[int]], src: int) -> list[set[int]]:
         levels.append(list(nxt))
 
 
-def _graph(n: int, edges: list[tuple[int, int]], rng: random.Random, s: int = 1) -> list[set[int]]:
+def _graph(n: int, edges: list[tuple[int, int]], rng: random.Random, s: int = 1) -> list[tuple[int, ...]]:
     """The s-adjacency of the edges under shuffled vertex ids, each edge repeated s times."""
     ids = list(range(1, n + 1))
     rng.shuffle(ids)
@@ -404,6 +404,20 @@ def test_s_adjacency_matches_reference_in_iteration_order(s):
         assert (got.s, got.n_nodes) == (want.s, want.n_nodes)
         assert [list(x) for x in got._nbrs] == [list(x) for x in want._nbrs]
         assert _brandes(got._nbrs) == _brandes(want._nbrs)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_s_adjacency_rows_are_the_tuples_brandes_reads(s):
+    empty = ()
+    for h in CASES + _overlap_cases(10, 80):
+        want = reference_s_adjacency(h, s)._nbrs
+        for got in (s_adjacency(h, s)._nbrs, s_adjacency(h, s, CoMemberTable.of(h))._nbrs):
+            assert all(type(row) is tuple for row in got)
+            # Every vertex without s-neighbours shares the one empty tuple.
+            assert all(row is empty for row in got if not row)
+            # The reference's sets iterate in the rows' order, and score the same.
+            assert [list(x) for x in want] == [list(row) for row in got]
+            assert _brandes(got) == _brandes(want)
 
 
 def _review_shaped_case(seed: int) -> Hypergraph:

@@ -152,3 +152,48 @@ class TestCoMemberTable:
             table = CoMemberTable.of(h)
             oracle = two_section_adjacency(h)
             assert [table.neighbors(v) for v in h.vertices()] == [oracle[v] for v in h.vertices()]
+
+    @staticmethod
+    def table_rows(table: CoMemberTable) -> list[tuple[list[int], list[int]]]:
+        return [(list(ids), list(counts)) for ids, counts in table.rows()]
+
+    def test_a_payload_casts_back_to_the_same_table(self, triangle_pair):
+        rng = random.Random(7)
+        wide = hypergraph_from_edges(300, [tuple(range(1, 301))] + [(1, 2)] * 255)
+        for h in [triangle_pair, wide, Hypergraph()] + [random_hypergraph(rng, max_n=9, max_k=7) for _ in range(30)]:
+            packed = CoMemberTable.of(h)
+            cast = CoMemberTable.from_payload(packed.payload())
+            # A packed table holds arrays, a cast one memoryviews over the payload's bytes.
+            assert type(packed.ids) is not type(cast.ids)
+            for table in (packed, cast):
+                back = CoMemberTable.from_payload(table.payload())
+                assert back.n_nodes == table.n_nodes == h.nhv
+                assert self.table_rows(back) == self.table_rows(table) == self.table_rows(packed)
+                assert back.payload() == packed.payload()
+
+    # Each payload of the wrong shape, made from a table's own (codes, ids, counts, ends).
+    WRONG_PAYLOADS = {
+        "list": lambda codes, ids, counts, ends: [codes, ids, counts, ends],
+        "3-tuple": lambda codes, ids, counts, ends: (codes, ids, counts),
+        "two-codes": lambda codes, ids, counts, ends: (codes[:2], ids, counts, ends),
+        "float-codes": lambda codes, ids, counts, ends: ("ddd", ids, counts, ends),
+        "part-item": lambda codes, ids, counts, ends: (codes, ids + b"\0", counts, ends),
+        "fewer-counts": lambda codes, ids, counts, ends: (codes, ids, counts[:-1], ends),
+        "short-ends": lambda codes, ids, counts, ends: (codes, ids, counts, ends[: len(ends) // 2]),
+        "no-ends": lambda codes, ids, counts, ends: (codes, ids, counts, b""),
+        "text-ids": lambda codes, ids, counts, ends: (codes, ids.decode("latin-1"), counts, ends),
+    }
+
+    @pytest.mark.parametrize("shape", list(WRONG_PAYLOADS))
+    def test_a_payload_of_another_shape_is_refused(self, shape):
+        # 300 vertices: 2-byte ids, so one more byte is part of an item.
+        h = hypergraph_from_edges(300, [tuple(range(1, 301))] + [(1, 2)] * 3)
+        payload = CoMemberTable.of(h).payload()
+        assert payload[0] == "HBI"
+        assert CoMemberTable.from_payload(self.WRONG_PAYLOADS[shape](*payload)) is None
+
+    def test_a_hypergraph_payload_is_refused(self, triangle_pair):
+        h = triangle_pair
+        rows = (h._v2he, h._he2v, h._vmeta, h._hemeta)
+        for payload in ((*rows, None), rows, None, ()):
+            assert CoMemberTable.from_payload(payload) is None
