@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
-from typing import Callable, Iterable
+from collections import Counter
+from typing import Callable, Iterable, Iterator
 
 from .centrality import CentralityVector
 from .errors import (
@@ -46,34 +46,57 @@ VertexSelector = Callable[[Hypergraph, int, int, random.Random], int]
 # --- connectivity ------------------------------------------------------------
 
 
+# Id to list index, mapped in C: the rows of both indexes sit at id - 1.
+_index = (-1).__add__
+
+
+def _components(h: Hypergraph) -> Iterator[set[int] | int]:
+    """Each component of ``h`` in order of smallest vertex id: its vertex
+    set, or the bare id of a vertex with no incident hyperedge.
+
+    The search runs a level at a time in C set operations: the union of
+    the member rows of the hyperedges reached last, less the component,
+    gives the new vertices; the union of their rows, less the hyperedges
+    reached last, gives the next hyperedges.  No hyperedge reached before
+    that can come back, since all its members joined the component by the
+    level after it, so no set of every hyperedge seen is kept.
+    """
+    v2he, he2v = h._v2he, h._he2v
+    placed = bytearray(len(v2he) + 1)
+    for start, row in enumerate(v2he, start=1):
+        if not row:
+            yield start
+            continue
+        if placed[start]:
+            continue
+        component = {start}
+        edges = set(row)
+        while edges:
+            new = set().union(*map(he2v.__getitem__, map(_index, edges)))
+            new -= component
+            later = set().union(*map(v2he.__getitem__, map(_index, new)))
+            later -= edges
+            edges = later
+            # The differences run in place, the smaller set joins the larger
+            # and ``new`` goes before the next union, so at any time about
+            # one level's sets are alive beside the component.
+            if len(new) > len(component):
+                component, new = new, component
+            component |= new
+            del new
+        for v in component:
+            placed[v] = 1
+        yield component
+
+
 def connected_components(h: Hypergraph) -> list[set[int]]:
     """Vertex sets reachable through alternating vertex/hyperedge hops.
 
     Vertices with no incident hyperedge come back as singletons.  The
-    list is ordered by each component's smallest vertex id.
+    list is ordered by each component's smallest vertex id.  The cost is
+    one C set pass per search level, O(n + incidences) in all.
     """
-    seen = [False] * h.nhv
-    seen_edge = [False] * h.nhe
-    components: list[set[int]] = []
-    for start in h.vertices():
-        if seen[start - 1]:
-            continue
-        component = {start}
-        seen[start - 1] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for e in h._v2he[v - 1]:
-                if seen_edge[e - 1]:
-                    continue
-                seen_edge[e - 1] = True
-                for u in h._he2v[e - 1]:
-                    if not seen[u - 1]:
-                        seen[u - 1] = True
-                        component.add(u)
-                        queue.append(u)
-        components.append(component)
-    return components
+    return [c if type(c) is set else {c} for c in _components(h)]
 
 
 def induced_subhypergraph(
@@ -191,10 +214,9 @@ class DegreeSummary:
 
 
 def degree_summary(h: Hypergraph) -> DegreeSummary:
-    degrees = {v: len(h._v2he[v - 1]) for v in h.vertices()}
-    sizes = Counter(
-        len(h._he2v[e - 1]) for e in h.hyperedges() if h._he2v[e - 1]
-    )
+    degrees = dict(enumerate(map(len, h._v2he), start=1))
+    sizes = Counter(map(len, h._he2v))
+    del sizes[0]
     return DegreeSummary(
         degrees=degrees,
         volume=sum(degrees.values()),

@@ -54,6 +54,9 @@ DEFAULT_WEIGHT = 1.0
 # digit limit (``sys.set_int_max_str_digits`` takes no limit below 640).
 _SPELLED_LOW, _SPELLED_HIGH = -(10**640), 10**640
 
+# The types of a collection of plain ints, built once rather than per call.
+_INT_ONLY = frozenset({int})
+
 
 def _spelled(value: int) -> bool:
     """Whether Python spells ``value`` in decimal under its digit limit."""
@@ -107,7 +110,7 @@ def check_ints(values: Collection[Any], low: int | None, high: int | None, error
     """
     floor = _SPELLED_LOW if low is None else low - 1
     ceiling = _SPELLED_HIGH if high is None else high + 1
-    if not values or (set(map(type, values)) == {int} and floor < min(values) and max(values) < ceiling):
+    if not values or (set(map(type, values)) == _INT_ONLY and floor < min(values) and max(values) < ceiling):
         return True
     for value in values:
         check_int(value, low, high, error, what)
@@ -142,11 +145,14 @@ def _as_weight_map(memberships: Any, n: int, error: type[Exception], noun: str) 
     """
     if memberships is None:
         return {}
-    if isinstance(memberships, Mapping):
+    # A list or tuple is tested first: the Mapping ABC check costs more than the rest of a small call.
+    if type(memberships) in (list, tuple):
+        ids, members = memberships, dict.fromkeys(memberships, DEFAULT_WEIGHT)
+    elif isinstance(memberships, Mapping):
         ids = members = {i: check_weight(w) for i, w in memberships.items()}
     else:
         # The raw ids, not the deduplicated keys: [1, True] must fail too.
-        ids = memberships if type(memberships) in (list, tuple) else list(memberships)
+        ids = list(memberships)
         members = dict.fromkeys(ids, DEFAULT_WEIGHT)
     if not check_ints(ids, 1, n, error, noun):
         members = {int(i): w for i, w in members.items()}
@@ -263,7 +269,7 @@ class Hypergraph:
     @property
     def incidence_count(self) -> int:
         """Number of present (vertex, hyperedge) cells."""
-        return sum(len(row) for row in self._v2he)
+        return sum(map(len, self._v2he))
 
     def vertices(self) -> range:
         return range(1, self.nhv + 1)
@@ -286,12 +292,12 @@ class Hypergraph:
     def get_hyperedges(self, v: int) -> WeightMap:
         """Snapshot of {hyperedge id: weight} for the hyperedges containing v."""
         self._check_vertex(v)
-        return dict(self._v2he[v - 1])
+        return self._v2he[v - 1].copy()
 
     def get_vertices(self, e: int) -> WeightMap:
         """Snapshot of {vertex id: weight} for the members of e."""
         self._check_hyperedge(e)
-        return dict(self._he2v[e - 1])
+        return self._he2v[e - 1].copy()
 
     def get_weight(self, v: int, e: int) -> float | None:
         self._check_vertex(v)

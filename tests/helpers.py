@@ -24,7 +24,10 @@ modularity must reproduce bit for bit; ``reference_add_vertex``,
 ``reference_add_hyperedge``, ``reference_as_weight_map`` and
 ``reference_check_dual_consistency`` are the per-member id checks and
 the two-direction cell walk that the batched id check and the one-pass
-consistency check must agree with.  ``EdgeListGraph`` is the oracles' own
+consistency check must agree with; ``reference_connected_components``
+(a union-find over the hyperedge index) and ``reference_degree_tallies``
+(counts taken cell by cell from the hyperedge index) are what the
+set-algebra components and the ``len`` tallies must agree with.  ``EdgeListGraph`` is the oracles' own
 frozen graph: a canonical edge list whose rows are built from it.
 ``same_blocks`` compares two partitions' communities whatever their labels.
 """
@@ -671,11 +674,13 @@ def _reference_check_ratings(ratings: Mapping[int, float], n: int) -> None:
         raise DomainMismatchError(f"ratings missing for vertices {missing[:5]}")
 
 
-def reference_forecast_hypergraph(h: Hypergraph, ratings: Mapping[int, float]) -> dict[int, float | None]:
-    """Predict each vertex's rating from its hyperedge neighborhoods."""
+def reference_forecast_hypergraph(
+    h: Hypergraph, ratings: Mapping[int, float], vertices: Iterable[int] | None = None
+) -> dict[int, float | None]:
+    """Predict each vertex's rating (only those of ``vertices``, if given) from its hyperedge neighborhoods."""
     _reference_check_ratings(ratings, h.nhv)
     out: dict[int, float | None] = {}
-    for u in h.vertices():
+    for u in h.vertices() if vertices is None else vertices:
         per_edge: list[float] = []
         for e in h._v2he[u - 1]:
             members = h._he2v[e - 1]
@@ -851,6 +856,45 @@ def reference_check_dual_consistency(h: Hypergraph) -> bool:
             if h._v2he[v - 1].get(e) != w:
                 return False
     return True
+
+
+# --- components and degree tallies ------------------------------------------------------
+
+
+def reference_connected_components(h: Hypergraph) -> list[set[int]]:
+    """Union-find over each hyperedge's members, read from the hyperedge index only."""
+    parent = list(range(h.nhv + 1))
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for column in h._he2v:
+        members = list(column)
+        for v in members[1:]:
+            a, b = root(members[0]), root(v)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    blocks: dict[int, set[int]] = {}
+    for v in range(1, h.nhv + 1):
+        blocks.setdefault(root(v), set()).add(v)
+    return sorted(blocks.values(), key=min)
+
+
+def reference_degree_tallies(h: Hypergraph) -> tuple[dict[int, int], dict[int, int], int]:
+    """Each vertex's degree, the nonempty hyperedge size counts and the cell count, cell by cell from the hyperedge index."""
+    degrees = dict.fromkeys(range(1, h.nhv + 1), 0)
+    size_counts: dict[int, int] = {}
+    cells = 0
+    for column in h._he2v:
+        for v in column:
+            degrees[v] += 1
+            cells += 1
+        if column:
+            size_counts[len(column)] = size_counts.get(len(column), 0) + 1
+    return degrees, dict(sorted(size_counts.items())), cells
 
 
 # --- misc -------------------------------------------------------------------------------

@@ -38,6 +38,8 @@ from helpers import (
     newman_modularity_exact,
     random_hypergraph,
     random_partition,
+    reference_connected_components,
+    reference_degree_tallies,
     two_section_adjacency,
 )
 
@@ -100,6 +102,50 @@ class TestConnectedComponents:
                             queue.append(y)
                 comps.append(block)
             assert connected_components(h) == comps
+
+    def test_matches_union_find_after_seeded_mutation_streams(self):
+        # Swap-removals move rows, cleared cells leave isolated vertices and
+        # empty hyperedges; the oracle reads only the hyperedge index.
+        rng = random.Random(2028)
+        shapes = {"remap": 0, "isolated": 0, "empty": 0}
+        for _ in range(40):
+            h = random_hypergraph(rng, max_n=30, max_k=20)
+            for step in range(rng.randint(10, 80)):
+                op = rng.randrange(6)
+                if op == 0:
+                    h.add_vertex(rng.sample(range(1, h.nhe + 1), min(h.nhe, rng.randint(0, 3))))
+                elif op == 1:
+                    h.add_hyperedge(rng.sample(range(1, h.nhv + 1), min(h.nhv, rng.randint(0, 6))))
+                elif op == 2 and h.nhv:
+                    shapes["remap"] += bool(h.remove_vertex(rng.randint(1, h.nhv)))
+                elif op == 3 and h.nhe:
+                    shapes["remap"] += bool(h.remove_hyperedge(rng.randint(1, h.nhe)))
+                elif h.nhv and h.nhe:
+                    h.set_weight(rng.randint(1, h.nhv), rng.randint(1, h.nhe), None if op == 4 else 2.0)
+                if step % 10 == 0:
+                    self.assert_matches_references(h)
+            self.assert_matches_references(h)
+            shapes["isolated"] += sum(not row for row in h._v2he)
+            shapes["empty"] += sum(not column for column in h._he2v)
+        assert all(shapes.values()), shapes
+
+    def test_many_isolated_vertices(self):
+        h = Hypergraph(200_000, 0)
+        h.add_hyperedge([199_999, 3, 200_000])
+        h.add_hyperedge([])
+        h.add_hyperedge([5, 3])
+        components = connected_components(h)
+        assert len(components) == 200_000 - 3
+        assert components[:5] == [{1}, {2}, {3, 5, 199_999, 200_000}, {4}, {6}]
+        self.assert_matches_references(h)
+
+    @staticmethod
+    def assert_matches_references(h: Hypergraph) -> None:
+        assert connected_components(h) == reference_connected_components(h)
+        degrees, size_counts, cells = reference_degree_tallies(h)
+        summary = degree_summary(h)
+        assert (summary.degrees, summary.size_counts, summary.volume) == (degrees, size_counts, cells)
+        assert h.incidence_count == cells
 
 
 class TestRandomWalk:

@@ -31,7 +31,14 @@ from hgkit import (
 from hgkit import centrality, cli, hgio, loadcache, views
 from hgkit.cli import _read_scores_csv, main
 
-from helpers import hypergraph_from_edges, same_blocks, seeded_reviews_csv, seeded_scenes_json
+from helpers import (
+    hypergraph_from_edges,
+    random_hypergraph,
+    reference_connected_components,
+    same_blocks,
+    seeded_reviews_csv,
+    seeded_scenes_json,
+)
 
 GOLDEN = "3 2\n1=1.0 2=1.0\n2=1.5 3=1.0\n"
 PATH5 = "5 4\n1=1.0 2=1.0\n2=1.0 3=1.0\n3=1.0 4=1.0\n4=1.0 5=1.0\n"
@@ -80,6 +87,20 @@ class TestStats:
             "hyperedge-size-histogram:\n"
             "degree-histogram:\n"
         )
+
+    def test_component_lines_match_union_find(self, tmp_path, capsys):
+        # Isolated vertices are counted without a set each; the lines must not change.
+        rng = random.Random(2029)
+        for i in range(30):
+            h = random_hypergraph(rng, max_n=25, max_k=12)
+            if i % 3 == 0:
+                h.add_vertex()
+            src = tmp_path / f"g{i}.hgf"
+            src.write_text(write_hgf(h))
+            code, out, _ = run(capsys, "stats", "--input", str(src))
+            parts = sorted(map(len, reference_connected_components(h)), reverse=True)
+            lines = f"components: {len(parts)}\n" + f"component-sizes: {' '.join(map(str, parts))}".rstrip() + "\n"
+            assert code == 0 and lines in out
 
     def test_output_file_and_manifest(self, tmp_path, capsys):
         src = tmp_path / "g.hgf"

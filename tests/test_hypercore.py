@@ -9,6 +9,8 @@ import random
 import sys
 import time
 import tracemalloc
+import types
+from collections import UserDict
 from pathlib import Path
 from typing import Callable
 
@@ -195,11 +197,17 @@ class TestMutation:
         assert h.degree(1) == 0
 
     def test_snapshots_are_copies(self):
-        h = Hypergraph(1, 1)
+        h = Hypergraph(2, 1)
         h.set_weight(1, 1, 1.0)
-        snap = h.get_hyperedges(1)
-        snap[99] = 123.0
-        assert h.get_hyperedges(1) == {1: 1.0}
+        rows, columns = h.get_hyperedges(1), h.get_vertices(1)
+        assert type(rows) is dict and type(columns) is dict
+        rows[99] = columns[99] = 123.0
+        assert (h.get_hyperedges(1), h.get_vertices(1)) == ({1: 1.0}, {1: 1.0})
+        # Nor does a later edit of the hypergraph reach a snapshot.
+        h.set_weight(1, 1, 2.0)
+        h.set_weight(2, 1, 1.0)
+        assert (rows, columns) == ({1: 1.0, 99: 123.0}, {1: 1.0, 99: 123.0})
+        assert h.check_dual_consistency()
 
 
 class TestEqualityAndCopy:
@@ -267,6 +275,48 @@ class TestMemberIds:
         assert {type(i) for row in cells for i in row} == {int}
         assert h.get_vertices(e) == {1: 1.0, 2: 1.0, v: 2.0}
 
+    @pytest.mark.parametrize(
+        "make, got",
+        [
+            (lambda: [1, True], "True"),
+            (lambda: (True,), "True"),
+            (lambda: [_Id.NINE], "<_Id.NINE: 9>"),
+            (lambda: _Ids([2, 5]), "5"),
+            (lambda: (i for i in (1, 4)), "4"),
+            (lambda: range(0, 2), "0"),
+            (lambda: {1: 1.0, 0: 2.0}, "0"),
+            (lambda: {True: 1.0}, "True"),
+            (lambda: types.MappingProxyType({4: 1.0}), "4"),
+            (lambda: UserDict({-1: 1.0}), "-1"),
+            (lambda: [1, 2.0], "2.0"),
+            (lambda: "12", "'1'"),
+            (lambda: [10**5000], "a positive integer of 5001 digits"),
+        ],
+        ids=[
+            "bool-in-list", "bool-in-tuple", "int-subclass", "list-subclass", "generator", "range",
+            "mapping", "mapping-bool-key", "mapping-proxy", "user-dict", "float", "str", "huge",
+        ],
+    )
+    def test_each_membership_shape_names_its_first_bad_id(self, make, got):
+        # Lists and tuples are recognised before the Mapping check; every
+        # other shape, and every message, is as when the check came first.
+        for add, error, noun in (
+            (Hypergraph.add_hyperedge, UnknownVertexError, "vertex"),
+            (Hypergraph.add_vertex, UnknownHyperedgeError, "hyperedge"),
+        ):
+            h = Hypergraph(3, 3)
+            with pytest.raises(error) as info:
+                add(h, make())
+            assert str(info.value) == f"{noun} must be an integer in 1..3, got {got}"
+            assert h == Hypergraph(3, 3)
+
+    def test_mapping_weights_are_checked_before_ids(self):
+        for members in ({9: "x"}, types.MappingProxyType({9: "x"})):
+            h = Hypergraph(3, 3)
+            with pytest.raises(NonNumericWeightError, match=r"^weight must be an int or float, got 'x'$"):
+                h.add_hyperedge(members)
+            assert h == Hypergraph(3, 3)
+
     def test_nan_weight_raises_before_bad_id(self):
         nan = float("nan")
         for members in ({0: 1.0, 1: nan}, {1: nan, 9: 1.0}, {-2: nan}):
@@ -278,6 +328,15 @@ class TestMemberIds:
             with pytest.raises(NonFiniteWeightError):
                 reference_add_vertex(h.copy(), members)
             assert h == Hypergraph(2, 2)
+
+
+class _Id(enum.IntEnum):
+    ONE = 1
+    NINE = 9
+
+
+class _Ids(list):
+    pass
 
 
 def _membership_shapes(ids: list, weights: list) -> dict:

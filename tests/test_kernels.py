@@ -8,6 +8,7 @@ betweenness float.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -576,6 +577,37 @@ def test_forecasts_match_reference_bit_for_bit():
             outcomes.add(want if isinstance(want, type) else list)
     # Between them the cases reach finite results, overflow and inf - inf.
     assert outcomes == {list, OverflowError, ValueError}
+
+
+# Signed zeros, the smallest subnormal and normal, the float extremes, both
+# infinities and nan, beside ordinary ratings.
+SPECIAL_RATINGS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, math.inf, -math.inf, math.nan)
+
+
+def test_hypergraph_forecast_matches_reference_on_special_values():
+    # Each hyperedge's leave-one-out sums come from its total when that is
+    # exact in two floats; any other hyperedge is summed member by member.
+    rng = random.Random(4243)
+    outcomes = set()
+    for _ in range(1500):
+        n = rng.randint(2, 9)
+        h = hypergraph_from_edges(n, [tuple(rng.sample(range(1, n + 1), rng.randint(2, n))) for _ in range(rng.randint(1, 3))])
+        ratings = {v: rng.choice(SPECIAL_RATINGS) if rng.random() < 0.4 else rng.uniform(-5.0, 5.0) for v in h.vertices()}
+        want = _outcome(reference_forecast_hypergraph, h, ratings)
+        assert _outcome(forecast_hypergraph, h, ratings) == want, ratings
+        outcomes.add(want if isinstance(want, type) else "nan" if "nan" in str(want) else list)
+    assert outcomes == {list, "nan", OverflowError, ValueError}
+
+
+def test_hypergraph_forecast_of_a_20000_member_hyperedge_matches_reference():
+    rng = random.Random(4244)
+    m = 20_000
+    h = hypergraph_from_edges(m, [tuple(rng.sample(range(1, m + 1), m)), (1, 2), (3, 4, 5)])
+    ratings = {v: rng.uniform(1.0, 5.0) for v in h.vertices()}
+    got = forecast_hypergraph(h, ratings)
+    sample = [1, 2, 3, 4, 5, *rng.sample(range(6, m + 1), 60)]
+    want = reference_forecast_hypergraph(h, ratings, sample)
+    assert [(v, repr(got[v])) for v in sample] == [(v, repr(want[v])) for v in sample]
 
 
 def test_hypergraph_forecast_keeps_member_and_row_order():
