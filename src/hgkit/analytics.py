@@ -27,6 +27,7 @@ from .views import Graph, neighbor_rows, upper_rows
 
 __all__ = [
     "connected_components",
+    "component_sizes",
     "induced_subhypergraph",
     "largest_connected_component",
     "random_walk_step",
@@ -74,16 +75,13 @@ def _components(h: Hypergraph) -> Iterator[set[int] | int]:
         while edges:
             new = set().union(*map(he2v.__getitem__, map(_index, edges)))
             new -= component
+            # A list of the new vertices frees the union's table, sized for
+            # every member reached, before the next union is built.
+            new = [*new]
             later = set().union(*map(v2he.__getitem__, map(_index, new)))
             later -= edges
             edges = later
-            # The differences run in place, the smaller set joins the larger
-            # and ``new`` goes before the next union, so at any time about
-            # one level's sets are alive beside the component.
-            if len(new) > len(component):
-                component, new = new, component
-            component |= new
-            del new
+            component.update(new)
         for v in component:
             placed[v] = 1
         yield component
@@ -97,6 +95,12 @@ def connected_components(h: Hypergraph) -> list[set[int]]:
     one C set pass per search level, O(n + incidences) in all.
     """
     return [c if type(c) is set else {c} for c in _components(h)]
+
+
+def component_sizes(h: Hypergraph) -> Counter[int]:
+    """How many components of ``h`` have each size, isolated vertices
+    counted as 1 without a set built for each."""
+    return Counter(len(c) if type(c) is set else 1 for c in _components(h))
 
 
 def induced_subhypergraph(

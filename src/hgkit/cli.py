@@ -52,13 +52,13 @@ import math
 import os
 import sys
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from . import __version__, hgio, hypercore, loadcache
 from .analytics import (
-    _components,
+    component_sizes,
     graph_modularity,
     hypergraph_modularity,
 )
@@ -257,17 +257,15 @@ def _histogram_line(counts: Counter[int]) -> str:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     h, _ = _load_hypergraph(args, *_read_input(args, args.format))
-    # A vertex with no hyperedge comes as its bare id and counts 1, with no set built for it.
-    component_sizes = Counter(len(c) if type(c) is set else 1 for c in _components(h))
+    components = component_sizes(h)
     sizes = Counter(map(len, h._he2v))
     degrees = Counter(map(len, h._v2he))
     lines = [
         f"vertices: {h.nhv}",
         f"hyperedges: {h.nhe}",
         f"incidences: {h.incidence_count}",
-        f"components: {component_sizes.total()}",
-        "component-sizes: "
-        + " ".join(chain.from_iterable(repeat(str(s), component_sizes[s]) for s in sorted(component_sizes, reverse=True))),
+        f"components: {components.total()}",
+        "component-sizes: " + " ".join(map(str, sorted(components.elements(), reverse=True))),
         "hyperedge-size-histogram: " + _histogram_line(sizes),
         "degree-histogram: " + _histogram_line(degrees),
     ]

@@ -14,7 +14,6 @@ A vertex with no usable hyperedge (or no neighbor) gets None.
 
 from __future__ import annotations
 
-import sys
 from math import fsum
 from operator import mul
 from typing import Callable, Iterable, Mapping
@@ -40,34 +39,12 @@ def _check_ratings(ratings: Mapping[int, float], n: int) -> None:
         raise DomainMismatchError(f"ratings missing for vertices {missing[:5]}")
 
 
-def _leave_one_out_sums(values: list[float]) -> list[float]:
-    """For each of ``values``, the ``fsum`` of the others in their order.
-
-    When the exact total of ``values`` is the float pair ``hi + lo`` and
-    no partial sum can overflow, each sum is ``fsum((hi, lo, -v))``: the
-    same exact sum, rounded once, in O(1) instead of O(|values|).  Any
-    other list, including one holding an inf or a nan, is summed afresh
-    for each value.
-    """
-    m = len(values)
-    # Any inf fails this test, and so does a nan that comes first; a later
-    # nan makes every fsum below nan, so the exactness test fails instead.
-    if max(map(abs, values)) * m < sys.float_info.max:
-        hi = fsum(values)
-        lo = fsum([*values, -hi])
-        if fsum([*values, -hi, -lo]) == 0.0:
-            return [fsum((hi, lo, -v)) for v in values]
-    return [fsum(values[:i] + values[i + 1 :]) for i in range(m)]
-
-
 def forecast_hypergraph(h: Hypergraph, ratings: Mapping[int, float]) -> Predictions:
     """Predict each vertex's rating from its hyperedge neighborhoods.
 
     Each hyperedge's member ratings are read once, and each member's
     leave-one-out mean is the ``fsum`` of the other ratings in member
-    order, found in O(|e|) for the whole hyperedge when its total is
-    exact in two floats (see ``_leave_one_out_sums``).  A vertex averages
-    its means in its incidence row's order.
+    order.  A vertex averages its means in its incidence row's order.
     """
     _check_ratings(ratings, h.nhv)
     rating = ratings.__getitem__
@@ -79,7 +56,8 @@ def forecast_hypergraph(h: Hypergraph, ratings: Mapping[int, float]) -> Predicti
         if m < 2:
             loo.append(None)
             continue
-        means = [total / (m - 1) for total in _leave_one_out_sums(list(map(rating, members)))]
+        values = list(map(rating, members))
+        means = [fsum(values[:i] + values[i + 1 :]) / (m - 1) for i in range(m)]
         loo.append(dict(zip(members, means)))
     out: Predictions = {}
     for u, row in enumerate(h._v2he, start=1):

@@ -54,9 +54,6 @@ DEFAULT_WEIGHT = 1.0
 # digit limit (``sys.set_int_max_str_digits`` takes no limit below 640).
 _SPELLED_LOW, _SPELLED_HIGH = -(10**640), 10**640
 
-# The types of a collection of plain ints, built once rather than per call.
-_INT_ONLY = frozenset({int})
-
 
 def _spelled(value: int) -> bool:
     """Whether Python spells ``value`` in decimal under its digit limit."""
@@ -110,7 +107,7 @@ def check_ints(values: Collection[Any], low: int | None, high: int | None, error
     """
     floor = _SPELLED_LOW if low is None else low - 1
     ceiling = _SPELLED_HIGH if high is None else high + 1
-    if not values or (set(map(type, values)) == _INT_ONLY and floor < min(values) and max(values) < ceiling):
+    if not values or (set(map(type, values)) == {int} and floor < min(values) and max(values) < ceiling):
         return True
     for value in values:
         check_int(value, low, high, error, what)

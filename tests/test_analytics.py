@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
@@ -24,6 +24,7 @@ from hgkit import (
     one_step_distribution,
     random_walk_step,
 )
+from hgkit.analytics import component_sizes
 from hgkit.errors import (
     EmptyGraphError,
     IsolatedVertexError,
@@ -137,11 +138,14 @@ class TestConnectedComponents:
         components = connected_components(h)
         assert len(components) == 200_000 - 3
         assert components[:5] == [{1}, {2}, {3, 5, 199_999, 200_000}, {4}, {6}]
+        assert component_sizes(h) == {1: 200_000 - 4, 4: 1}
         self.assert_matches_references(h)
 
     @staticmethod
     def assert_matches_references(h: Hypergraph) -> None:
-        assert connected_components(h) == reference_connected_components(h)
+        reference = reference_connected_components(h)
+        assert connected_components(h) == reference
+        assert component_sizes(h) == Counter(map(len, reference))
         degrees, size_counts, cells = reference_degree_tallies(h)
         summary = degree_summary(h)
         assert (summary.degrees, summary.size_counts, summary.volume) == (degrees, size_counts, cells)
