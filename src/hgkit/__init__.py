@@ -30,7 +30,6 @@ from .errors import HgkitError
 from .forecast import (
     average_error,
     evaluation_size,
-    forecast_co_members,
     forecast_graph,
     forecast_hypergraph,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "pearson",
     "forecast_hypergraph",
     "forecast_graph",
-    "forecast_co_members",
     "average_error",
     "evaluation_size",
     "read_hgf",

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .hypercore import Hypergraph, IdRemap, check_id
 from .partition import Partition
-from .views import Graph, neighbor_rows, upper_rows
+from .views import Graph, graph_rows
 
 __all__ = [
     "connected_components",
@@ -236,7 +236,7 @@ def degree_centrality(h: Hypergraph) -> CentralityVector:
 def graph_degree_centrality(g: Graph) -> CentralityVector:
     """Score each node by its number of distinct neighbours (co-members in a two-section view)."""
     return CentralityVector(
-        {v: float(len(row)) for v, row in enumerate(neighbor_rows(g), start=1)}
+        {v: float(len(ids)) for v, (ids, _) in enumerate(graph_rows(g), start=1)}
     )
 
 
@@ -301,19 +301,21 @@ def graph_modularity(g: Graph, partition: Partition) -> float:
     Computed per community as (internal weight / total weight) minus
     (community strength / twice total weight) squared.  Each edge
     counts once, from its lower endpoint: nodes ascending, then each
-    row's higher neighbours in row order.  Integer weights are summed
-    into floats as they are, which rounds them as ``float`` would.
+    row's higher neighbours in row order, as :func:`graph_rows` gives
+    them.  Integer weights are summed into floats as they are, which
+    rounds them as ``float`` would.
     """
     labels = partition.labels
-    rows = upper_rows(g)
+    rows = graph_rows(g)
     _check_total(labels, range(1, g.n_nodes + 1), "nodes")
     weights: list[float] = []
     internal: dict[int, float] = {}
     strength: dict[int, float] = {}
-    for u, row, higher in rows:
+    for u, (ids, row_weights) in enumerate(rows, start=1):
         lu = labels[u]
-        for v in higher:
-            w = row[v]
+        for v, w in zip(ids, row_weights):
+            if v <= u:
+                continue
             weights.append(w)
             lv = labels[v]
             strength[lu] = strength.get(lu, 0.0) + w

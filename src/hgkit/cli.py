@@ -29,12 +29,13 @@ and rewrites one whose payload its adopter refuses:
   that reads co-member counts reads it: ``forecast``'s graph route sums
   its slices, ``betweenness`` filters it to the s-adjacency graph,
   ``convert --to dot-twosection`` writes it, and ``communities --algo
-  graph-lp`` unpacks its rows once for LP and modularity.  A hit of the
-  last two loads no hypergraph; a miss packs the loaded one.  Its rows
-  are in ``s_adjacency``'s walk order, ascending hyperedges, then
-  ascending members, not the two-section view's, which graph-LP and
-  ``graph_modularity`` cannot tell apart: their row sums are float sums
-  of small integers, exact in any order, and tied labels are sorted.
+  graph-lp``'s LP and modularity read its slices as any graph's rows.
+  A hit of the last two loads no hypergraph; a miss packs the loaded one.
+  Its rows are in ``s_adjacency``'s walk order, ascending hyperedges,
+  then ascending members, not the two-section view's, which graph-LP
+  and ``graph_modularity`` cannot tell apart: their row sums are float
+  sums of small integers, exact in any order, and tied labels are
+  sorted.
   The entry takes 3.07 MB for the benchmark's 100k-review input (2-byte
   ids, 1-byte counts) and 0.93 MB for its 12k-scene input.
 
@@ -70,7 +71,7 @@ from .errors import (
     FormatError,
     HgkitError,
 )
-from .forecast import average_error, evaluation_size, forecast_co_members, forecast_hypergraph
+from .forecast import average_error, evaluation_size, forecast_graph, forecast_hypergraph
 from .hgio import (
     _csv_chunks,
     _csv_rows,
@@ -85,7 +86,7 @@ from .hgio import (
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import CoMemberTable, materialize
+from .views import CoMemberTable
 
 INPUT_FORMATS = ("hgf", "json", "reviews-csv", "scenes-json")
 
@@ -343,8 +344,7 @@ def cmd_communities(args: argparse.Namespace) -> int:
         part, iterations = hypergraph_label_propagation(h, cfg)
         score = lambda: hypergraph_modularity(h, part)  # noqa: E731
     else:
-        # LP and modularity read the same rows, so they are unpacked once.
-        graph = materialize(_load_co_members(args, *_read_input(args, args.format)))
+        graph = _load_co_members(args, *_read_input(args, args.format))
         part, iterations = graph_label_propagation(graph, cfg)
         score = lambda: graph_modularity(graph, part)  # noqa: E731
     try:
@@ -406,7 +406,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     h, (sums, counts) = _load_hypergraph(args, data, fmt, args.stars)
     ratings = {v: total / n for v, total, n in zip(h.vertices(), sums, counts)}
     hyper = forecast_hypergraph(h, ratings)
-    graph = forecast_co_members(_load_co_members(args, data, fmt, args.stars, h), ratings)
+    graph = forecast_graph(_load_co_members(args, data, fmt, args.stars, h), ratings)
     if evaluation_size(hyper) == 0 and evaluation_size(graph) == 0:
         raise EmptyEvaluationSetError("no vertex received a defined prediction")
     full = args.full_precision

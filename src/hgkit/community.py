@@ -26,12 +26,12 @@ import random
 from collections import Counter, _count_elements
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import DomainMismatchError, EmptyDomainError
 from .hypercore import Hypergraph, check_int
 from .partition import Partition
-from .views import Graph, neighbor_rows
+from .views import Graph, graph_rows
 
 __all__ = [
     "LpConfig",
@@ -144,19 +144,20 @@ def graph_label_propagation(
     (counting the final unchanged one).  Isolated nodes keep their
     initial unique labels.
 
-    Each node's neighbour row is read once per call into a list
-    indexed by node id (slot 0 unused), and labels live in one such
-    list.  Weights are summed in each row's own order, and random draws
-    happen in the same order as a dict-keyed sweep would make them: a
-    fixed seed gives a bit-identical partition and iteration count.
+    Each node's (neighbours, weights) pair is read once per call, from
+    :func:`graph_rows`, into a list indexed by node id (slot 0 unused),
+    and labels live in one such list.  Weights are summed in each row's
+    own order, and random draws happen in the same order as a dict-keyed
+    sweep would make them: a fixed seed gives a bit-identical partition
+    and iteration count.
     """
     cfg = config or LpConfig()
     getrandbits = random.Random(cfg.seed).getrandbits
-    rows = neighbor_rows(g)
+    rows = graph_rows(g)
     n = g.n_nodes
     if n == 0:
         return Partition({}), 0
-    nbrs: list[Mapping[int, float]] = [{}, *rows]
+    nbrs: list[tuple[Collection[int], Collection[float]]] = [((), ()), *rows]
     labels = list(range(n + 1))
     order = list(range(1, n + 1))
     iterations = 0
@@ -164,10 +165,10 @@ def graph_label_propagation(
         _shuffle(order, getrandbits)
         changed = False
         for v in order:
-            row = nbrs[v]
-            if not row:
+            ids, weights = nbrs[v]
+            if not ids:
                 continue
-            tied = _argmax_labels([labels[u] for u in row], row.values())
+            tied = _argmax_labels([labels[u] for u in ids], weights)
             new = tied[0] if len(tied) == 1 else _draw(tied, getrandbits)
             if new != labels[v]:
                 labels[v] = new

@@ -6,26 +6,25 @@ values:
 * hypergraph route - average, over its incident hyperedges with at
   least two members, of the mean rating of the other members
 * graph route - weighted mean of its neighbors' ratings in a graph,
-  such as the two-section view, whose weights count co-occurrences,
-  or in the same graph packed as a :class:`CoMemberTable`
+  such as the two-section view or the same graph packed as a
+  :class:`CoMemberTable`, whose weights count co-occurrences
 
-A vertex with no usable hyperedge (or no neighbor) gets None.
+A vertex with no usable hyperedge, or no neighbor weight, gets None.
 """
 
 from __future__ import annotations
 
 from math import fsum
 from operator import mul
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from .errors import DomainMismatchError, EmptyEvaluationSetError
 from .hypercore import Hypergraph
-from .views import CoMemberTable, Graph, neighbor_rows
+from .views import Graph, graph_rows
 
 __all__ = [
     "forecast_hypergraph",
     "forecast_graph",
-    "forecast_co_members",
     "average_error",
     "evaluation_size",
 ]
@@ -66,46 +65,25 @@ def forecast_hypergraph(h: Hypergraph, ratings: Mapping[int, float]) -> Predicti
     return out
 
 
-def _weighted_means(
-    rows: Iterable[tuple[Iterable[int], Iterable[float]]], rating: Callable[[int], float]
-) -> Predictions:
-    """Each row's weighted mean rating, or None for an empty row; rows are (neighbours, weights) in node order.
-
-    Both sums take ``fsum`` over the row in its own order.  ``fsum``
-    rounds the exact sum once, so any order of a row gives the same
-    bits whenever no partial sum overflows.
-    """
-    out: Predictions = {}
-    for u, (nbrs, weights) in enumerate(rows, start=1):
-        if not weights:
-            out[u] = None
-            continue
-        out[u] = fsum(map(mul, map(rating, nbrs), weights)) / fsum(weights)
-    return out
-
-
 def forecast_graph(g: Graph, ratings: Mapping[int, float]) -> Predictions:
     """Predict each vertex's rating from its weighted neighbours in graph ``g``.
 
-    For a hypergraph, pass its ``TwoSectionView``.  Both sums run over
-    the neighbour row in its own order.
+    For a hypergraph, pass its ``TwoSectionView`` or its
+    ``CoMemberTable``, which is read straight from its slices.  Both
+    sums take ``fsum`` over the row in its own order; ``fsum`` rounds the
+    exact sum once, so any order of a row gives the same bits whenever no
+    partial sum overflows.  A vertex whose weights sum to 0, an empty
+    row included, gets None.
     """
-    rows = neighbor_rows(g)
+    rows = graph_rows(g)
     _check_ratings(ratings, g.n_nodes)
-    return _weighted_means(((nbrs, nbrs.values()) for nbrs in rows), ratings.__getitem__)
-
-
-def forecast_co_members(table: CoMemberTable, ratings: Mapping[int, float]) -> Predictions:
-    """``forecast_graph`` over the two-section graph packed in ``table``, read straight from its slices.
-
-    The predictions are those of ``forecast_graph(TwoSectionView(h),
-    ratings)`` for the hypergraph h that ``table`` packs, bit for bit,
-    whenever no partial sum overflows.
-    """
-    _check_ratings(ratings, table.n_nodes)
-    # The table's ids are 1..n, and a list indexed by vertex reads faster than a mapping.
-    rating = [0.0, *map(ratings.__getitem__, range(1, table.n_nodes + 1))]
-    return _weighted_means(table.rows(), rating.__getitem__)
+    # Neighbours are ids 1..n, and a list indexed by node reads faster than a mapping.
+    rating = [0.0, *map(ratings.__getitem__, range(1, g.n_nodes + 1))].__getitem__
+    out: Predictions = {}
+    for u, (nbrs, weights) in enumerate(rows, start=1):
+        total = fsum(weights)
+        out[u] = fsum(map(mul, map(rating, nbrs), weights)) / total if total else None
+    return out
 
 
 def evaluation_size(predictions: Predictions) -> int:

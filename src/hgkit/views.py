@@ -1,15 +1,17 @@
 """Read-only graph views over a hypergraph, and the one protocol graph kernels read.
 
 Every graph kernel reads a :class:`Graph`: ``n_nodes`` plus
-``neighbors(v)``, a mapping of neighbour to edge weight.
+``neighbors(v)``, a mapping of neighbour to edge weight.  Whole-graph
+kernels read it through :func:`graph_rows`, each node's (neighbours,
+weights) pair in node order.
 :class:`BipartiteView` and :class:`TwoSectionView` derive each row on
 demand from the dual incidence indexes and copy nothing;
 :func:`materialize` freezes any graph into a :class:`MaterializedGraph`
 that reads each row once, for a caller that runs several kernels.
 :class:`CoMemberTable` packs the two-section graph into three flat
-arrays of ints, and gives the load cache their bytes; it is made by
-:func:`co_member_tallies`, the walk that ``s_adjacency`` also reads.
-:func:`upper_rows` is the one walk that visits each edge once.
+arrays of ints, serves its rows as slices of them, and gives the load
+cache their bytes; it is made by :func:`co_member_tallies`, the walk
+that ``s_adjacency`` also reads.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from array import array
 from collections import _count_elements
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from .errors import UnknownNodeError, UnknownVertexError
 from .hypercore import Hypergraph, check_id
@@ -30,8 +32,7 @@ __all__ = [
     "CoMemberTable",
     "co_member_counts",
     "co_member_tallies",
-    "neighbor_rows",
-    "upper_rows",
+    "graph_rows",
     "materialize",
 ]
 
@@ -41,7 +42,12 @@ class Graph(Protocol):
     """A weighted graph on nodes 1..n_nodes, as every graph kernel reads it.
 
     ``neighbors(v)`` maps each neighbour of node v to the edge weight;
-    kernels that sum weights do so in the row's iteration order.
+    kernels that sum weights do so in the row's iteration order.  A graph
+    may also have ``rows()``, every node's (neighbours, weights) pair in
+    node order, each pair in its ``neighbors`` row's order; whole-graph
+    kernels then read those pairs through :func:`graph_rows` instead.
+    Only :class:`CoMemberTable` has it, and its pairs are slices of its
+    arrays.
     """
 
     n_nodes: int
@@ -49,24 +55,23 @@ class Graph(Protocol):
     def neighbors(self, v: int) -> Mapping[int, float]: ...
 
 
-def neighbor_rows(g: Graph) -> Iterator[Mapping[int, float]]:
-    """Every node's neighbour row in node order, each read when reached.
-
-    Raises ``TypeError`` at once for an object that is not a graph.
-    """
+def _check_graph(g: object) -> None:
     if not isinstance(g, Graph):
         raise TypeError(f"expected a weighted graph, got {type(g).__name__}")
-    return map(g.neighbors, range(1, g.n_nodes + 1))
 
 
-def upper_rows(g: Graph) -> Iterator[tuple[int, Mapping[int, float], list[int]]]:
-    """``(u, row, higher)`` for u = 1..n ascending: u's row and its neighbours above u.
+def graph_rows(g: Graph) -> Iterator[tuple[Collection[int], Collection[float]]]:
+    """Every node's (neighbours, weights) pair in node order, each read when reached.
 
-    ``higher`` keeps the row's order; its pairs (u, v) visit every edge once, at
-    its lower endpoint.  Raises ``TypeError`` at once for an object that is not a graph.
+    The pairs are ``g.rows()`` when ``g`` has that method, and otherwise
+    each ``neighbors(v)`` row with its ``values()``.  Raises
+    ``TypeError`` at once for an object that is not a graph.
     """
-    rows = neighbor_rows(g)
-    return ((u, row, [v for v in row if v > u]) for u, row in enumerate(rows, start=1))
+    _check_graph(g)
+    rows = getattr(g, "rows", None)
+    if rows is not None:
+        return rows()
+    return ((row, row.values()) for row in map(g.neighbors, range(1, g.n_nodes + 1)))
 
 
 def co_member_counts(rows: Iterable[Iterable[int]]) -> dict[int, int]:
@@ -207,7 +212,7 @@ class MaterializedGraph:
     @property
     def edges(self) -> list[tuple[int, int, float]]:
         """Every edge once as (u, v, weight) with u < v, sorted ascending, weights as floats."""
-        return [(u, v, float(row[v])) for u, row, higher in upper_rows(self) for v in sorted(higher)]
+        return [(u, v, float(row[v])) for u, row in enumerate(self._rows, start=1) for v in sorted(row) if v > u]
 
 
 class CoMemberTable:
@@ -223,12 +228,11 @@ class CoMemberTable:
     arrays of :meth:`of`, or the memoryviews of :meth:`from_payload`.
     """
 
-    __slots__ = ("n_nodes", "ids", "counts", "ends", "_node")
+    __slots__ = ("n_nodes", "ids", "counts", "ends")
 
     def __init__(self, ids: Sequence[int], counts: Sequence[int], ends: Sequence[int]) -> None:
         self.ids, self.counts, self.ends = ids, counts, ends
         self.n_nodes = len(ends) - 1
-        self._node: Callable[[int], int] | None = None
 
     @classmethod
     def of(cls, h: Hypergraph) -> "CoMemberTable":
@@ -275,18 +279,13 @@ class CoMemberTable:
         return ((ids[a:b], counts[a:b]) for a, b in zip(ends, islice(ends, 1, None)))
 
     def neighbors(self, v: int) -> dict[int, int]:
-        """Map of co-member vertex -> number of shared hyperedges, keyed in the table's order.
-
-        Every row read keys its dict with the same int object per vertex,
-        so rows held together cost what a hypergraph's rows cost.
-        """
+        """Map of co-member vertex -> number of shared hyperedges, keyed in the table's order."""
         check_id(v, self.n_nodes, UnknownVertexError, "vertex")
-        if self._node is None:
-            self._node = list(range(self.n_nodes + 1)).__getitem__
         a, b = self.ends[v - 1], self.ends[v]
-        return dict(zip(map(self._node, self.ids[a:b]), self.counts[a:b]))
+        return dict(zip(self.ids[a:b], self.counts[a:b]))
 
 
 def materialize(view: Graph) -> MaterializedGraph:
     """Freeze any graph, a view included, into a MaterializedGraph."""
-    return MaterializedGraph(list(neighbor_rows(view)))
+    _check_graph(view)
+    return MaterializedGraph(list(map(view.neighbors, range(1, view.n_nodes + 1))))

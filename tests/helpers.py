@@ -695,16 +695,19 @@ def reference_forecast_hypergraph(
 def reference_forecast_graph(
     g: Hypergraph | TwoSectionView, ratings: Mapping[int, float]
 ) -> dict[int, float | None]:
-    """Predict each vertex's rating from its weighted two-section neighbors."""
+    """Predict each vertex's rating from its weighted two-section neighbors.
+
+    A vertex whose weights sum to 0, an empty row included, gets None.
+    """
     view = TwoSectionView(g) if isinstance(g, Hypergraph) else g
     _reference_check_ratings(ratings, view.n_nodes)
     out: dict[int, float | None] = {}
     for u in range(1, view.n_nodes + 1):
         nbrs = view.neighbors(u)
-        if not nbrs:
+        weight = fsum(float(w) for w in nbrs.values())
+        if weight == 0.0:
             out[u] = None
             continue
-        weight = fsum(float(w) for w in nbrs.values())
         out[u] = fsum(ratings[v] * w for v, w in nbrs.items()) / weight
     return out
 

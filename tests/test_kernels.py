@@ -23,7 +23,6 @@ from hgkit import (
     Partition,
     TwoSectionView,
     build_from_reviews,
-    forecast_co_members,
     forecast_graph,
     forecast_hypergraph,
     graph_degree_centrality,
@@ -37,7 +36,7 @@ from hgkit import (
 )
 from hgkit.centrality import _DENSE_RECIPROCAL, _brandes, _dense_masks
 from hgkit.errors import DomainMismatchError, EmptyGraphError
-from hgkit.views import upper_rows
+from hgkit.views import graph_rows
 
 from helpers import (
     EdgeListGraph,
@@ -744,19 +743,16 @@ def test_materialized_rows_are_built_once():
     assert g.edges == [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)]
 
 
-def test_upper_rows_visit_each_edge_once_at_its_lower_endpoint_in_row_order():
+def test_graph_rows_pair_each_row_with_its_weights_in_node_and_row_order():
     for i, h in enumerate(GRAPH_CASES):
-        for view in (TwoSectionView(h), BipartiteView(h), _unsorted_rows(_weighted_graph(h, i), i)):
-            walked = list(upper_rows(view))
-            assert [u for u, _, _ in walked] == list(range(1, view.n_nodes + 1))
-            for u, row, higher in walked:
-                assert row == view.neighbors(u)
-                assert higher == [v for v in view.neighbors(u) if v > u]
-            pairs = [(u, v) for u, _, higher in walked for v in higher]
-            assert len(pairs) == len(set(pairs))
-            assert sorted(pairs) == [
-                (u, v) for u in range(1, view.n_nodes + 1) for v in sorted(view.neighbors(u)) if u < v
-            ]
+        table = CoMemberTable.of(h)
+        for g in (TwoSectionView(h), BipartiteView(h), _unsorted_rows(_weighted_graph(h, i), i), table):
+            rows = list(graph_rows(g))
+            assert len(rows) == g.n_nodes
+            for v, (ids, weights) in enumerate(rows, start=1):
+                assert list(zip(ids, weights)) == list(g.neighbors(v).items())
+    with pytest.raises(TypeError):
+        graph_rows(Hypergraph(2, 0))
 
 
 # --- the packed co-member table ---------------------------------------------------------
@@ -798,7 +794,15 @@ def test_forecast_from_the_table_matches_reference_bit_for_bit():
         table = CoMemberTable.of(h)
         for ratings in _rating_tables(h, rng)[:3]:
             want = _outcome(reference_forecast_graph, h, ratings)
-            assert _outcome(forecast_co_members, table, ratings) == want
+            assert _outcome(forecast_graph, table, ratings) == want
+
+
+def test_graph_forecast_gives_none_where_the_weights_sum_to_zero():
+    # Vertex 1's weights cancel, as an empty row's sum is 0: neither divides.
+    g = MaterializedGraph([{2: 1.0, 3: -1.0}, {1: 1.0}, {1: -1.0}, {}])
+    ratings = {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
+    want = {1: None, 2: 1.0, 3: 1.0, 4: None}
+    assert forecast_graph(g, ratings) == reference_forecast_graph(g, ratings) == want
 
 
 def _permuted_rows(g: Graph, rng: random.Random) -> MaterializedGraph:
@@ -813,26 +817,27 @@ def _permuted_rows(g: Graph, rng: random.Random) -> MaterializedGraph:
 
 def test_graph_lp_and_modularity_ignore_row_order_under_integer_weights():
     # Each label's weight is a float sum of small integers, which is exact
-    # in any order, and tied labels are sorted: so the rows of a co-member
-    # table serve graph-LP and graph_modularity as the view's rows do.
+    # in any order, and tied labels are sorted: so the bare co-member
+    # table's slices serve every graph kernel as the view's rows do.
     rng = random.Random(61)
     for i, h in enumerate(GRAPH_CASES):
-        weights = {(u, v): rng.randint(1, 9) for u, v, _ in materialize(TwoSectionView(h)).edges}
+        view, table = TwoSectionView(h), CoMemberTable.of(h)
+        weights = {(u, v): rng.randint(1, 9) for u, v, _ in materialize(view).edges}
         g = EdgeListGraph(n_nodes=h.nhv, edges=[(u, v, w) for (u, v), w in weights.items()])
-        for permuted in (_permuted_rows(g, rng), _permuted_rows(g, rng)):
+        for reordered, original in ((_permuted_rows(g, rng), g), (_permuted_rows(g, rng), g), (table, view)):
             for cfg in (*CONFIGS, LpConfig(seed=i)):
-                got = graph_label_propagation(permuted, cfg)
-                want = graph_label_propagation(g, cfg)
+                got = graph_label_propagation(reordered, cfg)
+                want = graph_label_propagation(original, cfg)
                 assert (got[0].labels, got[1]) == (want[0].labels, want[1])
             for _ in range(3):
                 p = random_partition(rng, h.vertices())
                 try:
-                    want = graph_modularity(g, p)
+                    want = graph_modularity(original, p)
                 except EmptyGraphError:
                     with pytest.raises(EmptyGraphError):
-                        graph_modularity(permuted, p)
+                        graph_modularity(reordered, p)
                     continue
-                assert graph_modularity(permuted, p) == want
-        table = CoMemberTable.of(h)
-        for cfg in CONFIGS:
-            assert graph_label_propagation(materialize(table), cfg) == graph_label_propagation(TwoSectionView(h), cfg)
+                assert graph_modularity(reordered, p) == want
+        assert graph_degree_centrality(table) == graph_degree_centrality(view)
+        for ratings in _rating_tables(h, rng)[:3]:
+            assert _outcome(forecast_graph, table, ratings) == _outcome(forecast_graph, view, ratings)

@@ -139,12 +139,6 @@ class TestCoMemberTable:
         assert table.neighbors(1)[2] == 256 and table.ends[-1] == 300 * 299
         assert CoMemberTable.of(Hypergraph()).ends.tolist() == [0]
 
-    def test_rows_share_one_int_per_vertex(self):
-        h = hypergraph_from_edges(400, [(1, 300, 399), (2, 300, 399)])
-        table = CoMemberTable.of(h)
-        keys = [next(k for k in table.neighbors(v) if k == 300) for v in (1, 2, 399)]
-        assert keys[0] is keys[1] is keys[2]
-
     def test_matches_direct_pair_counting(self):
         rng = random.Random(6)
         for _ in range(60):
