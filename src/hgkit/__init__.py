@@ -47,7 +47,7 @@ from .hgio import (
 )
 from .hypercore import Hypergraph
 from .partition import Partition
-from .views import BipartiteView, CoMemberTable, Graph, MaterializedGraph, TwoSectionView, materialize
+from .views import BipartiteView, CoMemberTable, Graph, TwoSectionView
 
 __version__ = "0.1.0"
 
@@ -57,9 +57,7 @@ __all__ = [
     "BipartiteView",
     "Graph",
     "TwoSectionView",
-    "MaterializedGraph",
     "CoMemberTable",
-    "materialize",
     "Partition",
     "CentralityVector",
     "SAdjacency",

@@ -21,7 +21,7 @@ from .errors import (
     PartitionNotTotalError,
     UnknownVertexError,
 )
-from .hypercore import Hypergraph, IdRemap, check_id
+from .hypercore import Hypergraph, IdRemap, check_int
 from .partition import Partition
 from .views import Graph, graph_rows
 
@@ -116,7 +116,7 @@ def induced_subhypergraph(
     # The raw ids, not the deduplicated ones: [1, True] must fail too.
     keep = list(keep)
     for v in keep:
-        check_id(v, h.nhv, UnknownVertexError, "vertex")
+        check_int(v, 1, h.nhv, UnknownVertexError, "vertex")
     kept = sorted(set(keep))
     vmap: IdRemap = {old: new for new, old in enumerate(kept, start=1)}
     emap: IdRemap = {}
@@ -175,7 +175,7 @@ def random_walk_step(
     e = (heselect or _uniform_hyperedge)(h, v, rng)
     members = h.get_vertices(e)
     u = (vselect or _uniform_member)(h, v, e, rng)
-    check_id(u, h.nhv, ValueError, "selected vertex")
+    check_int(u, 1, h.nhv, ValueError, "selected vertex")
     if u not in members:
         raise ValueError(f"selector returned {u}, not a member of hyperedge {e}")
     return u

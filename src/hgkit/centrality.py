@@ -19,8 +19,8 @@ from .errors import (
     UnknownVertexError,
     ZeroVarianceError,
 )
-from .hypercore import Hypergraph, check_id, check_int
-from .views import CoMemberTable, Graph, co_member_tallies
+from .hypercore import Hypergraph, check_int
+from .views import CoMemberTable, Graph, _check_graph, co_member_tallies
 
 __all__ = [
     "CentralityVector",
@@ -65,7 +65,7 @@ class SAdjacency:
 
     def neighbors(self, v: int) -> dict[int, int]:
         """Map of s-neighbour -> 1, keyed in the order of v's row."""
-        check_id(v, self.n_nodes, UnknownVertexError, "vertex")
+        check_int(v, 1, self.n_nodes, UnknownVertexError, "vertex")
         return dict.fromkeys(self._nbrs[v - 1], 1)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -116,10 +116,9 @@ def s_shortest_path_length(g: Graph, u: int, v: int) -> int | None:
     is not a :class:`Graph` raises ``TypeError``, and an id outside
     1..n_nodes :class:`UnknownNodeError`.
     """
-    if not isinstance(g, Graph):
-        raise TypeError(f"expected a weighted graph, got {type(g).__name__}")
-    check_id(u, g.n_nodes, UnknownNodeError, "node")
-    check_id(v, g.n_nodes, UnknownNodeError, "node")
+    _check_graph(g)
+    check_int(u, 1, g.n_nodes, UnknownNodeError, "node")
+    check_int(v, 1, g.n_nodes, UnknownNodeError, "node")
     if u == v:
         return 0
     dist = {u: 0}

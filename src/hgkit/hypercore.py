@@ -42,7 +42,7 @@ from .errors import (
     UnknownVertexError,
 )
 
-__all__ = ["Hypergraph", "IdRemap", "DEFAULT_WEIGHT", "check_int", "check_ints", "check_id", "check_weight"]
+__all__ = ["Hypergraph", "IdRemap", "DEFAULT_WEIGHT", "check_int", "check_ints", "check_weight"]
 
 IdRemap = dict[int, int]
 WeightMap = dict[int, float]
@@ -89,11 +89,6 @@ def check_int(value: Any, low: int | None, high: int | None, error: type[Excepti
         from decimal import Decimal
         got = f"a {'negative' if value < 0 else 'positive'} integer of {len(Decimal(value).as_tuple().digits)} digits"
     raise error(f"{what} must be {kind}, got {got}")
-
-
-def check_id(i: Any, n: int, error: type[Exception], noun: str) -> None:
-    """Raise ``error`` unless ``i`` is an int id in 1..n (bools are not ids)."""
-    check_int(i, 1, n, error, noun)
 
 
 def check_ints(values: Collection[Any], low: int | None, high: int | None, error: type[Exception], what: str) -> bool:
@@ -399,17 +394,17 @@ class Hypergraph:
 
     # --- internal -------------------------------------------------------------
 
-    # check_id with a fast path, for the single ids that queries, removals
+    # check_int with a fast path, for the single ids that queries, removals
     # and set_weight take: an exact int in range passes after one type()
-    # call; anything else goes to check_id, which raises or (for an int
+    # call; anything else goes to check_int, which raises or (for an int
     # subclass) passes.
     def _check_vertex(self, v: int) -> None:
         if type(v) is not int or not 0 < v <= len(self._v2he):
-            check_id(v, len(self._v2he), UnknownVertexError, "vertex")
+            check_int(v, 1, len(self._v2he), UnknownVertexError, "vertex")
 
     def _check_hyperedge(self, e: int) -> None:
         if type(e) is not int or not 0 < e <= len(self._he2v):
-            check_id(e, len(self._he2v), UnknownHyperedgeError, "hyperedge")
+            check_int(e, 1, len(self._he2v), UnknownHyperedgeError, "hyperedge")
 
     def check_dual_consistency(self) -> bool:
         """Verify the two indexes describe the same cell set, without building a copy of either.

@@ -5,13 +5,13 @@ Every graph kernel reads a :class:`Graph`: ``n_nodes`` plus
 kernels read it through :func:`graph_rows`, each node's (neighbours,
 weights) pair in node order.
 :class:`BipartiteView` and :class:`TwoSectionView` derive each row on
-demand from the dual incidence indexes and copy nothing;
-:func:`materialize` freezes any graph into a :class:`MaterializedGraph`
-that reads each row once, for a caller that runs several kernels.
-:class:`CoMemberTable` packs the two-section graph into three flat
-arrays of ints, serves its rows as slices of them, and gives the load
-cache their bytes; it is made by :func:`co_member_tallies`, the walk
-that ``s_adjacency`` also reads.
+demand from the dual incidence indexes and copy nothing.
+:class:`CoMemberTable` is the frozen two-section graph: it packs the
+graph into three flat arrays of ints, serves its rows as slices of them,
+and gives the load cache their bytes; it is made by
+:func:`co_member_tallies`, the walk that ``s_adjacency`` also reads.
+Any other graph, a caller's own included, is read row by row through
+``neighbors``, each row's ids checked as the row is reached.
 """
 
 from __future__ import annotations
@@ -22,18 +22,16 @@ from itertools import chain, islice
 from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from .errors import UnknownNodeError, UnknownVertexError
-from .hypercore import Hypergraph, check_id
+from .hypercore import Hypergraph, check_int, check_ints
 
 __all__ = [
     "Graph",
     "BipartiteView",
     "TwoSectionView",
-    "MaterializedGraph",
     "CoMemberTable",
     "co_member_counts",
     "co_member_tallies",
     "graph_rows",
-    "materialize",
 ]
 
 
@@ -41,13 +39,14 @@ __all__ = [
 class Graph(Protocol):
     """A weighted graph on nodes 1..n_nodes, as every graph kernel reads it.
 
-    ``neighbors(v)`` maps each neighbour of node v to the edge weight;
-    kernels that sum weights do so in the row's iteration order.  A graph
-    may also have ``rows()``, every node's (neighbours, weights) pair in
-    node order, each pair in its ``neighbors`` row's order; whole-graph
-    kernels then read those pairs through :func:`graph_rows` instead.
-    Only :class:`CoMemberTable` has it, and its pairs are slices of its
-    arrays.
+    ``neighbors(v)`` maps each neighbour of node v, an int id in
+    1..n_nodes, to the edge weight; kernels that sum weights do so in the
+    row's iteration order.  Those two members are all a graph needs.  A
+    graph may also have ``rows()``, every node's (neighbours, weights)
+    pair in node order, each pair in its ``neighbors`` row's order;
+    whole-graph kernels then read those pairs through :func:`graph_rows`
+    instead, unchecked.  Only :class:`CoMemberTable` has it, and its
+    pairs are slices of its arrays.
     """
 
     n_nodes: int
@@ -63,15 +62,31 @@ def _check_graph(g: object) -> None:
 def graph_rows(g: Graph) -> Iterator[tuple[Collection[int], Collection[float]]]:
     """Every node's (neighbours, weights) pair in node order, each read when reached.
 
-    The pairs are ``g.rows()`` when ``g`` has that method, and otherwise
-    each ``neighbors(v)`` row with its ``values()``.  Raises
-    ``TypeError`` at once for an object that is not a graph.
+    The pairs are ``g.rows()`` when ``g`` has that method, taken as they
+    are, and otherwise each ``neighbors(v)`` row with its ``values()``.
+    Raises ``TypeError`` at once for an object that is not a graph, and
+    ``UnknownNodeError`` on reaching a ``neighbors`` row that names a
+    node below 1 or above n_nodes.
     """
     _check_graph(g)
     rows = getattr(g, "rows", None)
     if rows is not None:
         return rows()
-    return ((row, row.values()) for row in map(g.neighbors, range(1, g.n_nodes + 1)))
+    return _checked_rows(g)
+
+
+def _checked_rows(g: Graph) -> Iterator[tuple[Collection[int], Collection[float]]]:
+    n = g.n_nodes
+    for row in map(g.neighbors, range(1, n + 1)):
+        # The extremes bound every id; only a row outside them is walked,
+        # by check_ints, which names the first bad id.
+        try:
+            inside = not row or (0 < min(row) and max(row) <= n)
+        except TypeError:  # an id that does not compare with ints
+            inside = False
+        if not inside:
+            check_ints(row, 1, n, UnknownNodeError, "neighbour")
+        yield row, row.values()
 
 
 def co_member_counts(rows: Iterable[Iterable[int]]) -> dict[int, int]:
@@ -149,7 +164,7 @@ class BipartiteView:
         """
         h = self._h
         n = h.nhv
-        check_id(node, n + h.nhe, UnknownNodeError, "bipartite node")
+        check_int(node, 1, n + h.nhe, UnknownNodeError, "bipartite node")
         if node <= n:
             return dict.fromkeys([n + e for e in h._v2he[node - 1]], 1)
         return dict.fromkeys(h._he2v[node - n - 1], 1)
@@ -183,36 +198,11 @@ class TwoSectionView:
         incidence row's order, each one's members in its own order.
         """
         h = self._h
-        check_id(v, h.nhv, UnknownVertexError, "vertex")
+        check_int(v, 1, h.nhv, UnknownVertexError, "vertex")
         he2v = h._he2v
         counts = co_member_counts([he2v[e - 1] for e in h._v2he[v - 1]])
         counts.pop(v, None)
         return counts
-
-
-class MaterializedGraph:
-    """A graph frozen in memory: one neighbour row per node, row v-1 being node v's.
-
-    The rows are taken as they are: no copy, no check.  :func:`materialize`
-    reads them once from a source graph, so their order and weights are the
-    source's; pass the result to every kernel of a command that would
-    otherwise derive the same rows again.  No metadata survives.
-    """
-
-    __slots__ = ("n_nodes", "_rows")
-
-    def __init__(self, rows: list[Mapping[int, float]]) -> None:
-        self._rows = rows
-        self.n_nodes = len(rows)
-
-    def neighbors(self, v: int) -> Mapping[int, float]:
-        check_id(v, self.n_nodes, UnknownNodeError, "node")
-        return self._rows[v - 1]
-
-    @property
-    def edges(self) -> list[tuple[int, int, float]]:
-        """Every edge once as (u, v, weight) with u < v, sorted ascending, weights as floats."""
-        return [(u, v, float(row[v])) for u, row in enumerate(self._rows, start=1) for v in sorted(row) if v > u]
 
 
 class CoMemberTable:
@@ -280,12 +270,6 @@ class CoMemberTable:
 
     def neighbors(self, v: int) -> dict[int, int]:
         """Map of co-member vertex -> number of shared hyperedges, keyed in the table's order."""
-        check_id(v, self.n_nodes, UnknownVertexError, "vertex")
+        check_int(v, 1, self.n_nodes, UnknownVertexError, "vertex")
         a, b = self.ends[v - 1], self.ends[v]
         return dict(zip(self.ids[a:b], self.counts[a:b]))
-
-
-def materialize(view: Graph) -> MaterializedGraph:
-    """Freeze any graph, a view included, into a MaterializedGraph."""
-    _check_graph(view)
-    return MaterializedGraph(list(map(view.neighbors, range(1, view.n_nodes + 1))))

@@ -29,6 +29,8 @@ consistency check must agree with; ``reference_connected_components``
 (counts taken cell by cell from the hyperedge index) are what the
 set-algebra components and the ``len`` tallies must agree with.  ``EdgeListGraph`` is the oracles' own
 frozen graph: a canonical edge list whose rows are built from it.
+``RowsGraph`` is a graph defined outside hgkit, with the two members
+the ``Graph`` protocol asks for and rows served exactly as given.
 ``same_blocks`` compares two partitions' communities whatever their labels.
 """
 
@@ -66,7 +68,7 @@ from hgkit.errors import (
     UnknownVertexError,
 )
 from hgkit.hgio import FORMAT_VERSION
-from hgkit.hypercore import DEFAULT_WEIGHT, check_id, check_weight
+from hgkit.hypercore import DEFAULT_WEIGHT, check_int, check_weight
 
 # --- random structures ---------------------------------------------------------
 
@@ -301,7 +303,19 @@ class EdgeListGraph:
 
     def neighbors(self, v: int) -> dict[int, float]:
         """Map of neighbour -> weight, in the order the edge list reaches it."""
-        check_id(v, self.n_nodes, UnknownNodeError, "node")
+        check_int(v, 1, self.n_nodes, UnknownNodeError, "node")
+        return self._rows[v - 1]
+
+
+class RowsGraph:
+    """A caller's own graph: row ``v-1`` of ``rows`` is node v's neighbour mapping, served as given."""
+
+    def __init__(self, rows: list[Mapping[int, float]]) -> None:
+        self._rows = rows
+        self.n_nodes = len(rows)
+
+    def neighbors(self, v: int) -> Mapping[int, float]:
+        check_int(v, 1, self.n_nodes, UnknownNodeError, "node")
         return self._rows[v - 1]
 
 
@@ -659,7 +673,7 @@ def reference_documents(h: Hypergraph) -> dict[str, str]:
 def reference_two_section_neighbors(view: TwoSectionView, v: int) -> dict[int, int]:
     """Map of co-member vertex -> number of shared hyperedges."""
     h = view.hypergraph
-    check_id(v, h.nhv, UnknownVertexError, "vertex")
+    check_int(v, 1, h.nhv, UnknownVertexError, "vertex")
     counts: dict[int, int] = {}
     for e in h._v2he[v - 1]:
         for u in h._he2v[e - 1]:
@@ -813,7 +827,7 @@ def newman_modularity_exact(
 # --- per-member id checks and the two-direction consistency walk ---------------
 #
 # The mutators and the consistency check as they were before the ids of a
-# call were checked together.  The per-id test is check_id, which the
+# call were checked together.  The per-id test is check_int, which the
 # methods repeated inline; member ids were coerced with int().
 
 
@@ -828,7 +842,7 @@ def reference_as_weight_map(memberships) -> dict[int, float]:
 def reference_add_vertex(h: Hypergraph, hyperedges=None, meta=None) -> int:
     members = reference_as_weight_map(hyperedges)
     for e in members:
-        check_id(e, h.nhe, UnknownHyperedgeError, "hyperedge")
+        check_int(e, 1, h.nhe, UnknownHyperedgeError, "hyperedge")
     v = h.nhv + 1
     h._v2he.append(members)
     h._vmeta.append(meta)
@@ -840,7 +854,7 @@ def reference_add_vertex(h: Hypergraph, hyperedges=None, meta=None) -> int:
 def reference_add_hyperedge(h: Hypergraph, vertices=None, meta=None) -> int:
     members = reference_as_weight_map(vertices)
     for v in members:
-        check_id(v, h.nhv, UnknownVertexError, "vertex")
+        check_int(v, 1, h.nhv, UnknownVertexError, "vertex")
     e = h.nhe + 1
     h._he2v.append(members)
     h._hemeta.append(meta)

@@ -15,6 +15,7 @@ import time
 import pytest
 
 from hgkit import (
+    CoMemberTable,
     Hypergraph,
     LpConfig,
     Partition,
@@ -27,7 +28,6 @@ from hgkit import (
     graph_label_propagation,
     hypergraph_label_propagation,
     hypergraph_modularity,
-    materialize,
     nmi,
     one_step_distribution,
     random_walk_step,
@@ -49,6 +49,7 @@ from helpers import (
     planted_two_cluster,
     random_hypergraph,
     random_json_meta,
+    reference_materialize,
     textbook_betweenness,
     two_section_adjacency,
 )
@@ -191,7 +192,7 @@ def test_hypergraph_modularity_anchors():
             for _ in range(rng.randint(1, 12)):
                 h.add_hyperedge(rng.sample(range(1, n + 1), 2))
             p = Partition({v: rng.randint(1, 3) for v in h.vertices()})
-            g = materialize(TwoSectionView(h))
+            g = reference_materialize(TwoSectionView(h))
             want = newman_modularity_exact(
                 g.n_nodes, [(u, v, int(w)) for u, v, w in g.edges], p
             )
@@ -228,7 +229,7 @@ def test_label_propagation_recovers_planted_clusters():
             h, truth = planted_two_cluster(seed=seed)
             cfg = LpConfig(seed=seed)
             hyper, hyper_iters = hypergraph_label_propagation(h, cfg)
-            g = materialize(TwoSectionView(h))
+            g = CoMemberTable.of(h)
             graph, graph_iters = graph_label_propagation(g, cfg)
             for part, iters in ((hyper, hyper_iters), (graph, graph_iters)):
                 assert part.community_count == 2

@@ -11,6 +11,7 @@ import pytest
 
 from hgkit import (
     BipartiteView,
+    CoMemberTable,
     Hypergraph,
     Partition,
     TwoSectionView,
@@ -20,7 +21,6 @@ from hgkit import (
     graph_degree_centrality,
     graph_modularity,
     hypergraph_modularity,
-    materialize,
     one_step_distribution,
     random_walk_step,
 )
@@ -41,6 +41,7 @@ from helpers import (
     random_partition,
     reference_connected_components,
     reference_degree_tallies,
+    reference_materialize,
     two_section_adjacency,
 )
 
@@ -320,12 +321,12 @@ class TestHypergraphModularity:
 
 class TestGraphModularity:
     def test_two_disjoint_edges(self):
-        g = materialize(TwoSectionView(hypergraph_from_edges(4, [(1, 2), (3, 4)])))
+        g = CoMemberTable.of(hypergraph_from_edges(4, [(1, 2), (3, 4)]))
         q = graph_modularity(g, Partition.from_communities([{1, 2}, {3, 4}]))
         assert q == 0.5
 
     def test_single_edge_cases(self):
-        g = materialize(TwoSectionView(hypergraph_from_edges(2, [(1, 2)])))
+        g = CoMemberTable.of(hypergraph_from_edges(2, [(1, 2)]))
         assert graph_modularity(g, Partition({1: 1, 2: 1})) == 0.0
         assert graph_modularity(g, Partition({1: 1, 2: 2})) == -0.5
 
@@ -336,7 +337,7 @@ class TestGraphModularity:
     def test_empty_graph(self):
         with pytest.raises(EmptyGraphError):
             graph_modularity(
-                materialize(TwoSectionView(Hypergraph(2, 0))), Partition({1: 1, 2: 1})
+                CoMemberTable.of(Hypergraph(2, 0)), Partition({1: 1, 2: 1})
             )
 
     def test_matches_exact_arithmetic_on_random_inputs(self):
@@ -344,12 +345,13 @@ class TestGraphModularity:
         done = 0
         while done < 80:
             h = random_hypergraph(rng, max_n=8, max_k=6)
-            g = materialize(TwoSectionView(h))
-            if not g.edges:
+            g = CoMemberTable.of(h)
+            edges = reference_materialize(TwoSectionView(h)).edges
+            if not edges:
                 continue
             p = random_partition(rng, range(1, g.n_nodes + 1))
             expected = newman_modularity_exact(
-                g.n_nodes, [(u, v, int(w)) for u, v, w in g.edges], p
+                g.n_nodes, [(u, v, int(w)) for u, v, w in edges], p
             )
             assert abs(graph_modularity(g, p) - float(expected)) < 1e-12
             done += 1
@@ -369,6 +371,6 @@ def test_size_two_hypergraph_modularity_degenerates_to_newman():
             h.add_hyperedge((u, v))
         p = random_partition(rng, h.vertices())
         qh = hypergraph_modularity(h, p)
-        qg = graph_modularity(materialize(TwoSectionView(h)), p)
+        qg = graph_modularity(CoMemberTable.of(h), p)
         assert abs(qh - qg) < 1e-9
         done += 1

@@ -10,14 +10,13 @@ from fractions import Fraction
 import pytest
 
 from hgkit import (
+    CoMemberTable,
     Hypergraph,
     LpConfig,
     Partition,
-    TwoSectionView,
     connected_components,
     graph_label_propagation,
     hypergraph_label_propagation,
-    materialize,
     nmi,
 )
 from hgkit.community import _draw, _shuffle
@@ -101,7 +100,7 @@ class TestDrawsMatchRandom:
 
 class TestGraphLabelPropagation:
     def test_complete_graph_collapses_to_one_community(self):
-        g = materialize(TwoSectionView(complete_graph(4)))
+        g = CoMemberTable.of(complete_graph(4))
         for seed in range(30):
             part, iters = graph_label_propagation(g, LpConfig(seed=seed))
             assert part.community_count == 1
@@ -109,24 +108,24 @@ class TestGraphLabelPropagation:
 
     def test_two_triangles(self):
         h = hypergraph_from_edges(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
-        g = materialize(TwoSectionView(h))
+        g = CoMemberTable.of(h)
         for seed in range(30):
             part, _ = graph_label_propagation(g, LpConfig(seed=seed))
             assert same_blocks(part, Partition.from_communities([{1, 2, 3}, {4, 5, 6}]))
 
     def test_isolated_vertices_stay_singletons(self):
         h = hypergraph_from_edges(4, [(1, 2)])
-        g = materialize(TwoSectionView(h))
+        g = CoMemberTable.of(h)
         part, _ = graph_label_propagation(g, LpConfig(seed=3))
         assert same_blocks(part, Partition.from_communities([{1, 2}, {3}, {4}]))
 
     def test_empty_graph(self):
-        g = materialize(TwoSectionView(Hypergraph()))
+        g = CoMemberTable.of(Hypergraph())
         part, iters = graph_label_propagation(g, LpConfig())
         assert len(part) == 0 and iters == 0
 
     def test_seeded_determinism(self):
-        g = materialize(TwoSectionView(complete_graph(8)))
+        g = CoMemberTable.of(complete_graph(8))
         a, ia = graph_label_propagation(g, LpConfig(seed=11))
         b, ib = graph_label_propagation(g, LpConfig(seed=11))
         assert a == b and ia == ib
@@ -137,7 +136,7 @@ class TestGraphLabelPropagation:
         for _ in range(10):
             h.add_hyperedge((1, 2))
         h.add_hyperedge((2, 3))
-        g = materialize(TwoSectionView(h))
+        g = CoMemberTable.of(h)
         for seed in range(20):
             part, _ = graph_label_propagation(g, LpConfig(seed=seed))
             assert part.labels[1] == part.labels[2]
@@ -146,7 +145,7 @@ class TestGraphLabelPropagation:
         rng = random.Random(41)
         for _ in range(30):
             h = random_hypergraph(rng, max_n=12, max_k=8)
-            g = materialize(TwoSectionView(h))
+            g = CoMemberTable.of(h)
             part, _ = graph_label_propagation(g, LpConfig(seed=rng.randrange(1000)))
             blocks = {}
             for v, lab in part.labels.items():

@@ -19,7 +19,6 @@ from hgkit import (
     Graph,
     Hypergraph,
     LpConfig,
-    MaterializedGraph,
     Partition,
     TwoSectionView,
     build_from_reviews,
@@ -29,17 +28,17 @@ from hgkit import (
     graph_label_propagation,
     graph_modularity,
     hypergraph_label_propagation,
-    materialize,
     s_adjacency,
     s_betweenness,
     s_shortest_path_length,
 )
 from hgkit.centrality import _DENSE_RECIPROCAL, _brandes, _dense_masks
-from hgkit.errors import DomainMismatchError, EmptyGraphError
+from hgkit.errors import DomainMismatchError, EmptyGraphError, UnknownNodeError
 from hgkit.views import graph_rows
 
 from helpers import (
     EdgeListGraph,
+    RowsGraph,
     hypergraph_from_edges,
     random_hypergraph,
     random_partition,
@@ -120,7 +119,7 @@ CONFIGS = [
 def _weighted_graph(h: Hypergraph, seed: int) -> EdgeListGraph:
     """Two-section edges with weights whose sums depend on summation order."""
     rng = random.Random(seed)
-    edges = [(u, v, rng.choice((0.1, 0.2, 0.3, 0.7, 1e-3))) for u, v, _ in materialize(TwoSectionView(h)).edges]
+    edges = [(u, v, rng.choice((0.1, 0.2, 0.3, 0.7, 1e-3))) for u, v, _ in reference_materialize(TwoSectionView(h)).edges]
     return EdgeListGraph(n_nodes=h.nhv, edges=edges)
 
 
@@ -138,7 +137,7 @@ def test_hypergraph_lp_matches_reference(cfg):
 def test_graph_lp_matches_reference_on_views_and_materialized(cfg):
     for i, h in enumerate(CASES):
         view, weighted = TwoSectionView(h), _weighted_graph(h, i)
-        for reference_input, g in ((view, view), (view, materialize(view)), (weighted, weighted)):
+        for reference_input, g in ((view, view), (view, CoMemberTable.of(h)), (weighted, weighted)):
             got = graph_label_propagation(g, cfg)
             want = reference_graph_label_propagation(reference_input, cfg)
             assert got[1] == want[1]
@@ -159,10 +158,19 @@ def test_graph_lp_sums_weights_in_adjacency_order():
         assert (got[0].labels, got[1]) == (want[0].labels, want[1])
 
 
+def _frozen_rows(g: Graph) -> RowsGraph:
+    """The rows of ``g``, each read once and served as it is."""
+    return RowsGraph(list(map(g.neighbors, range(1, g.n_nodes + 1))))
+
+
 def test_graph_lp_on_cached_rows_matches_reference_on_the_graph():
     for i, h in enumerate(CASES):
-        for g in (TwoSectionView(h), _weighted_graph(h, i), _unsorted_rows(_weighted_graph(h, i), i)):
-            cached = materialize(g)
+        weighted = _weighted_graph(h, i)
+        for g, cached in (
+            (TwoSectionView(h), CoMemberTable.of(h)),
+            (weighted, _frozen_rows(weighted)),
+            (_unsorted_rows(weighted, i), _frozen_rows(_unsorted_rows(weighted, i))),
+        ):
             for cfg in CONFIGS:
                 got = graph_label_propagation(cached, cfg)
                 want = reference_graph_label_propagation(g, cfg)
@@ -185,7 +193,7 @@ GRAPH_KERNELS = {
     "graph_modularity": lambda g: graph_modularity(g, Partition({1: 1, 2: 1})),
     "graph_degree_centrality": graph_degree_centrality,
     "forecast_graph": lambda g: forecast_graph(g, {1: 1.0, 2: 2.0}),
-    "materialize": materialize,
+    "graph_rows": lambda g: [(list(ids), list(weights)) for ids, weights in graph_rows(g)],
     "s_shortest_path_length": lambda g: s_shortest_path_length(g, 1, 2),
 }
 
@@ -196,6 +204,15 @@ def test_graph_kernels_reject_non_graphs(kernel, given):
         GRAPH_KERNELS[kernel](NON_GRAPHS[given])
 
 
+@pytest.mark.parametrize("bad", [0, -1, 3])
+@pytest.mark.parametrize("kernel", [k for k in GRAPH_KERNELS if k != "s_shortest_path_length"])
+def test_graph_kernels_refuse_a_row_naming_an_unknown_node(kernel, bad):
+    # Node 1's row names a node outside 1..2, which no kernel may read as
+    # another node's label, rating or strength.
+    with pytest.raises(UnknownNodeError):
+        GRAPH_KERNELS[kernel](RowsGraph([{2: 1.0, bad: 1.0}, {1: 1.0}]))
+
+
 @pytest.mark.parametrize("kernel", GRAPH_KERNELS)
 def test_graph_kernels_run_on_s_adjacency(kernel):
     # The one edge is three hyperedges, so it holds at every s up to 3.
@@ -203,11 +220,7 @@ def test_graph_kernels_run_on_s_adjacency(kernel):
     run = GRAPH_KERNELS[kernel]
     want = run(EdgeListGraph(n_nodes=2, edges=[(1, 2, 1.0)]))
     for s in (1, 2, 3):
-        got = run(s_adjacency(h, s))
-        if isinstance(got, MaterializedGraph):
-            assert (got.n_nodes, got.edges) == (want.n_nodes, want.edges)
-        else:
-            assert got == want
+        assert run(s_adjacency(h, s)) == want
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -571,8 +584,7 @@ def test_forecasts_match_reference_bit_for_bit():
             assert _outcome(forecast_hypergraph, h, ratings) == want
             outcomes.add(want if isinstance(want, type) else list)
             want = _outcome(reference_forecast_graph, h, ratings)
-            for g in (view, materialize(view)):
-                assert _outcome(forecast_graph, g, ratings) == want
+            assert _outcome(forecast_graph, view, ratings) == want
             outcomes.add(want if isinstance(want, type) else list)
     # Between them the cases reach finite results, overflow and inf - inf.
     assert outcomes == {list, OverflowError, ValueError}
@@ -652,12 +664,15 @@ def test_graph_modularity_matches_reference_bit_for_bit():
     rng = random.Random(43)
     for i, h in enumerate(GRAPH_CASES):
         view = TwoSectionView(h)
-        materialized = materialize(view)
-        assert materialized.edges == reference_materialize(view).edges
-        graphs = [(view, view), (view, materialized)]
         weighted = _weighted_graph(h, i)
         unsorted = _unsorted_rows(weighted, i)
-        graphs += [(weighted, weighted), (unsorted, unsorted), (unsorted, materialize(unsorted))]
+        graphs = [
+            (view, view),
+            (view, CoMemberTable.of(h)),
+            (weighted, weighted),
+            (unsorted, unsorted),
+            (unsorted, _frozen_rows(unsorted)),
+        ]
         for _ in range(3):
             p = random_partition(rng, h.vertices())
             for reference_input, g in graphs:
@@ -672,14 +687,12 @@ def test_graph_modularity_matches_reference_bit_for_bit():
 
 def test_graph_kernels_on_bipartite_views_match_reference():
     # The incidence graph is a unit-weight graph: every graph kernel
-    # runs on it as on any other, and on its materialized rows.
+    # runs on it as on any other, and on its rows frozen apart from it.
     rng = random.Random(47)
     for h in GRAPH_CASES:
         view = BipartiteView(h)
         frozen = reference_materialize(view)
-        materialized = materialize(view)
-        assert (materialized.n_nodes, materialized.edges) == (frozen.n_nodes, frozen.edges)
-        for g in (view, materialized):
+        for g in (view, _frozen_rows(view)):
             for cfg in CONFIGS:
                 got = graph_label_propagation(g, cfg)
                 want = reference_graph_label_propagation(frozen, cfg)
@@ -708,7 +721,6 @@ def test_graph_kernels_on_s_adjacency_match_reference(s):
     for h in GRAPH_CASES[::3]:
         adj = s_adjacency(h, s)
         frozen = EdgeListGraph(n_nodes=h.nhv, edges=[(u, v, 1.0) for u, v in adj.edges()])
-        assert materialize(adj).edges == frozen.edges
         assert graph_degree_centrality(adj) == {v: float(len(adj._nbrs[v - 1])) for v in h.vertices()}
         for cfg in CONFIGS:
             got = graph_label_propagation(adj, cfg)
@@ -724,23 +736,6 @@ def test_graph_kernels_on_s_adjacency_match_reference(s):
             assert graph_modularity(adj, p) == want
         ratings = {v: rng.uniform(1.0, 5.0) for v in h.vertices()}
         assert _outcome(forecast_graph, adj, ratings) == _outcome(reference_forecast_graph, frozen, ratings)
-
-
-def test_materialized_rows_are_built_once():
-    # Each source row is read once, when the graph is frozen, and served
-    # as it is: the same mapping, in its order and with its int weights.
-    view = TwoSectionView(hypergraph_from_edges(4, [(3, 1, 2), (3, 4), (2, 4)]))
-    calls = []
-    source = type("Source", (), {"n_nodes": 4, "neighbors": lambda self, v: calls.append(v) or view.neighbors(v)})()
-    g = materialize(source)
-    assert calls == [1, 2, 3, 4]
-    first = [g.neighbors(v) for v in range(1, 5)]
-    again = [g.neighbors(v) for v in range(1, 5)]
-    assert calls == [1, 2, 3, 4]
-    assert all(a is b for a, b in zip(first, again))
-    assert [list(row.items()) for row in first] == [list(view.neighbors(v).items()) for v in range(1, 5)]
-    assert g.neighbors(1) == {3: 1, 2: 1} and type(g.neighbors(1)[3]) is int
-    assert g.edges == [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (2, 4, 1.0), (3, 4, 1.0)]
 
 
 def test_graph_rows_pair_each_row_with_its_weights_in_node_and_row_order():
@@ -799,20 +794,20 @@ def test_forecast_from_the_table_matches_reference_bit_for_bit():
 
 def test_graph_forecast_gives_none_where_the_weights_sum_to_zero():
     # Vertex 1's weights cancel, as an empty row's sum is 0: neither divides.
-    g = MaterializedGraph([{2: 1.0, 3: -1.0}, {1: 1.0}, {1: -1.0}, {}])
+    g = RowsGraph([{2: 1.0, 3: -1.0}, {1: 1.0}, {1: -1.0}, {}])
     ratings = {1: 1.0, 2: 2.0, 3: 3.0, 4: 4.0}
     want = {1: None, 2: 1.0, 3: 1.0, 4: None}
     assert forecast_graph(g, ratings) == reference_forecast_graph(g, ratings) == want
 
 
-def _permuted_rows(g: Graph, rng: random.Random) -> MaterializedGraph:
+def _permuted_rows(g: Graph, rng: random.Random) -> RowsGraph:
     """The same rows, each in a shuffled order."""
     rows = []
     for v in range(1, g.n_nodes + 1):
         items = list(g.neighbors(v).items())
         rng.shuffle(items)
         rows.append(dict(items))
-    return MaterializedGraph(rows)
+    return RowsGraph(rows)
 
 
 def test_graph_lp_and_modularity_ignore_row_order_under_integer_weights():
@@ -822,7 +817,7 @@ def test_graph_lp_and_modularity_ignore_row_order_under_integer_weights():
     rng = random.Random(61)
     for i, h in enumerate(GRAPH_CASES):
         view, table = TwoSectionView(h), CoMemberTable.of(h)
-        weights = {(u, v): rng.randint(1, 9) for u, v, _ in materialize(view).edges}
+        weights = {(u, v): rng.randint(1, 9) for u, v, _ in reference_materialize(view).edges}
         g = EdgeListGraph(n_nodes=h.nhv, edges=[(u, v, w) for (u, v), w in weights.items()])
         for reordered, original in ((_permuted_rows(g, rng), g), (_permuted_rows(g, rng), g), (table, view)):
             for cfg in (*CONFIGS, LpConfig(seed=i)):

@@ -1,4 +1,4 @@
-"""Bipartite and two-section views plus materialization."""
+"""Bipartite and two-section views and the packed co-member table."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hgkit import BipartiteView, CoMemberTable, Hypergraph, TwoSectionView, materialize
+from hgkit import BipartiteView, CoMemberTable, Hypergraph, TwoSectionView
 from hgkit.errors import UnknownNodeError, UnknownVertexError
 
 from helpers import hypergraph_from_edges, random_hypergraph, two_section_adjacency
@@ -83,38 +83,6 @@ class TestTwoSectionView:
             oracle = two_section_adjacency(h)
             for v in h.vertices():
                 assert view.neighbors(v) == oracle[v]
-
-
-class TestMaterialize:
-    def test_bipartite_single_edge(self):
-        h = hypergraph_from_edges(2, [(1, 2)])
-        g = materialize(BipartiteView(h))
-        assert g.n_nodes == 3
-        assert g.edges == [(1, 3, 1.0), (2, 3, 1.0)]
-
-    def test_twosection_canonical_order(self, triangle_pair):
-        g = materialize(TwoSectionView(triangle_pair))
-        assert g.n_nodes == 3
-        assert g.edges == [(1, 2, 2.0), (1, 3, 1.0), (2, 3, 1.0)]
-        assert all(u < v for u, v, _ in g.edges)
-
-    def test_adjacency_round_trip(self, triangle_pair):
-        # Rows keep the view's int weights; only ``edges`` gives floats.
-        g = materialize(TwoSectionView(triangle_pair))
-        assert g.neighbors(1) == {2: 2, 3: 1}
-        assert g.neighbors(3) == {1: 1, 2: 1}
-        assert {type(w) for v in range(1, 4) for w in g.neighbors(v).values()} == {int}
-        with pytest.raises(UnknownNodeError):
-            g.neighbors(4)
-
-    def test_empty_hypergraph(self):
-        h = Hypergraph()
-        assert materialize(BipartiteView(h)).edges == []
-        assert materialize(TwoSectionView(h)).n_nodes == 0
-
-    def test_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            materialize(object())
 
 
 class TestCoMemberTable:
