@@ -21,7 +21,7 @@ from .errors import (
     PartitionNotTotalError,
     UnknownVertexError,
 )
-from .hypercore import Hypergraph, IdRemap, check_int
+from .hypercore import Hypergraph, IdRemap, check_int, check_ints
 from .partition import Partition
 from .views import Graph, graph_rows
 
@@ -115,8 +115,7 @@ def induced_subhypergraph(
     """
     # The raw ids, not the deduplicated ones: [1, True] must fail too.
     keep = list(keep)
-    for v in keep:
-        check_int(v, 1, h.nhv, UnknownVertexError, "vertex")
+    check_ints(keep, 1, h.nhv, UnknownVertexError, "vertex")
     kept = sorted(set(keep))
     vmap: IdRemap = {old: new for new, old in enumerate(kept, start=1)}
     emap: IdRemap = {}

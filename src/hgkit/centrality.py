@@ -20,7 +20,7 @@ from .errors import (
     ZeroVarianceError,
 )
 from .hypercore import Hypergraph, check_int
-from .views import CoMemberTable, Graph, _check_graph, co_member_tallies
+from .views import CoMemberTable, Graph, _check_graph, _checked_neighbors, co_member_tallies
 
 __all__ = [
     "CentralityVector",
@@ -68,6 +68,10 @@ class SAdjacency:
         check_int(v, 1, self.n_nodes, UnknownVertexError, "vertex")
         return dict.fromkeys(self._nbrs[v - 1], 1)
 
+    def rows(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """Each node's (s-neighbours, unit weights) pair, in node order."""
+        return ((row, (1,) * len(row)) for row in self._nbrs)
+
     def edges(self) -> list[tuple[int, int]]:
         out = [
             (u, v)
@@ -112,8 +116,8 @@ def s_shortest_path_length(g: Graph, u: int, v: int) -> int | None:
     """Hop count of a shortest u-v path in a graph; edge weights are not read.
 
     For the s-adjacency graph of a hypergraph, pass ``s_adjacency(h, s)``.
-    Returns 0 for u == v and None when no path exists.  An object that
-    is not a :class:`Graph` raises ``TypeError``, and an id outside
+    Returns 0 for u == v and None when no path exists.  A non-graph
+    raises ``TypeError``, and a u, v or row id that is not an int in
     1..n_nodes :class:`UnknownNodeError`.
     """
     _check_graph(g)
@@ -121,11 +125,12 @@ def s_shortest_path_length(g: Graph, u: int, v: int) -> int | None:
     check_int(v, 1, g.n_nodes, UnknownNodeError, "node")
     if u == v:
         return 0
+    neighbors = _checked_neighbors(g)
     dist = {u: 0}
     order = [u]
     for x in order:
         dy = dist[x] + 1
-        for y in g.neighbors(x):
+        for y in neighbors(x):
             if y not in dist:
                 if y == v:
                     return dy

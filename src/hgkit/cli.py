@@ -178,10 +178,8 @@ def _parse_hypergraph(text: str, fmt: str, star_filter: list[int] | None = None)
         h = read_hgf(text)
     elif fmt == "json":
         h = read_json(text)
-    elif fmt == "scenes-json":
-        h, _ = build_from_scenes(read_scenes_json(text))
     else:
-        raise FormatError(f"unknown input format {fmt!r}")
+        h, _ = build_from_scenes(read_scenes_json(text))
     return h._v2he, h._he2v, h._vmeta, h._hemeta, tallies
 
 

@@ -1,17 +1,17 @@
 """Read-only graph views over a hypergraph, and the one protocol graph kernels read.
 
-Every graph kernel reads a :class:`Graph`: ``n_nodes`` plus
-``neighbors(v)``, a mapping of neighbour to edge weight.  Whole-graph
-kernels read it through :func:`graph_rows`, each node's (neighbours,
-weights) pair in node order.
-:class:`BipartiteView` and :class:`TwoSectionView` derive each row on
-demand from the dual incidence indexes and copy nothing.
-:class:`CoMemberTable` is the frozen two-section graph: it packs the
-graph into three flat arrays of ints, serves its rows as slices of them,
-and gives the load cache their bytes; it is made by
+Every graph kernel reads a :class:`Graph`, whole-graph kernels through
+:func:`graph_rows`.  :class:`BipartiteView` and :class:`TwoSectionView`
+derive each row on demand from the dual incidence indexes and copy
+nothing.  :class:`CoMemberTable` is the frozen two-section graph: it
+packs the graph into three flat arrays of ints, serves its rows as
+slices of them, and gives the load cache their bytes; it is made by
 :func:`co_member_tallies`, the walk that ``s_adjacency`` also reads.
-Any other graph, a caller's own included, is read row by row through
-``neighbors``, each row's ids checked as the row is reached.
+These three and ``SAdjacency`` have ``rows()``, which kernels read
+unchecked: a ``CoMemberTable`` built from a caller's own arrays is the
+caller's to get right.  A caller's graph needs only ``n_nodes`` and
+``neighbors``, and every kernel refuses its row ids that are not ints in
+1..n_nodes, such as ``1.5``, ``"2"`` or ``True``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from array import array
 from collections import _count_elements
 from itertools import chain, islice
-from typing import Collection, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Protocol, Sequence, runtime_checkable
 
 from .errors import UnknownNodeError, UnknownVertexError
 from .hypercore import Hypergraph, check_int, check_ints
@@ -40,13 +40,11 @@ class Graph(Protocol):
     """A weighted graph on nodes 1..n_nodes, as every graph kernel reads it.
 
     ``neighbors(v)`` maps each neighbour of node v, an int id in
-    1..n_nodes, to the edge weight; kernels that sum weights do so in the
-    row's iteration order.  Those two members are all a graph needs.  A
-    graph may also have ``rows()``, every node's (neighbours, weights)
-    pair in node order, each pair in its ``neighbors`` row's order;
-    whole-graph kernels then read those pairs through :func:`graph_rows`
-    instead, unchecked.  Only :class:`CoMemberTable` has it, and its
-    pairs are slices of its arrays.
+    1..n_nodes, to the edge weight, summed in the row's order.  A
+    caller's graph needs only these two members, and kernels refuse its
+    row ids that are not such ints.  hgkit's own graphs also have
+    ``rows()``, each node's (neighbours, weights) pair in node order,
+    each pair in its ``neighbors`` row's order, read unchecked.
     """
 
     n_nodes: int
@@ -62,31 +60,27 @@ def _check_graph(g: object) -> None:
 def graph_rows(g: Graph) -> Iterator[tuple[Collection[int], Collection[float]]]:
     """Every node's (neighbours, weights) pair in node order, each read when reached.
 
-    The pairs are ``g.rows()`` when ``g`` has that method, taken as they
-    are, and otherwise each ``neighbors(v)`` row with its ``values()``.
-    Raises ``TypeError`` at once for an object that is not a graph, and
-    ``UnknownNodeError`` on reaching a ``neighbors`` row that names a
-    node below 1 or above n_nodes.
+    The pairs are ``g.rows()``, or else each :func:`_checked_neighbors`
+    row with its ``values()``; a non-graph raises ``TypeError`` at once.
     """
     _check_graph(g)
-    rows = getattr(g, "rows", None)
-    if rows is not None:
-        return rows()
-    return _checked_rows(g)
+    if hasattr(g, "rows"):
+        return g.rows()
+    return ((row, row.values()) for row in map(_checked_neighbors(g), range(1, g.n_nodes + 1)))
 
 
-def _checked_rows(g: Graph) -> Iterator[tuple[Collection[int], Collection[float]]]:
+def _checked_neighbors(g: Graph) -> Callable[[int], Mapping[int, float]]:
+    """``g.neighbors`` as kernels read it: unless ``g`` has ``rows()``, a row naming anything but an int in 1..n_nodes raises ``UnknownNodeError``."""
+    if hasattr(g, "rows"):
+        return g.neighbors
     n = g.n_nodes
-    for row in map(g.neighbors, range(1, n + 1)):
-        # The extremes bound every id; only a row outside them is walked,
-        # by check_ints, which names the first bad id.
-        try:
-            inside = not row or (0 < min(row) and max(row) <= n)
-        except TypeError:  # an id that does not compare with ints
-            inside = False
-        if not inside:
-            check_ints(row, 1, n, UnknownNodeError, "neighbour")
-        yield row, row.values()
+
+    def neighbors(v: int) -> Mapping[int, float]:
+        row = g.neighbors(v)
+        check_ints(row, 1, n, UnknownNodeError, "neighbour")
+        return row
+
+    return neighbors
 
 
 def co_member_counts(rows: Iterable[Iterable[int]]) -> dict[int, int]:
@@ -135,14 +129,8 @@ def _typecode(largest: int) -> str:
     return next(code for code in "BHIQ" if largest >> 8 * array(code).itemsize == 0)
 
 
-class BipartiteView:
-    """Incidence graph: vertices and hyperedges as two node classes.
-
-    Node ids 1..n are the vertices, n+1..n+k stand for hyperedges 1..k.
-    Vertex node v is adjacent to hyperedge node n+e iff v is a member
-    of e.  Incidence weights are not part of this view: every edge
-    weighs 1.
-    """
+class _View:
+    """A graph whose rows are derived on demand from a live hypergraph's incidence indexes."""
 
     __slots__ = ("_h",)
 
@@ -152,6 +140,22 @@ class BipartiteView:
     @property
     def hypergraph(self) -> Hypergraph:
         return self._h
+
+    def rows(self) -> Iterator[tuple[Mapping[int, int], Collection[int]]]:
+        """Each node's ``neighbors`` row and its ``values()``, in node order."""
+        return ((row, row.values()) for row in map(self.neighbors, range(1, self.n_nodes + 1)))
+
+
+class BipartiteView(_View):
+    """Incidence graph: vertices and hyperedges as two node classes.
+
+    Node ids 1..n are the vertices, n+1..n+k stand for hyperedges 1..k.
+    Vertex node v is adjacent to hyperedge node n+e iff v is a member
+    of e.  Incidence weights are not part of this view: every edge
+    weighs 1.
+    """
+
+    __slots__ = ()
 
     @property
     def n_nodes(self) -> int:
@@ -170,7 +174,7 @@ class BipartiteView:
         return dict.fromkeys(h._he2v[node - n - 1], 1)
 
 
-class TwoSectionView:
+class TwoSectionView(_View):
     """Clique expansion: vertices are adjacent iff they share a hyperedge.
 
     The weight of edge (u, v) is the number of hyperedges containing
@@ -178,14 +182,7 @@ class TwoSectionView:
     nothing; there are no self loops.
     """
 
-    __slots__ = ("_h",)
-
-    def __init__(self, h: Hypergraph) -> None:
-        self._h = h
-
-    @property
-    def hypergraph(self) -> Hypergraph:
-        return self._h
+    __slots__ = ()
 
     @property
     def n_nodes(self) -> int:

@@ -605,6 +605,16 @@ class TestRerun:
         assert lines[1].startswith("error: out/scores.csv digest changed (000000000000 -> ")
         assert dst.read_bytes() == before
 
+    def test_failing_replay_returns_its_exit_code_and_compares_nothing(self, tmp_path, capsys, monkeypatch):
+        dst = self._relative_run(tmp_path, capsys, monkeypatch)
+        manifest = dst.with_name("scores.csv.manifest.json")
+        doc = json.loads(manifest.read_text())
+        doc["argv"] += ["--s", "0"]
+        manifest.write_text(json.dumps(doc))
+        before = dst.read_bytes()
+        assert run(capsys, "rerun", str(manifest)) == (4, "", "error: s must be an integer of at least 1, got 0\n")
+        assert dst.read_bytes() == before
+
     # Each edit of a recorded output, and the first line rerun names for it.
     OUTPUT_EDITS = {
         "line-3": (lambda lines: lines[:2] + [lines[2] + b"0"] + lines[3:], "line 3"),

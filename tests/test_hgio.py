@@ -202,6 +202,9 @@ class TestJson:
             lambda d: d.update(n="3"),
             lambda d: d.update(v2he=[{}]),
             lambda d: d.update(vmeta=[None]),
+            lambda d: d["v2he"].__setitem__(0, [1]),
+            lambda d: d["he2v"].append({}),
+            lambda d: d["hemeta"].append(None),
             lambda d: d["v2he"][0].update({"9": 1.0}),
             lambda d: d["v2he"][0].update({"one": 1.0}),
             lambda d: d["v2he"][0].update({"1": "heavy"}),

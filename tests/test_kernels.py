@@ -204,11 +204,11 @@ def test_graph_kernels_reject_non_graphs(kernel, given):
         GRAPH_KERNELS[kernel](NON_GRAPHS[given])
 
 
-@pytest.mark.parametrize("bad", [0, -1, 3])
-@pytest.mark.parametrize("kernel", [k for k in GRAPH_KERNELS if k != "s_shortest_path_length"])
+@pytest.mark.parametrize("bad", [0, -1, 3, 1.5, "2", True])
+@pytest.mark.parametrize("kernel", GRAPH_KERNELS)
 def test_graph_kernels_refuse_a_row_naming_an_unknown_node(kernel, bad):
-    # Node 1's row names a node outside 1..2, which no kernel may read as
-    # another node's label, rating or strength.
+    # Node 1's row names something other than an int in 1..2, which no
+    # kernel may read as another node's label, rating or strength.
     with pytest.raises(UnknownNodeError):
         GRAPH_KERNELS[kernel](RowsGraph([{2: 1.0, bad: 1.0}, {1: 1.0}]))
 

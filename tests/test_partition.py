@@ -18,6 +18,10 @@ class TestPartition:
         assert p.community_count == 2
         assert p.vertices() == {1, 2, 3}
 
+    def test_from_communities_refuses_a_vertex_in_two_blocks(self):
+        with pytest.raises(ValueError, match="^vertex 2 appears in two communities$"):
+            Partition.from_communities([{1, 2}, {2, 3}])
+
     def test_communities_listing(self):
         p = Partition({1: 7, 2: 7, 3: 9})
         assert p.communities() == {7: {1, 2}, 9: {3}}
