@@ -13,9 +13,9 @@ from .analytics import (
     random_walk_step,
 )
 from .centrality import (
-    CentralityVector,
     SAdjacency,
     pearson,
+    ranked,
     s_adjacency,
     s_betweenness,
     s_shortest_path_length,
@@ -59,7 +59,6 @@ __all__ = [
     "TwoSectionView",
     "CoMemberTable",
     "Partition",
-    "CentralityVector",
     "SAdjacency",
     "LpConfig",
     "HgkitError",
@@ -80,6 +79,7 @@ __all__ = [
     "s_shortest_path_length",
     "s_betweenness",
     "pearson",
+    "ranked",
     "forecast_hypergraph",
     "forecast_graph",
     "average_error",

@@ -12,7 +12,6 @@ import random
 from collections import Counter
 from typing import Callable, Iterable, Iterator
 
-from .centrality import CentralityVector
 from .errors import (
     EmptyGraphError,
     IsolatedVertexError,
@@ -227,16 +226,14 @@ def degree_summary(h: Hypergraph) -> DegreeSummary:
     )
 
 
-def degree_centrality(h: Hypergraph) -> CentralityVector:
-    """Score each vertex by its incident hyperedge count."""
-    return CentralityVector({v: float(len(h._v2he[v - 1])) for v in h.vertices()})
+def degree_centrality(h: Hypergraph) -> dict[int, float]:
+    """Score each vertex by its incident hyperedge count, keyed 1..n in ascending order."""
+    return {v: float(len(h._v2he[v - 1])) for v in h.vertices()}
 
 
-def graph_degree_centrality(g: Graph) -> CentralityVector:
-    """Score each node by its number of distinct neighbours (co-members in a two-section view)."""
-    return CentralityVector(
-        {v: float(len(ids)) for v, (ids, _) in enumerate(graph_rows(g), start=1)}
-    )
+def graph_degree_centrality(g: Graph) -> dict[int, float]:
+    """Score each node by its number of distinct neighbours (co-members in a two-section view), keyed 1..n in ascending order."""
+    return {v: float(len(ids)) for v, (ids, _) in enumerate(graph_rows(g), start=1)}
 
 
 # --- modularity ----------------------------------------------------------------

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from functools import reduce
+from heapq import nlargest
 from itertools import compress
-from operator import or_
+from operator import itemgetter, or_
 
 from .errors import (
     DomainMismatchError,
@@ -23,35 +24,13 @@ from .hypercore import Hypergraph, check_int
 from .views import CoMemberTable, Graph, _check_graph, _checked_neighbors, co_member_tallies
 
 __all__ = [
-    "CentralityVector",
+    "ranked",
     "SAdjacency",
     "s_adjacency",
     "s_shortest_path_length",
     "s_betweenness",
     "pearson",
 ]
-
-
-class CentralityVector(Mapping[int, float]):
-    """Per-vertex scores, read-only, with a fixed ranking rule: score desc, id asc."""
-
-    def __init__(self, scores: dict[int, float]) -> None:
-        self.scores = scores
-
-    def __getitem__(self, v: int) -> float:
-        return self.scores[v]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.scores)
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def ranked(self) -> list[tuple[int, float]]:
-        return sorted(self.scores.items(), key=lambda item: (-item[1], item[0]))
-
-    def top(self, k: int) -> list[tuple[int, float]]:
-        return self.ranked()[: max(k, 0)]
 
 
 class SAdjacency:
@@ -71,6 +50,8 @@ class SAdjacency:
     def rows(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Each node's (s-neighbours, unit weights) pair, in node order."""
         return ((row, (1,) * len(row)) for row in self._nbrs)
+
+    _trusted_rows = rows
 
     def edges(self) -> list[tuple[int, int]]:
         out = [
@@ -330,8 +311,8 @@ def _brandes(nbrs: list[tuple[int, ...]]) -> dict[int, float]:
     return {v: bc[v] / 2.0 for v in range(1, n + 1)}
 
 
-def s_betweenness(h: Hypergraph, s: int = 1, table: CoMemberTable | None = None) -> CentralityVector:
-    """Betweenness of every vertex in the s-adjacency graph.
+def s_betweenness(h: Hypergraph, s: int = 1, table: CoMemberTable | None = None) -> dict[int, float]:
+    """Betweenness of every vertex in the s-adjacency graph, keyed 1..n in ascending order.
 
     Unordered vertex pairs count once; pairs with no connecting path
     contribute nothing.  Vertices isolated at threshold s score 0.
@@ -339,7 +320,20 @@ def s_betweenness(h: Hypergraph, s: int = 1, table: CoMemberTable | None = None)
     """
     adj = s_adjacency(h, s, table)
     del table  # not read again: its memory goes before Brandes runs
-    return CentralityVector(_brandes(adj._nbrs))
+    return _brandes(adj._nbrs)
+
+
+def ranked(scores: Mapping[int, float], k: int | None = None) -> list[tuple[int, float]]:
+    """The (id, score) items of ``scores`` best first: score descending, ties by ascending id.
+
+    A sort by id, then a stable sort by score alone (``0.0`` ties with
+    ``-0.0``).  For an int ``k``, the first k, as ``heapq.nlargest``
+    picks them; ``k <= 0`` gives ``[]``.
+    """
+    by_id = sorted(scores.items(), key=itemgetter(0))
+    if k is None:
+        return sorted(by_id, key=itemgetter(1), reverse=True)
+    return nlargest(k, by_id, key=itemgetter(1))
 
 
 def pearson(xs: Mapping[int, float], ys: Mapping[int, float]) -> float:

@@ -63,7 +63,7 @@ from .analytics import (
     graph_modularity,
     hypergraph_modularity,
 )
-from .centrality import pearson, s_betweenness
+from .centrality import pearson, ranked, s_betweenness
 from .community import LpConfig, graph_label_propagation, hypergraph_label_propagation, nmi
 from .errors import (
     DegenerateInputError,
@@ -377,10 +377,11 @@ def cmd_nmi(args: argparse.Namespace) -> int:
 SCORES_HEADER = ["vertex", "label", "score"]
 
 
-def _score_rows(h: Hypergraph, ranked: list[tuple[int, float]], full: bool) -> Iterator[list[str]]:
+def _score_rows(h: Hypergraph, items: list[tuple[int, float]], full: bool) -> Iterator[list[str]]:
     yield SCORES_HEADER
-    for v, score in ranked:
-        meta = h.get_vertex_meta(v)
+    vmeta = h._vmeta
+    for v, score in items:
+        meta = vmeta[v - 1]
         label = meta if isinstance(meta, str) else ""
         yield [str(v), label, _fmt(score, full)]
 
@@ -388,9 +389,8 @@ def _score_rows(h: Hypergraph, ranked: list[tuple[int, float]], full: bool) -> I
 def cmd_betweenness(args: argparse.Namespace) -> int:
     data, fmt = _read_input(args, args.format)
     h, _ = _load_hypergraph(args, data, fmt)
-    vector = s_betweenness(h, args.s, _load_co_members(args, data, fmt, h=h))
-    ranked = vector.top(args.top_k) if args.top_k is not None else vector.ranked()
-    _emit(args, _csv_chunks(_score_rows(h, ranked, args.full_precision)))
+    scores = s_betweenness(h, args.s, _load_co_members(args, data, fmt, h=h))
+    _emit(args, _csv_chunks(_score_rows(h, ranked(scores, args.top_k), args.full_precision)))
     return 0
 
 

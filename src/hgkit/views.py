@@ -7,11 +7,13 @@ nothing.  :class:`CoMemberTable` is the frozen two-section graph: it
 packs the graph into three flat arrays of ints, serves its rows as
 slices of them, and gives the load cache their bytes; it is made by
 :func:`co_member_tallies`, the walk that ``s_adjacency`` also reads.
-These three and ``SAdjacency`` have ``rows()``, which kernels read
-unchecked: a ``CoMemberTable`` built from a caller's own arrays is the
-caller's to get right.  A caller's graph needs only ``n_nodes`` and
-``neighbors``, and every kernel refuses its row ids that are not ints in
-1..n_nodes, such as ``1.5``, ``"2"`` or ``True``.
+These three and ``SAdjacency`` have ``rows()``, which their classes
+also hold as the private ``_trusted_rows``; kernels look that up on
+``type(g)``, never on the instance, and read its rows unchecked, so a
+``CoMemberTable`` built from a caller's own arrays is the caller's to
+get right.  A caller's graph needs only ``n_nodes`` and ``neighbors``,
+and every kernel refuses its row ids that are not ints in 1..n_nodes,
+such as ``1.5``, ``"2"`` or ``True``, a ``rows`` attribute or not.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class Graph(Protocol):
     caller's graph needs only these two members, and kernels refuse its
     row ids that are not such ints.  hgkit's own graphs also have
     ``rows()``, each node's (neighbours, weights) pair in node order,
-    each pair in its ``neighbors`` row's order, read unchecked.
+    each pair in its ``neighbors`` row's order, which kernels read
+    unchecked through ``type(g)._trusted_rows``.
     """
 
     n_nodes: int
@@ -60,18 +63,18 @@ def _check_graph(g: object) -> None:
 def graph_rows(g: Graph) -> Iterator[tuple[Collection[int], Collection[float]]]:
     """Every node's (neighbours, weights) pair in node order, each read when reached.
 
-    The pairs are ``g.rows()``, or else each :func:`_checked_neighbors`
-    row with its ``values()``; a non-graph raises ``TypeError`` at once.
+    The pairs are ``type(g)._trusted_rows(g)``, or else each checked
+    ``neighbors`` row with its ``values()``; a non-graph raises ``TypeError``.
     """
     _check_graph(g)
-    if hasattr(g, "rows"):
-        return g.rows()
+    if hasattr(type(g), "_trusted_rows"):
+        return type(g)._trusted_rows(g)
     return ((row, row.values()) for row in map(_checked_neighbors(g), range(1, g.n_nodes + 1)))
 
 
 def _checked_neighbors(g: Graph) -> Callable[[int], Mapping[int, float]]:
-    """``g.neighbors`` as kernels read it: unless ``g`` has ``rows()``, a row naming anything but an int in 1..n_nodes raises ``UnknownNodeError``."""
-    if hasattr(g, "rows"):
+    """``g.neighbors`` as kernels read it: unless ``g``'s class has ``_trusted_rows``, a row naming anything but an int in 1..n_nodes raises ``UnknownNodeError``."""
+    if hasattr(type(g), "_trusted_rows"):
         return g.neighbors
     n = g.n_nodes
 
@@ -144,6 +147,8 @@ class _View:
     def rows(self) -> Iterator[tuple[Mapping[int, int], Collection[int]]]:
         """Each node's ``neighbors`` row and its ``values()``, in node order."""
         return ((row, row.values()) for row in map(self.neighbors, range(1, self.n_nodes + 1)))
+
+    _trusted_rows = rows
 
 
 class BipartiteView(_View):
@@ -264,6 +269,8 @@ class CoMemberTable:
         """Each node's (neighbours, counts) slices, in node order."""
         ids, counts, ends = self.ids, self.counts, self.ends
         return ((ids[a:b], counts[a:b]) for a, b in zip(ends, islice(ends, 1, None)))
+
+    _trusted_rows = rows
 
     def neighbors(self, v: int) -> dict[int, int]:
         """Map of co-member vertex -> number of shared hyperedges, keyed in the table's order."""

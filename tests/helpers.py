@@ -27,8 +27,11 @@ the two-direction cell walk that the batched id check and the one-pass
 consistency check must agree with; ``reference_connected_components``
 (a union-find over the hyperedge index) and ``reference_degree_tallies``
 (counts taken cell by cell from the hyperedge index) are what the
-set-algebra components and the ``len`` tallies must agree with.  ``EdgeListGraph`` is the oracles' own
-frozen graph: a canonical edge list whose rows are built from it.
+set-algebra components and the ``len`` tallies must agree with.
+``reference_ranked`` is the one-key sort, score negated then id, that
+``ranked``'s two stable sorts must agree with.  ``EdgeListGraph`` is the
+oracles' own frozen graph: a canonical edge list whose rows are built
+from it.
 ``RowsGraph`` is a graph defined outside hgkit, with the two members
 the ``Graph`` protocol asks for and rows served exactly as given.
 ``same_blocks`` compares two partitions' communities whatever their labels.
@@ -272,6 +275,11 @@ def enumerated_betweenness(adj: dict[int, dict[int, int] | set[int]]) -> dict[in
             for mid, cnt in passes.items():
                 score[mid] += Fraction(cnt, total)
     return score
+
+
+def reference_ranked(scores: Mapping[int, float]) -> list[tuple[int, float]]:
+    """Every (id, score) item, best first: score descending, ties by ascending id."""
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))
 
 
 # --- reference frozen graph ---------------------------------------------------------------

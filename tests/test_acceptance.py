@@ -145,7 +145,7 @@ def test_betweenness_matches_independent_oracles():
             h = Hypergraph(n, 0)
             for _ in range(rng.randint(0, 4)):
                 h.add_hyperedge([v for v in range(1, n + 1) if rng.random() < 0.5])
-            got = s_betweenness(h, 1).scores
+            got = s_betweenness(h, 1)
             want = textbook_betweenness(two_section_adjacency(h))
             assert all(abs(got[v] - want[v]) <= 1e-9 for v in h.vertices())
         # mid-size random instances
@@ -153,7 +153,7 @@ def test_betweenness_matches_independent_oracles():
             h = Hypergraph(30, 0)
             for _ in range(rng.randint(10, 40)):
                 h.add_hyperedge(rng.sample(range(1, 31), rng.randint(2, 6)))
-            got = s_betweenness(h, 1).scores
+            got = s_betweenness(h, 1)
             want = textbook_betweenness(two_section_adjacency(h))
             assert all(abs(got[v] - want[v]) <= 1e-9 for v in h.vertices())
         # exact geodesic enumeration, s = 1 and s = 2
@@ -161,7 +161,7 @@ def test_betweenness_matches_independent_oracles():
             h = random_hypergraph(rng, max_n=12, max_k=8)
             for s in (1, 2):
                 adj = s_adjacency(h, s)
-                got = s_betweenness(h, s).scores
+                got = s_betweenness(h, s)
                 want = enumerated_betweenness(
                     {v: adj.neighbors(v) for v in h.vertices()}
                 )
@@ -317,5 +317,5 @@ def test_desk_scale_performance():
         start = time.perf_counter()
         scores = s_betweenness(big, 1)
         betweenness_time = time.perf_counter() - start
-        assert len(scores.scores) == 2_000
+        assert len(scores) == 2_000
         assert betweenness_time < 60.0, f"betweenness took {betweenness_time:.2f}s"

@@ -23,6 +23,7 @@ from hgkit import (
     hypergraph_modularity,
     one_step_distribution,
     random_walk_step,
+    ranked,
 )
 from hgkit.analytics import component_sizes
 from hgkit.errors import (
@@ -242,18 +243,17 @@ class TestDegrees:
     def test_degree_centrality(self):
         h = hypergraph_from_edges(3, [(1, 2), (1, 3)])
         scores = degree_centrality(h)
-        assert scores.scores == {1: 2.0, 2: 1.0, 3: 1.0}
-        assert scores.ranked() == [(1, 2.0), (2, 1.0), (3, 1.0)]
+        assert scores == {1: 2.0, 2: 1.0, 3: 1.0}
+        assert ranked(scores) == [(1, 2.0), (2, 1.0), (3, 1.0)]
 
     def test_graph_degree_centrality_counts_distinct_comembers(self):
         h = hypergraph_from_edges(3, [(1, 2), (1, 3), (1, 2)])
         scores = graph_degree_centrality(TwoSectionView(h))
-        assert scores.scores == {1: 2.0, 2: 1.0, 3: 1.0}
+        assert scores == {1: 2.0, 2: 1.0, 3: 1.0}
 
     def test_ranking_ties_break_by_vertex_id(self):
         h = hypergraph_from_edges(3, [(3, 2), (2, 3)])
-        ranked = degree_centrality(h).ranked()
-        assert ranked == [(2, 2.0), (3, 2.0), (1, 0.0)]
+        assert ranked(degree_centrality(h)) == [(2, 2.0), (3, 2.0), (1, 0.0)]
 
     def test_degree_summary(self):
         h = hypergraph_from_edges(3, [(1, 2), (1, 2, 3), ()])

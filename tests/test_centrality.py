@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -13,7 +13,9 @@ from hgkit import (
     Hypergraph,
     TwoSectionView,
     degree_centrality,
+    graph_degree_centrality,
     pearson,
+    ranked,
     s_adjacency,
     s_betweenness,
     s_shortest_path_length,
@@ -24,6 +26,7 @@ from helpers import (
     enumerated_betweenness,
     hypergraph_from_edges,
     random_hypergraph,
+    reference_ranked,
     textbook_betweenness,
     two_section_adjacency,
 )
@@ -136,21 +139,21 @@ class TestShortestPaths:
 class TestSBetweenness:
     def test_path_graph_hand_values(self):
         scores = s_betweenness(path_hypergraph(5))
-        assert scores.scores == {1: 0.0, 2: 3.0, 3: 4.0, 4: 3.0, 5: 0.0}
+        assert scores == {1: 0.0, 2: 3.0, 3: 4.0, 4: 3.0, 5: 0.0}
 
     def test_star_center_carries_everything(self):
         scores = s_betweenness(star_hypergraph(5))
         # center mediates all C(4,2) leaf pairs
-        assert scores.scores == {1: 6.0, 2: 0.0, 3: 0.0, 4: 0.0, 5: 0.0}
+        assert scores == {1: 6.0, 2: 0.0, 3: 0.0, 4: 0.0, 5: 0.0}
 
     def test_cycle_is_uniform(self):
         scores = s_betweenness(cycle_hypergraph(6))
-        values = list(scores.scores.values())
+        values = list(scores.values())
         assert max(values) - min(values) < 1e-9
 
     def test_single_big_hyperedge_is_all_zero(self):
         scores = s_betweenness(hypergraph_from_edges(4, [(1, 2, 3, 4)]))
-        assert set(scores.scores.values()) == {0.0}
+        assert set(scores.values()) == {0.0}
 
     def test_s2_restricts_to_strong_ties(self):
         # strong path 1-2-3 plus a weakly attached 4
@@ -158,7 +161,7 @@ class TestSBetweenness:
             4, [(1, 2), (1, 2), (2, 3), (2, 3), (1, 4)]
         )
         scores = s_betweenness(h, s=2)
-        assert scores.scores == {1: 0.0, 2: 1.0, 3: 0.0, 4: 0.0}
+        assert scores == {1: 0.0, 2: 1.0, 3: 0.0, 4: 0.0}
 
     def test_matches_independent_brandes(self):
         rng = random.Random(53)
@@ -187,7 +190,7 @@ class TestSBetweenness:
         rng = random.Random(55)
         for _ in range(30):
             h = random_hypergraph(rng, max_n=8, max_k=6)
-            fast = s_betweenness(h, 1).scores
+            fast = s_betweenness(h, 1)
             view = TwoSectionView(h)
             nodes = range(1, view.n_nodes + 1)
             exact = enumerated_betweenness({v: sorted(view.neighbors(v)) for v in nodes})
@@ -196,20 +199,35 @@ class TestSBetweenness:
 
     def test_ranked_and_top(self):
         scores = s_betweenness(path_hypergraph(5))
-        assert scores.ranked()[0] == (3, 4.0)
-        assert scores.top(2) == [(3, 4.0), (2, 3.0)]
+        assert ranked(scores)[0] == (3, 4.0)
+        assert ranked(scores, 2) == [(3, 4.0), (2, 3.0)]
 
-    def test_scores_are_a_read_only_mapping(self):
+    def test_scores_are_a_dict_keyed_in_vertex_order(self):
         h = path_hypergraph(5)
         scores = s_betweenness(h)
-        assert isinstance(scores, Mapping)
+        assert type(scores) is dict
         assert scores == {1: 0.0, 2: 3.0, 3: 4.0, 4: 3.0, 5: 0.0} == s_betweenness(h)
         assert scores != s_betweenness(star_hypergraph(5))
-        assert (list(scores), len(scores), 6 in scores) == ([1, 2, 3, 4, 5], 5, False)
-        with pytest.raises(TypeError):
-            hash(scores)
-        with pytest.raises(TypeError):
-            scores[1] = 0.0
+        h = hypergraph_from_edges(4, [(4, 2), (3, 1, 4)])
+        for scores in (s_betweenness(h, 2), degree_centrality(h), graph_degree_centrality(TwoSectionView(h))):
+            assert type(scores) is dict and list(scores) == [1, 2, 3, 4]
+
+
+class TestRanked:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_one_key_sort(self, seed):
+        # Few distinct scores, so most of them tie; 0.0 and -0.0 compare
+        # equal and must keep ascending ids between them as well.
+        rng = random.Random(seed)
+        n = rng.randint(0, 60)
+        pool = [0.0, -0.0, 1.0, 2.5, -3.0, rng.random()]
+        ids = rng.sample(range(1, 4 * n + 2), n)
+        scores = {v: rng.choice(pool) for v in ids}
+        want = reference_ranked(scores)
+        assert ranked(scores) == want
+        assert ranked(MappingProxyType(scores)) == want
+        for k in (-1, 0, 1, 7, n, n + 3):
+            assert ranked(scores, k) == want[:max(k, 0)]
 
 
 class TestPearson:
@@ -244,10 +262,10 @@ class TestPearson:
 
     def test_degree_vs_betweenness_smoke(self):
         h = star_hypergraph(6)
-        r = pearson(degree_centrality(h).scores, s_betweenness(h).scores)
+        r = pearson(degree_centrality(h), s_betweenness(h))
         assert abs(r - 1.0) < 1e-12
 
     def test_takes_score_vectors_as_mappings(self):
         h = hypergraph_from_edges(5, [(1, 2), (2, 3), (3, 4, 5), (1, 5)])
         xs, ys = degree_centrality(h), s_betweenness(h)
-        assert pearson(xs, ys) == pearson(xs.scores, ys.scores) == pearson(xs, ys.scores)
+        assert pearson(MappingProxyType(xs), ys) == pearson(xs, ys) == pearson(xs, MappingProxyType(ys))

@@ -213,6 +213,32 @@ def test_graph_kernels_refuse_a_row_naming_an_unknown_node(kernel, bad):
         GRAPH_KERNELS[kernel](RowsGraph([{2: 1.0, bad: 1.0}, {1: 1.0}]))
 
 
+class AttributeRowsGraph(RowsGraph):
+    """A caller's graph that also holds its rows in a public data attribute named ``rows``."""
+
+    def __init__(self, rows: list[dict[int, float]]) -> None:
+        super().__init__(rows)
+        self.rows = rows
+
+
+@pytest.mark.parametrize("kernel", GRAPH_KERNELS)
+def test_graph_kernels_check_a_caller_graph_with_a_rows_attribute(kernel):
+    # A ``rows`` attribute does not make a caller's graph one of hgkit's own.
+    with pytest.raises(UnknownNodeError):
+        GRAPH_KERNELS[kernel](AttributeRowsGraph([{2: 1.0, 0: 1.0}, {1: 1.0}]))
+
+
+@pytest.mark.parametrize("kernel", GRAPH_KERNELS)
+def test_graph_kernels_look_up_trusted_rows_on_the_class(kernel):
+    # Kernels trust the rows method of hgkit's graph classes, never an
+    # instance attribute of the same name.
+    rows = [{2: 1.0, 0: 1.0}, {1: 1.0}]
+    g = RowsGraph(rows)
+    g._trusted_rows = lambda: ((row, row.values()) for row in rows)
+    with pytest.raises(UnknownNodeError):
+        GRAPH_KERNELS[kernel](g)
+
+
 @pytest.mark.parametrize("kernel", GRAPH_KERNELS)
 def test_graph_kernels_run_on_s_adjacency(kernel):
     # The one edge is three hyperedges, so it holds at every s up to 3.
@@ -237,7 +263,7 @@ def test_brandes_matches_reference_bit_for_bit(s):
         got = _brandes(nbrs)
         assert list(got) == list(want)
         assert all(got[v] == want[v] for v in want)
-        assert s_betweenness(h, s).scores == want
+        assert s_betweenness(h, s) == want
 
 
 def test_brandes_on_dense_overlaps_with_many_geodesics():
@@ -697,7 +723,7 @@ def test_graph_kernels_on_bipartite_views_match_reference():
                 got = graph_label_propagation(g, cfg)
                 want = reference_graph_label_propagation(frozen, cfg)
                 assert (got[0].labels, got[1]) == (want[0].labels, want[1])
-            degrees = graph_degree_centrality(g).scores
+            degrees = graph_degree_centrality(g)
             assert degrees == {v: float(len(row)) for v, row in frozen.adjacency().items()}
             for _ in range(2):
                 p = random_partition(rng, range(1, view.n_nodes + 1))
