@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from functools import reduce
-from heapq import nlargest
 from itertools import compress
 from operator import itemgetter, or_
 
@@ -327,13 +326,11 @@ def ranked(scores: Mapping[int, float], k: int | None = None) -> list[tuple[int,
     """The (id, score) items of ``scores`` best first: score descending, ties by ascending id.
 
     A sort by id, then a stable sort by score alone (``0.0`` ties with
-    ``-0.0``).  For an int ``k``, the first k, as ``heapq.nlargest``
-    picks them; ``k <= 0`` gives ``[]``.
+    ``-0.0``).  For an int ``k``, the first k of that list; ``k <= 0``
+    gives ``[]``.
     """
     by_id = sorted(scores.items(), key=itemgetter(0))
-    if k is None:
-        return sorted(by_id, key=itemgetter(1), reverse=True)
-    return nlargest(k, by_id, key=itemgetter(1))
+    return sorted(by_id, key=itemgetter(1), reverse=True)[: None if k is None else max(k, 0)]
 
 
 def pearson(xs: Mapping[int, float], ys: Mapping[int, float]) -> float:

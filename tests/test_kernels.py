@@ -204,39 +204,43 @@ def test_graph_kernels_reject_non_graphs(kernel, given):
         GRAPH_KERNELS[kernel](NON_GRAPHS[given])
 
 
-@pytest.mark.parametrize("bad", [0, -1, 3, 1.5, "2", True])
-@pytest.mark.parametrize("kernel", GRAPH_KERNELS)
-def test_graph_kernels_refuse_a_row_naming_an_unknown_node(kernel, bad):
+def rows_attribute_graph(rows: list[dict[int, float]]) -> RowsGraph:
+    g = RowsGraph(rows)
+    g.rows = rows
+    return g
+
+
+def instance_trusted_rows_graph(rows: list[dict[int, float]]) -> RowsGraph:
+    g = RowsGraph(rows)
+    g._trusted_rows = lambda: ((row, row.values()) for row in rows)
+    return g
+
+
+# A caller's graph, as it is or with a public ``rows`` data attribute or an
+# instance ``_trusted_rows``: neither makes it one of hgkit's own, whose
+# rows the kernels trust through a method looked up on the class.  Keys
+# are test id suffixes; the plain graph's is empty, so its ids stay put.
+CALLER_GRAPHS = {
+    "": RowsGraph,
+    "-rows-attribute": rows_attribute_graph,
+    "-instance-trusted-rows": instance_trusted_rows_graph,
+}
+
+
+@pytest.mark.parametrize(
+    "kernel, bad, graph",
+    [
+        pytest.param(kernel, bad, graph, id=f"{kernel}-{bad}{graph}")
+        for kernel in GRAPH_KERNELS
+        for bad in (0, -1, 3, 1.5, "2", True)
+        for graph in CALLER_GRAPHS
+    ],
+)
+def test_graph_kernels_refuse_a_row_naming_an_unknown_node(kernel, bad, graph):
     # Node 1's row names something other than an int in 1..2, which no
     # kernel may read as another node's label, rating or strength.
     with pytest.raises(UnknownNodeError):
-        GRAPH_KERNELS[kernel](RowsGraph([{2: 1.0, bad: 1.0}, {1: 1.0}]))
-
-
-class AttributeRowsGraph(RowsGraph):
-    """A caller's graph that also holds its rows in a public data attribute named ``rows``."""
-
-    def __init__(self, rows: list[dict[int, float]]) -> None:
-        super().__init__(rows)
-        self.rows = rows
-
-
-@pytest.mark.parametrize("kernel", GRAPH_KERNELS)
-def test_graph_kernels_check_a_caller_graph_with_a_rows_attribute(kernel):
-    # A ``rows`` attribute does not make a caller's graph one of hgkit's own.
-    with pytest.raises(UnknownNodeError):
-        GRAPH_KERNELS[kernel](AttributeRowsGraph([{2: 1.0, 0: 1.0}, {1: 1.0}]))
-
-
-@pytest.mark.parametrize("kernel", GRAPH_KERNELS)
-def test_graph_kernels_look_up_trusted_rows_on_the_class(kernel):
-    # Kernels trust the rows method of hgkit's graph classes, never an
-    # instance attribute of the same name.
-    rows = [{2: 1.0, 0: 1.0}, {1: 1.0}]
-    g = RowsGraph(rows)
-    g._trusted_rows = lambda: ((row, row.values()) for row in rows)
-    with pytest.raises(UnknownNodeError):
-        GRAPH_KERNELS[kernel](g)
+        GRAPH_KERNELS[kernel](CALLER_GRAPHS[graph]([{2: 1.0, bad: 1.0}, {1: 1.0}]))
 
 
 @pytest.mark.parametrize("kernel", GRAPH_KERNELS)
